@@ -4,11 +4,11 @@ exact spectral bias/variance oracles and large-d convergence-rate checks.
 
 from .errors import KilabError, NumericalError, UsageError, VerificationError
 from .seeding import SeedPath, SpherePoints, sample_noise, sample_sphere
-from .zonal import ZonalBasis, QuadratureRule, gram_zonal, multiplicity, quadrature
+from .zonal import (ZonalBasis, QuadratureRule, gram_zonal, multiplicity,
+                    quadrature, zonal_series)
 from .spectrum import (KernelSpec, Spectrum, TailSums, assemble_kernel_matrix,
                        compute_spectrum, eval_phi, kernel_by_id,
-                       kernel_from_coefficients, low_degree_kernel_matrix,
-                       squared_kernel, tail_sums)
+                       kernel_from_coefficients, tail_sums)
 from .target import Dataset, Target, build_target, eval_target, make_dataset
 from .estimator import (BiasReport, ErrorReport, FittedInterpolant, McErrors,
                         ConcentrationReport, concentration_report,

@@ -3,11 +3,13 @@
 The estimator is f_hat(x) = k(x, X) (K + n*lambda*I)^-1 Y (lambda = 0 for
 interpolation). Because both the kernel and the target are zonal, the bias
 and variance of the fitted function are exact finite-dimensional
-expressions in the n x n Gram matrix:
+expressions in the n x n Gram matrix G. With M = sum_k mu_k^2 N_k P_k(G)
+the variance is sigma^2 * tr(K^-1 M K^-1) = sigma^2 * <K^-2, M>, which
+splits into one nonnegative term per degree,
 
-  variance = sigma^2 * tr(K^-1 M K^-1),  M_ij = Phi2(<x_i, x_j>),
+  var_k = sigma^2 mu_k^2 N_k <K^-2, P_k(G)>,
 
-with Phi2 the squared spectrum, and the degree-k component of the bias
+and the degree-k component of the bias
 
   ||E f_hat - f*||^2 restricted to degree k
       = mu_k^2 N_k a^T P_k(G) a - 2 mu_k beta_k sqrt(N_k) a^T p_k(w)
@@ -20,18 +22,16 @@ of both quantities serve as independent cross-checks, never as truth.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigvalsh, LinAlgError
 
 from .errors import NumericalError, UsageError
 from .seeding import SeedPath, SpherePoints, sample_sphere
-from .spectrum import (Spectrum, assemble_kernel_matrix, eval_phi,
-                       low_degree_kernel_matrix, squared_kernel, tail_sums)
+from .spectrum import Spectrum, assemble_kernel_matrix, eval_phi, tail_sums
 from .target import Dataset, Target, eval_target
-from .zonal import multiplicity
+from .zonal import multiplicity, zonal_series
 
 JITTER_LEVEL_FACTOR = 1e-10
 RESIDUAL_TOL = 1e-10
@@ -122,7 +122,7 @@ def predict(model: FittedInterpolant, points: SpherePoints) -> np.ndarray:
 
 
 def exact_variance(model: FittedInterpolant) -> float:
-    """sigma^2 * tr(K^-1 M K^-1) with M the squared-spectrum Gram matrix."""
+    """sigma^2 * <K^-2, M> with M = sum_k mu_k^2 N_k P_k(G)."""
     low, high = variance_split(model, l=-1)
     return low + high
 
@@ -130,33 +130,23 @@ def exact_variance(model: FittedInterpolant) -> float:
 def variance_split(model: FittedInterpolant, l: int) -> tuple[float, float]:
     """Exact variance split into degree <= l and degree > l contributions.
 
-    The low part is sigma^2 tr(K^-1 Psi_{<=l} Sigma_{<=l}^2 Psi_{<=l}^T K^-1);
-    the high part is the rest of the trace. l = -1 puts everything in 'high'.
+    var_k = sigma^2 mu_k^2 N_k <S, P_k(G)> with S = K^-1 K^-T = K^-2 taken
+    from the existing factor; every var_k is nonnegative, so the split has
+    no cancellation. l = -1 puts everything in 'high'.
     """
     sigma2 = model.dataset.sigma2
     if sigma2 == 0.0:
         return 0.0, 0.0
     sp = model.spectrum
-    G = model.dataset.points.gram()
-    M = assemble_kernel_matrix(squared_kernel(sp), model.dataset.points)
-
-    def trace_quad(mat: np.ndarray) -> float:
-        w = cho_solve(model.cho, mat)
-        v = cho_solve(model.cho, w.T)
-        return float(np.trace(v))
-
-    if l < 0:
-        return 0.0, sigma2 * trace_quad(M)
-    coef = sp.mu**2 * sp.multiplicities
-    M_low = np.zeros_like(M)
-    for k, p_k in enumerate(sp.basis().iter_values(G)):
-        if k > l:
-            break
-        M_low += coef[k] * p_k
-    M_low = 0.5 * (M_low + M_low.T)
-    low = sigma2 * trace_quad(M_low)
-    high = sigma2 * trace_quad(M - M_low)
-    return low, high
+    k_inv = cho_solve(model.cho, np.eye(model.n))
+    S = k_inv @ k_inv.T
+    del k_inv
+    # no local name for G: the recurrence's clamped copy is then the only
+    # n x n Gram array alive, one fewer at the stage's memory peak
+    inner = np.array([np.vdot(S, p_k)
+                      for p_k in sp.basis().iter_values(model.dataset.points.gram())])
+    var_k = sigma2 * sp.mu**2 * sp.multiplicities * inner
+    return float(var_k[: l + 1].sum()), float(var_k[l + 1:].sum())
 
 
 @dataclass(frozen=True)
@@ -271,17 +261,11 @@ def concentration_report(model: FittedInterpolant, l: int) -> ConcentrationRepor
 
     lam_min_K = float(eigvalsh(model.K, subset_by_index=(0, 0))[0])
 
-    K_high = model.K - low_degree_kernel_matrix(sp, l, G)
-    ev = eigvalsh(K_high)
+    ev = eigvalsh(model.K - zonal_series(sp.d, (sp.mu * sp.multiplicities)[: l + 1], G))
     delta1 = float(max(abs(ev[0] / kappa1 - 1.0), abs(ev[-1] / kappa1 - 1.0)))
 
     B_l = sum(multiplicity(sp.d, k) for k in range(l + 1))
-    A = np.zeros_like(G)
-    for k, p_k in enumerate(sp.basis().iter_values(G)):
-        if k > l:
-            break
-        A += sp.multiplicities[k] * p_k
-    A = 0.5 * (A + A.T) / n
+    A = zonal_series(sp.d, sp.multiplicities[: l + 1], G) / n
     ev_a = eigvalsh(A)
     top = ev_a[-min(B_l, n):]
     psi_dev = float(np.max(np.abs(top - 1.0)))
@@ -313,14 +297,12 @@ class ErrorReport:
     kappa1: float
     kappa2: float
     jitter_used: float
-    runtime_ms: float
 
 
 def evaluate_cell(model: FittedInterpolant, target: Target,
                   mc_test_points: int = 2000,
                   mc_seed: SeedPath | None = None) -> ErrorReport:
     """Run all exact oracles and (optionally) the MC cross-check on one fit."""
-    t0 = time.perf_counter()
     l = target.l
     ts = tail_sums(model.spectrum, l)
     var_low, var_high = variance_split(model, l)
@@ -340,7 +322,6 @@ def evaluate_cell(model: FittedInterpolant, target: Target,
                   or abs(var_exact - var_mc) <= 4.0 * var_se + 1e-12)
         mc_ok = bool(bias_ok and var_ok)
 
-    runtime_ms = (time.perf_counter() - t0) * 1e3
     return ErrorReport(
         bias_sq_exact=bias.total,
         var_exact=var_exact,
@@ -361,5 +342,4 @@ def evaluate_cell(model: FittedInterpolant, target: Target,
         kappa1=ts.kappa1,
         kappa2=ts.kappa2,
         jitter_used=model.jitter_used,
-        runtime_ms=runtime_ms,
     )

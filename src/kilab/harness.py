@@ -14,15 +14,15 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .errors import KilabError, NumericalError, UsageError
-from .estimator import ErrorReport, evaluate_cell, fit
-from .rates import (PhasePoint, bias_exponent, classify, fit_slope,
-                    total_exponent, var_exponent)
+from .errors import KilabError, UsageError
+from .estimator import evaluate_cell, fit
+from .rates import (bias_exponent, classify, fit_slope, total_exponent,
+                    var_exponent)
 from .seeding import SeedPath, TAG_AXIS, TAG_MC
 from .spectrum import (KernelSpec, Spectrum, compute_spectrum,
                        kernel_by_id, kernel_from_coefficients)
@@ -170,9 +170,7 @@ def run_cell(config: ExperimentConfig, spectrum: Spectrum, d: int,
 
 
 def _cell_worker(args) -> dict:
-    config_dict, spectrum, d, replicate = args
-    config = ExperimentConfig.from_dict(config_dict)
-    return run_cell(config, spectrum, d, replicate)
+    return run_cell(*args)
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> Iterator[dict]:
@@ -185,8 +183,9 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> Iterator[dict]:
         for d, r in cells:
             yield run_cell(config, spectra[d], d, r)
         return
-    cfg = config.to_dict()
-    args = [(cfg, spectra[d], d, r) for d, r in cells]
+    # workers get the config object itself; re-parsing it with from_dict
+    # would let KILAB_SEED override the master_seed it was built with
+    args = [(config, spectra[d], d, r) for d, r in cells]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_cell_worker, args, chunksize=4)
 

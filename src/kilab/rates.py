@@ -155,7 +155,7 @@ class SlopeFit:
     mean_log_values: tuple[float, ...]
 
 
-def fit_slope(pairs, weights=None) -> SlopeFit:
+def fit_slope(pairs) -> SlopeFit:
     """Fit log(value) ~ slope * log(d); replicates averaged in log space.
 
     pairs: iterable of (d, value) with value > 0. With replicates per d the

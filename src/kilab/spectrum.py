@@ -10,14 +10,13 @@ so the per-degree eigenvalues are the projections
     mu_k = E_rho[Phi(t) P_kd(t)],
 
 computed here by Gauss-Jacobi quadrature. Tail sums kappa1/kappa2 over
-degrees > l, the elementwise-squared spectrum Phi2 (entries of
-Psi Sigma^2 Psi^T) and kernel-matrix assembly all live here.
+degrees > l and kernel-matrix assembly also live here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -128,10 +127,6 @@ class Spectrum:
     multiplicities: np.ndarray     # shape (k_max+1,), float copies of exact ints
     trace_residual: float          # Phi(1) - sum_k mu_k N(d,k) >= 0
 
-    @property
-    def phi_one(self) -> float:
-        return float(self.mu @ self.multiplicities + self.trace_residual)
-
     def basis(self) -> ZonalBasis:
         return ZonalBasis(self.d, self.k_max)
 
@@ -143,8 +138,6 @@ class TailSums:
     l: int
     kappa1: float
     kappa2: float
-    kappa1_tail_bound: float   # unaccounted mass beyond k_max
-    kappa2_tail_bound: float
 
 
 def compute_spectrum(spec: KernelSpec, d: int, tol: float = 1e-10) -> Spectrum:
@@ -212,71 +205,12 @@ def tail_sums(spectrum: Spectrum, l: int) -> TailSums:
     w = spectrum.mu[lo:] * spectrum.multiplicities[lo:]
     kappa1 = float(w.sum() + spectrum.trace_residual)
     kappa2 = float((spectrum.mu[lo:] * w).sum())
-    mu_edge = float(spectrum.mu[spectrum.k_max])
-    return TailSums(
-        l=l,
-        kappa1=kappa1,
-        kappa2=kappa2,
-        kappa1_tail_bound=spectrum.trace_residual,
-        kappa2_tail_bound=mu_edge * spectrum.trace_residual,
-    )
+    return TailSums(l=l, kappa1=kappa1, kappa2=kappa2)
 
 
-@dataclass(frozen=True)
-class SquaredKernel:
-    """Evaluator for Phi2(t) = sum_k mu_k^2 N(d,k) P_kd(t).
-
-    These are the entries of Psi Sigma^2 Psi^T, the matrix inside the exact
-    variance trace. tail_bound bounds the dropped degrees > k_max.
-    """
-
-    spectrum: Spectrum
-    tail_bound: float
-
-    def eval(self, t) -> np.ndarray:
-        sp = self.spectrum
-        basis = sp.basis()
-        t_arr = np.asarray(t, dtype=float)
-        out = np.zeros_like(t_arr)
-        coef = sp.mu * sp.mu * sp.multiplicities
-        for k, p_k in enumerate(basis.iter_values(t_arr)):
-            out += coef[k] * p_k
-        return out if np.ndim(t) else float(out)
-
-
-def squared_kernel(spectrum: Spectrum) -> SquaredKernel:
-    mu_edge = float(spectrum.mu[spectrum.k_max])
-    return SquaredKernel(spectrum=spectrum, tail_bound=mu_edge * spectrum.trace_residual)
-
-
-def assemble_kernel_matrix(evaluator, points: SpherePoints) -> np.ndarray:
-    """K_ij = Phi(<x_i, x_j>) for a KernelSpec or SquaredKernel evaluator."""
-    G = points.gram()
-    if isinstance(evaluator, KernelSpec):
-        K = eval_phi(evaluator, G)
-        diag = float(eval_phi(evaluator, 1.0))
-    elif isinstance(evaluator, SquaredKernel):
-        K = evaluator.eval(G)
-        diag = float(evaluator.eval(1.0))
-    else:
-        raise UsageError(f"cannot assemble kernel matrix from {type(evaluator)!r}")
+def assemble_kernel_matrix(spec: KernelSpec, points: SpherePoints) -> np.ndarray:
+    """K_ij = Phi(<x_i, x_j>), exactly symmetric with Phi(1) on the diagonal."""
+    K = eval_phi(spec, points.gram())
     K = 0.5 * (K + K.T)
-    np.fill_diagonal(K, diag)
+    np.fill_diagonal(K, float(eval_phi(spec, 1.0)))
     return K
-
-
-def low_degree_kernel_matrix(spectrum: Spectrum, l: int, G: np.ndarray) -> np.ndarray:
-    """K_{<=l}: entries sum_{k<=l} mu_k N(d,k) P_kd(G_ij)."""
-    if l > spectrum.k_max:
-        raise UsageError(f"l={l} exceeds k_max={spectrum.k_max}")
-    if l < 0:
-        return np.zeros_like(np.asarray(G, dtype=float))
-    basis = spectrum.basis()
-    G = np.asarray(G, dtype=float)
-    out = np.zeros_like(G)
-    coef = spectrum.mu * spectrum.multiplicities
-    for k, p_k in enumerate(basis.iter_values(G)):
-        if k > l:
-            break
-        out += coef[k] * p_k
-    return 0.5 * (out + out.T)

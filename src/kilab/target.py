@@ -21,6 +21,7 @@ import numpy as np
 from .errors import UsageError
 from .seeding import SeedPath, SpherePoints, sample_noise, sample_sphere, TAG_POINTS, TAG_NOISE
 from .spectrum import Spectrum
+from .zonal import zonal_series
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,7 @@ def eval_target(target: Target, points: SpherePoints) -> np.ndarray:
         raise UsageError(f"dimension mismatch: points d={points.d}, target d={target.d}")
     sp = target.spectrum
     t = np.clip(points.coordinates @ target.axis, -1.0, 1.0)
-    coef = target.beta * np.sqrt(sp.multiplicities[: target.l + 2])
-    out = np.zeros_like(t)
-    for k, p_k in enumerate(sp.basis().iter_values(t)):
-        if k > target.l + 1:
-            break
-        out += coef[k] * p_k
-    return out
+    return zonal_series(sp.d, target.beta * np.sqrt(sp.multiplicities[: target.l + 2]), t)
 
 
 def make_dataset(target: Target, n: int, sigma2: float, seed: SeedPath) -> Dataset:

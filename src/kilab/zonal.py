@@ -97,6 +97,16 @@ class ZonalBasis:
         return np.stack(list(self.iter_values(t)))
 
 
+def zonal_series(d: int, coef, t) -> np.ndarray:
+    """sum_{k < len(coef)} coef[k] * P_kd(t) for scalar or array t."""
+    coef = np.asarray(coef, dtype=float)
+    t_arr = np.asarray(t, dtype=float)
+    out = np.zeros_like(t_arr)
+    for c, p_k in zip(coef, ZonalBasis(d, max(coef.size - 1, 0)).iter_values(t_arr)):
+        out += c * p_k
+    return out if np.ndim(t) else float(out)
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Probability quadrature for the density rho_d on [-1, 1]."""

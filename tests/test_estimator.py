@@ -1,14 +1,13 @@
-import math
-
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from kilab import (Dataset, SeedPath, SpherePoints, UsageError, build_target,
                    compute_spectrum, concentration_report, evaluate_cell,
                    exact_bias_by_degree, exact_variance, eval_phi, fit,
                    kernel_by_id, make_dataset, mc_errors, multiplicity,
-                   predict, sample_sphere, squared_kernel, tail_sums,
-                   variance_split)
+                   predict, sample_sphere, tail_sums, variance_split,
+                   zonal_series)
 from kilab.seeding import TAG_AXIS, TAG_MC
 
 SEED = SeedPath(31337)
@@ -86,7 +85,7 @@ def test_variance_single_point():
     target = build_target(sp, 1.0, 1.5, SEED.child(6))
     ds = make_dataset(target, 1, 1.0, SEED.child(7))
     model = fit(ds, sp)
-    phi2_one = squared_kernel(sp).eval(1.0)
+    phi2_one = tail_sums(sp, -1).kappa2
     expected = 1.0 * phi2_one / eval_phi(sp.spec, 1.0) ** 2
     assert exact_variance(model) == pytest.approx(expected, rel=1e-10)
 
@@ -101,6 +100,38 @@ def test_variance_split_sums_to_total():
     low, high = variance_split(model, target.l)
     assert low + high == pytest.approx(exact_variance(model), rel=1e-9)
     assert low >= 0 and high >= 0
+
+
+def _trace_variance_split(model, l):
+    """Independent oracle: sigma^2 tr(K^-1 M K^-1), split at degree l.
+
+    M and M_{<=l} are assembled as explicit n x n matrices and each trace
+    takes two solves against the factor, the route variance_split replaces.
+    """
+    sp = model.spectrum
+    G = model.dataset.points.gram()
+    coef = sp.mu**2 * sp.multiplicities
+    M = zonal_series(sp.d, coef, G)
+    M_low = zonal_series(sp.d, coef[: l + 1], G)
+
+    def trace_quad(mat):
+        w = cho_solve(model.cho, mat)
+        return float(np.trace(cho_solve(model.cho, w.T)))
+
+    sigma2 = model.dataset.sigma2
+    return sigma2 * trace_quad(M_low), sigma2 * trace_quad(M - M_low)
+
+
+@pytest.mark.parametrize("d, gamma, lam", [
+    (16, 1.25, 0.0), (12, 1.75, 0.0), (10, 2.0, 0.0), (12, 1.5, 1e-3),
+])
+def test_variance_split_matches_trace_oracle(d, gamma, lam):
+    model, target, _ = _cell(d=d, gamma=gamma, lam=lam)
+    low, high = variance_split(model, target.l)
+    low_ref, high_ref = _trace_variance_split(model, target.l)
+    assert low == pytest.approx(low_ref, rel=1e-9)
+    assert high == pytest.approx(high_ref, rel=1e-9)
+    assert exact_variance(model) == pytest.approx(low_ref + high_ref, rel=1e-9)
 
 
 def test_variance_monotone_in_ridge():

@@ -88,6 +88,18 @@ def test_sweep_deterministic_and_worker_invariant():
     assert len(rows1) == len(cfg.d_list) * cfg.replicates
 
 
+def test_sweep_workers_keep_the_config_seed(monkeypatch):
+    # KILAB_SEED is read when a config is parsed, never again by the workers
+    monkeypatch.setenv("KILAB_SEED", "7")
+    cfg = small_config(master_seed=5)
+    strip = lambda rows: [{k: v for k, v in r.items() if k != "runtime_ms"}
+                          for r in rows]
+    rows1 = strip(run_sweep(cfg, workers=1))
+    rows_par = strip(run_sweep(cfg, workers=2))
+    assert all(r["seed_path"].startswith("5:") for r in rows1)
+    assert rows1 == rows_par
+
+
 def test_sweep_poisoned_cell_is_isolated():
     # a degree <= 1 kernel gives K rank d+2 < n, so the factorization
     # fails; each cell must turn into an error row, not an exception

@@ -6,8 +6,18 @@ import pytest
 from kilab import (NumericalError, SeedPath, SpherePoints, UsageError,
                    ZonalBasis, assemble_kernel_matrix, compute_spectrum,
                    eval_phi, kernel_by_id, kernel_from_coefficients,
-                   low_degree_kernel_matrix, multiplicity, quadrature,
-                   sample_sphere, squared_kernel, tail_sums)
+                   multiplicity, quadrature, sample_sphere, tail_sums,
+                   zonal_series)
+
+
+def _squared_coef(sp):
+    """Coefficients of Phi2(t) = sum_k mu_k^2 N(d,k) P_kd(t)."""
+    return sp.mu**2 * sp.multiplicities
+
+
+def _low_degree_matrix(sp, l, G):
+    """K_{<=l}: entries sum_{k<=l} mu_k N(d,k) P_kd(G_ij)."""
+    return zonal_series(sp.d, (sp.mu * sp.multiplicities)[: l + 1], G)
 
 
 def test_eval_phi_exp_kernel():
@@ -116,26 +126,23 @@ def test_tail_sums_rejects_l_at_kmax():
 
 def test_squared_kernel_at_one_equals_kappa2():
     sp = compute_spectrum(kernel_by_id("exp"), 8)
-    sq = squared_kernel(sp)
     ts = tail_sums(sp, -1)
-    assert sq.eval(1.0) == pytest.approx(ts.kappa2, rel=1e-12)
+    assert zonal_series(8, _squared_coef(sp), 1.0) == pytest.approx(ts.kappa2, rel=1e-12)
 
 
 def test_squared_kernel_constant_case():
     sp = compute_spectrum(kernel_from_coefficients([0.3], degenerate=True), 5)
-    sq = squared_kernel(sp)
     t = np.linspace(-1, 1, 9)
-    assert np.max(np.abs(sq.eval(t) - 0.09)) < 1e-13
+    assert np.max(np.abs(zonal_series(5, _squared_coef(sp), t) - 0.09)) < 1e-13
 
 
 def test_squared_kernel_projections_are_mu_squared():
     # projecting the squared kernel onto degree k recovers mu_k^2
     d = 8
     sp = compute_spectrum(kernel_by_id("exp"), d)
-    sq = squared_kernel(sp)
     rule = quadrature(d, 200)
     basis = ZonalBasis(d, 6)
-    vals = sq.eval(rule.nodes)
+    vals = zonal_series(d, _squared_coef(sp), rule.nodes)
     for k in range(7):
         proj = rule.integrate(vals * basis.eval(k, rule.nodes))
         assert proj == pytest.approx(sp.mu[k] ** 2, abs=1e-14)
@@ -173,7 +180,7 @@ def test_kernel_matrix_min_eigenvalue_near_kappa1():
 def test_low_degree_matrix_degree_zero():
     sp = compute_spectrum(kernel_by_id("exp"), 6)
     pts = sample_sphere(6, 10, SeedPath(12))
-    out = low_degree_kernel_matrix(sp, 0, pts.gram())
+    out = _low_degree_matrix(sp, 0, pts.gram())
     assert np.max(np.abs(out - sp.mu[0])) < 1e-14
 
 
@@ -182,7 +189,7 @@ def test_low_degree_matrix_telescopes_to_full():
     sp = compute_spectrum(spec, 6)
     pts = sample_sphere(6, 30, SeedPath(13))
     full = assemble_kernel_matrix(spec, pts)
-    trunc = low_degree_kernel_matrix(sp, sp.k_max, pts.gram())
+    trunc = _low_degree_matrix(sp, sp.k_max, pts.gram())
     assert np.max(np.abs(full - trunc)) <= sp.trace_residual + 1e-14
 
 
@@ -190,7 +197,7 @@ def test_low_degree_matrix_rank_bound():
     sp = compute_spectrum(kernel_by_id("exp"), 5)
     pts = sample_sphere(5, 80, SeedPath(14))
     l = 2
-    out = low_degree_kernel_matrix(sp, l, pts.gram())
+    out = _low_degree_matrix(sp, l, pts.gram())
     b_l = sum(multiplicity(5, k) for k in range(l + 1))
     rank = int(np.sum(np.linalg.eigvalsh(out) > 1e-9))
     assert rank <= b_l

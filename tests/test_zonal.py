@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kilab import (SeedPath, UsageError, ZonalBasis, gram_zonal, multiplicity,
-                   quadrature, sample_sphere)
+                   quadrature, sample_sphere, zonal_series)
 
 
 def test_multiplicity_base_cases():
@@ -142,3 +142,31 @@ def test_gram_zonal_concentration_improves_with_d():
         devs.append(max(abs(ev[0] - 1), abs(ev[-1] - 1)))
     assert devs == sorted(devs, reverse=True)
     assert devs[-1] < 0.5
+
+
+def test_zonal_series_matches_explicit_sum():
+    d, coef = 7, np.array([0.4, -1.5, 2.0, 0.25, 3.0])
+    t = np.linspace(-1, 1, 41)
+    expected = sum(c * p for c, p in zip(coef, ZonalBasis(d, 4).iter_values(t)))
+    assert np.array_equal(zonal_series(d, coef, t), expected)
+    # scalar in, float out
+    assert isinstance(zonal_series(d, coef, 0.3), float)
+    assert zonal_series(d, coef, 1.0) == pytest.approx(coef.sum(), rel=1e-14)
+
+
+def test_zonal_series_matches_gram_zonal():
+    d = 6
+    G = sample_sphere(d, 25, SeedPath(15)).gram()
+    coef = np.array([0.3, 0.0, 1.7, 0.6])
+    basis = ZonalBasis(d, 3)
+    expected = sum(c / multiplicity(d, k) * gram_zonal(basis, k, G)
+                   for k, c in enumerate(coef))
+    assert np.max(np.abs(zonal_series(d, coef, G) - expected)) < 1e-13
+
+
+def test_zonal_series_edge_cases():
+    t = np.linspace(-1, 1, 5)
+    assert np.array_equal(zonal_series(3, [], t), np.zeros(5))
+    assert np.array_equal(zonal_series(3, [2.5], t), np.full(5, 2.5))
+    with pytest.raises(UsageError):
+        zonal_series(3, [1.0, 1.0], np.array([1.5]))
