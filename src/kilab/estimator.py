@@ -17,12 +17,17 @@ and the degree-k component of the bias
 
 where a = K^-1 f*(X) and p_k(w)_i = P_kd(<x_i, w>). Monte Carlo versions
 of both quantities serve as independent cross-checks, never as truth.
+
+Both per-degree sums stream over row blocks of G. K^-1 is formed once per
+fit, on first use (FittedInterpolant.K_inv), for S = K^-1 K^-T and the Monte
+Carlo variance; a cell with sigma^2 = 0 and Monte Carlo off never forms it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigvalsh, LinAlgError
@@ -54,6 +59,11 @@ class FittedInterpolant:
     def n(self) -> int:
         return self.dataset.n
 
+    @cached_property
+    def K_inv(self) -> np.ndarray:
+        """(K + n lam I + jitter I)^-1 from the factor, formed on first use."""
+        return cho_solve(self.cho, np.eye(self.n, order="F"), overwrite_b=True)
+
 
 def fit(dataset: Dataset, spectrum: Spectrum, lam: float = 0.0,
         jitter_policy: str = "forbid") -> FittedInterpolant:
@@ -71,37 +81,39 @@ def fit(dataset: Dataset, spectrum: Spectrum, lam: float = 0.0,
 
     n = dataset.n
     K = assemble_kernel_matrix(spectrum.spec, dataset.points)
-    A = K + (n * lam) * np.eye(n)
+
+    def shifted(shift: float) -> np.ndarray:
+        A = K.copy(order="F")   # Fortran order: LAPACK factors it in place
+        A.flat[:: n + 1] += shift
+        return A
 
     jitter = 0.0
     try:
-        factor = cho_factor(A, lower=True)
+        factor = cho_factor(shifted(n * lam), lower=True, overwrite_a=True)
     except LinAlgError:
         if jitter_policy == "forbid":
-            lam_min = float(eigvalsh(A, subset_by_index=(0, 0))[0])
+            lam_min = float(eigvalsh(shifted(n * lam), subset_by_index=(0, 0))[0])
             raise NumericalError(
                 f"kernel system not positive definite (lambda_min ~ {lam_min:.3e}) "
                 "and jitter is forbidden"
             ) from None
         jitter = JITTER_LEVEL_FACTOR * float(eval_phi(spectrum.spec, 1.0))
         try:
-            factor = cho_factor(A + jitter * np.eye(n), lower=True)
+            factor = cho_factor(shifted(n * lam + jitter), lower=True, overwrite_a=True)
         except LinAlgError:
-            lam_min = float(eigvalsh(A, subset_by_index=(0, 0))[0])
+            lam_min = float(eigvalsh(shifted(n * lam), subset_by_index=(0, 0))[0])
             raise NumericalError(
                 f"factorization failed even with jitter {jitter:.1e} "
                 f"(lambda_min ~ {lam_min:.3e})"
             ) from None
-
-    A_eff = A if jitter == 0.0 else A + jitter * np.eye(n)
+    shift = n * lam + jitter   # the residuals use (K + shift*I) x = K x + shift*x
 
     def solve_refined(rhs: np.ndarray) -> np.ndarray:
         x = cho_solve(factor, rhs)
         # one iterative-refinement sweep keeps the 1e-10 residual contract
-        r = rhs - A_eff @ x
-        x = x + cho_solve(factor, r)
+        x = x + cho_solve(factor, rhs - (K @ x + shift * x))
         scale = max(float(np.linalg.norm(rhs)), 1e-300)
-        rel = float(np.linalg.norm(rhs - A_eff @ x)) / scale
+        rel = float(np.linalg.norm(rhs - (K @ x + shift * x))) / scale
         if rel > RESIDUAL_TOL:
             raise NumericalError(f"linear solve residual {rel:.3e} exceeds {RESIDUAL_TOL}")
         return x
@@ -131,20 +143,18 @@ def variance_split(model: FittedInterpolant, l: int) -> tuple[float, float]:
     """Exact variance split into degree <= l and degree > l contributions.
 
     var_k = sigma^2 mu_k^2 N_k <S, P_k(G)> with S = K^-1 K^-T = K^-2 taken
-    from the existing factor; every var_k is nonnegative, so the split has
-    no cancellation. l = -1 puts everything in 'high'.
+    from model.K_inv; every var_k is nonnegative, so the split has no
+    cancellation. l = -1 puts everything in 'high'.
     """
     sigma2 = model.dataset.sigma2
     if sigma2 == 0.0:
         return 0.0, 0.0
     sp = model.spectrum
-    k_inv = cho_solve(model.cho, np.eye(model.n))
-    S = k_inv @ k_inv.T
-    del k_inv
-    # no local name for G: the recurrence's clamped copy is then the only
-    # n x n Gram array alive, one fewer at the stage's memory peak
-    inner = np.array([np.vdot(S, p_k)
-                      for p_k in sp.basis().iter_values(model.dataset.points.gram())])
+    S = model.K_inv @ model.K_inv.T
+    inner = np.zeros(sp.k_max + 1)
+    for rows, values in sp.basis().iter_blocks(model.dataset.points.gram()):
+        for k, p_k in enumerate(values):
+            inner[k] += np.vdot(S[rows], p_k)
     var_k = sigma2 * sp.mu**2 * sp.multiplicities * inner
     return float(var_k[: l + 1].sum()), float(var_k[l + 1:].sum())
 
@@ -185,17 +195,17 @@ def exact_bias_by_degree(model: FittedInterpolant, target: Target) -> BiasReport
     beta = np.zeros(sp.k_max + 1)
     beta[: target.l + 2] = target.beta
 
+    quad = np.zeros(sp.k_max + 1)        # a^T P_k(G) a
+    for rows, values in basis.iter_blocks(G):
+        for k, p_k in enumerate(values):
+            quad[k] += a[rows] @ (p_k @ a)
+
     by_degree = np.zeros(sp.k_max + 1)
-    gram_iter = basis.iter_values(G)
-    axis_iter = basis.iter_values(t_w)
-    for k in range(sp.k_max + 1):
-        p_g = next(gram_iter)
-        p_w = next(axis_iter)
+    for k, p_w in enumerate(basis.iter_values(t_w)):
         n_k = sp.multiplicities[k]
         mu_k = sp.mu[k]
-        quad = float(a @ (p_g @ a))
         cross = float(a @ p_w)
-        val = (mu_k * mu_k * n_k * quad
+        val = (mu_k * mu_k * n_k * quad[k]
                - 2.0 * mu_k * beta[k] * math.sqrt(n_k) * cross
                + beta[k] * beta[k])
         if val < -1e-10:
@@ -233,8 +243,8 @@ def mc_errors(model: FittedInterpolant, target: Target, m_test: int,
     sigma2 = model.dataset.sigma2
     if sigma2 == 0.0:
         return McErrors(bias_sq, bias_se, 0.0, 0.0)
-    s = cho_solve(model.cho, kx.T)                    # K^-1 k(X, x), (n, m)
-    var_samples = sigma2 * np.sum(s * s, axis=0)
+    s = model.K_inv @ kx.T                            # K^-1 k(X, x), (n, m)
+    var_samples = sigma2 * np.sum(np.square(s, out=s), axis=0)
     var = float(var_samples.mean())
     var_se = float(var_samples.std(ddof=1) / math.sqrt(m_test))
     return McErrors(bias_sq, bias_se, var, var_se)

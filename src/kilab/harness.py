@@ -13,6 +13,7 @@ import json
 import math
 import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Iterator
@@ -130,7 +131,8 @@ class ExperimentConfig:
 
 def run_cell(config: ExperimentConfig, spectrum: Spectrum, d: int,
              replicate: int) -> dict:
-    """Compute one CSV row; failures are captured as error rows."""
+    """Compute one CSV row; any Exception becomes an error row "<Type>: <message>"
+    (with a traceback on stderr unless it is a KilabError)."""
     n = config.n_for(d)
     cell_seed = SeedPath(config.master_seed, (d, replicate))
     row = {
@@ -151,7 +153,9 @@ def run_cell(config: ExperimentConfig, spectrum: Spectrum, d: int,
         report = evaluate_cell(model, target,
                                mc_test_points=config.mc_test_points,
                                mc_seed=cell_seed.child(TAG_MC))
-    except KilabError as exc:
+    except Exception as exc:  # one failing cell must not end the sweep
+        if not isinstance(exc, KilabError):
+            traceback.print_exc()
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
     row.update({

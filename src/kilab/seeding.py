@@ -60,7 +60,7 @@ class SpherePoints:
         if other.d != self.d:
             raise UsageError(f"dimension mismatch: {self.d} vs {other.d}")
         g = self.coordinates @ other.coordinates.T
-        return np.clip(g, -1.0, 1.0)
+        return np.clip(g, -1.0, 1.0, out=g)
 
 
 def sample_sphere(d: int, n: int, seed: SeedPath) -> SpherePoints:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericalError, UsageError
 from .seeding import SpherePoints
-from .zonal import ZonalBasis, multiplicity, quadrature
+from .zonal import ZonalBasis, clip_unit, multiplicity, quadrature
 
 K_MAX_CAP = 64
 NEGATIVE_MU_CLAMP = 1e-13
@@ -60,10 +60,7 @@ class KernelSpec:
 
 def eval_phi(spec: KernelSpec, t) -> np.ndarray:
     """Phi(t) for |t| <= 1, closed form when available else Horner."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(t_arr) > 1 + 1e-12):
-        raise UsageError("kernel argument outside [-1, 1]")
-    t_arr = np.clip(t_arr, -1.0, 1.0)
+    t_arr = clip_unit(t, "kernel")
     if spec.phi is not None:
         out = spec.phi(t_arr)
     else:
@@ -209,8 +206,8 @@ def tail_sums(spectrum: Spectrum, l: int) -> TailSums:
 
 
 def assemble_kernel_matrix(spec: KernelSpec, points: SpherePoints) -> np.ndarray:
-    """K_ij = Phi(<x_i, x_j>), exactly symmetric with Phi(1) on the diagonal."""
+    """K_ij = Phi(<x_i, x_j>), exactly symmetric with Phi(1) on the diagonal
+    (gram() forms X X^T as one symmetric product, so no symmetrizing copy)."""
     K = eval_phi(spec, points.gram())
-    K = 0.5 * (K + K.T)
     np.fill_diagonal(K, float(eval_phi(spec, 1.0)))
     return K

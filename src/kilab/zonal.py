@@ -12,6 +12,9 @@ N(d,k), and integration against the inner-product density
 realized by Gauss-Jacobi quadrature. Explicit spherical harmonics are
 never constructed.
 
+Per-degree sums over an n x n Gram matrix run the recurrence on
+cache-sized row blocks (ZonalBasis.iter_blocks): no n x n P_k(G) exists.
+
 Three-term recurrence (normalized so P_k(1) = 1):
 
     (k + d - 1) P_{k+1}(t) = (2k + d - 1) t P_k(t) - k P_{k-1}(t),
@@ -28,6 +31,20 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import NumericalError, UsageError
+
+# A recurrence row block holds at most this many doubles (128 KiB), so it and
+# its three buffers stay in L2 cache; the split depends only on t's shape.
+BLOCK_DOUBLES = 16384
+
+
+def clip_unit(t, what: str) -> np.ndarray:
+    """t as floats in [-1, 1]: overshoot up to 1e-12 is clipped, on a copy
+    made only then; anything further out raises UsageError."""
+    t = np.asarray(t, dtype=float)
+    lo, hi = (t.min(), t.max()) if t.size else (0.0, 0.0)
+    if lo < -1 - 1e-12 or hi > 1 + 1e-12:
+        raise UsageError(f"{what} argument outside [-1, 1]")
+    return np.clip(t, -1.0, 1.0) if lo < -1.0 or hi > 1.0 else t
 
 
 def multiplicity(d: int, k: int) -> int:
@@ -60,15 +77,24 @@ class ZonalBasis:
         self.d = d
         self.k_max = k_max
 
-    def _clamp(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if np.any(np.abs(t) > 1 + 1e-12):
-            raise UsageError("zonal argument outside [-1, 1]")
-        return np.clip(t, -1.0, 1.0)
+    def iter_values(self, t) -> Iterator[np.ndarray]:
+        """Yield P_0(t), P_1(t), ..., P_{k_max}(t) without storing the stack.
 
-    def iter_values(self, t: np.ndarray) -> Iterator[np.ndarray]:
-        """Yield P_0(t), P_1(t), ..., P_{k_max}(t) without storing the stack."""
-        t = self._clamp(t)
+        The recurrence reuses three buffers in place: a yielded array holds
+        P_k(t) only until the next one is requested. Copy it to keep it.
+        """
+        return self._recurrence(clip_unit(t, "zonal"))
+
+    def iter_blocks(self, t) -> Iterator[tuple[slice, Iterator[np.ndarray]]]:
+        """Yield (rows, iter_values(t[rows])) over blocks of leading-axis rows
+        of t, each at most BLOCK_DOUBLES values (but at least one row)."""
+        t = clip_unit(t, "zonal")
+        step = max(1, BLOCK_DOUBLES * len(t) // max(t.size, 1))
+        for start in range(0, len(t), step):
+            rows = slice(start, start + step)
+            yield rows, self._recurrence(t[rows])
+
+    def _recurrence(self, t: np.ndarray) -> Iterator[np.ndarray]:
         d = self.d
         p_prev = np.ones_like(t)
         yield p_prev
@@ -76,10 +102,15 @@ class ZonalBasis:
             return
         p_cur = t.copy()
         yield p_cur
+        p_next = np.empty_like(t)
         for k in range(1, self.k_max):
-            p_next = ((2 * k + d - 1) * t * p_cur - k * p_prev) / (k + d - 1)
+            np.multiply(t, 2 * k + d - 1, out=p_next)
+            p_next *= p_cur
+            p_prev *= k
+            p_next -= p_prev
+            p_next /= k + d - 1
             yield p_next
-            p_prev, p_cur = p_cur, p_next
+            p_prev, p_cur, p_next = p_cur, p_next, p_prev
 
     def eval(self, k: int, t) -> np.ndarray:
         """P_{k,d}(t) for scalar or array t."""
@@ -94,17 +125,21 @@ class ZonalBasis:
     def eval_all(self, t: np.ndarray) -> np.ndarray:
         """Stack of shape (k_max+1, *t.shape) with all degrees at once."""
         t = np.asarray(t, dtype=float)
-        return np.stack(list(self.iter_values(t)))
+        out = np.empty((self.k_max + 1,) + t.shape)
+        for k, p_k in enumerate(self.iter_values(t)):
+            out[k] = p_k
+        return out
 
 
 def zonal_series(d: int, coef, t) -> np.ndarray:
     """sum_{k < len(coef)} coef[k] * P_kd(t) for scalar or array t."""
     coef = np.asarray(coef, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.zeros_like(t_arr)
-    for c, p_k in zip(coef, ZonalBasis(d, max(coef.size - 1, 0)).iter_values(t_arr)):
-        out += c * p_k
-    return out if np.ndim(t) else float(out)
+    for rows, values in ZonalBasis(d, max(coef.size - 1, 0)).iter_blocks(t_arr):
+        for c, p_k in zip(coef, values):
+            out[rows] += c * p_k
+    return out if np.ndim(t) else float(out[0])
 
 
 @dataclass(frozen=True)

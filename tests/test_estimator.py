@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import LinAlgError, cho_solve
 
-from kilab import (Dataset, SeedPath, SpherePoints, UsageError, build_target,
-                   compute_spectrum, concentration_report, evaluate_cell,
+from kilab import (Dataset, NumericalError, SeedPath, SpherePoints, UsageError,
+                   assemble_kernel_matrix, build_target, compute_spectrum,
+                   concentration_report, estimator, evaluate_cell,
                    exact_bias_by_degree, exact_variance, eval_phi, fit,
                    kernel_by_id, make_dataset, mc_errors, multiplicity,
                    predict, sample_sphere, tail_sums, variance_split,
                    zonal_series)
 from kilab.seeding import TAG_AXIS, TAG_MC
+from kilab.zonal import BLOCK_DOUBLES
 
 SEED = SeedPath(31337)
 
@@ -132,6 +134,111 @@ def test_variance_split_matches_trace_oracle(d, gamma, lam):
     assert low == pytest.approx(low_ref, rel=1e-9)
     assert high == pytest.approx(high_ref, rel=1e-9)
     assert exact_variance(model) == pytest.approx(low_ref + high_ref, rel=1e-9)
+
+
+def _full_pk(d, k_max, G):
+    """Test-only oracle: every n x n P_k(G), one unblocked recurrence."""
+    p = [np.ones_like(G), G.copy()]
+    for k in range(1, k_max):
+        p.append(((2 * k + d - 1) * G * p[k] - k * p[k - 1]) / (k + d - 1))
+    return p[: k_max + 1]
+
+
+@pytest.mark.parametrize("d, n", [(8, 1), (8, 100), (12, 200)])
+def test_blocked_degree_sums_match_full_matrix_oracle(d, n):
+    # n = 1; n = 100 is below one row block; n = 200 is not a multiple of
+    # its block rows (81, 81, 38)
+    assert n == 1 or n < BLOCK_DOUBLES // n or n % (BLOCK_DOUBLES // n)
+    model, target, _ = _cell(d=d, gamma=1.5, n=n)
+    sp = model.spectrum
+    S = model.K_inv @ model.K_inv.T
+    a = model.alpha_clean
+    G = model.dataset.points.gram()
+    # The k = 0 term 1^T S 1 is badly conditioned, so each degree's
+    # tolerance scales with sum_ij |W_ij P_k(G_ij)| for its weight W.
+    var_k, var_tol, quad, quad_tol = [], [], [], []
+    for p_k in _full_pk(sp.d, sp.k_max, G):
+        var_k.append(np.vdot(S, p_k))
+        var_tol.append(1e-12 * np.abs(S * p_k).sum())
+        quad.append(a @ p_k @ a)
+        quad_tol.append(1e-12 * np.abs(np.outer(a, a) * p_k).sum())
+    w = model.dataset.sigma2 * sp.mu**2 * sp.multiplicities
+    for l in range(-1, sp.k_max + 1):
+        low, _ = variance_split(model, l)
+        assert abs(low - w[: l + 1] @ var_k[: l + 1]) <= w[: l + 1] @ var_tol[: l + 1]
+
+    rep = exact_bias_by_degree(model, target)
+    beta = np.zeros(sp.k_max + 1)
+    beta[: target.l + 2] = target.beta
+    t_w = model.dataset.points.coordinates @ target.axis
+    for k, p_w in enumerate(_full_pk(sp.d, sp.k_max, t_w)):
+        mu2n = sp.mu[k] ** 2 * sp.multiplicities[k]
+        expected = (mu2n * quad[k]
+                    - 2 * sp.mu[k] * beta[k] * np.sqrt(sp.multiplicities[k]) * (a @ p_w)
+                    + beta[k] ** 2)
+        assert abs(rep.by_degree[k] - max(expected, 0.0)) <= mu2n * quad_tol[k] + 1e-15
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+def test_mc_variance_matches_two_solve_oracle(lam):
+    model, target, seed = _cell(d=12, gamma=1.75, lam=lam)
+    mc = mc_errors(model, target, 500, seed.child(TAG_MC))
+    # the route K_inv replaced: two triangular solves with m right-hand sides
+    test = sample_sphere(target.d, 500, seed.child(TAG_MC))
+    kx = eval_phi(model.spectrum.spec, test.gram(model.dataset.points))
+    s = cho_solve(model.cho, kx.T)
+    samples = model.dataset.sigma2 * np.sum(s * s, axis=0)
+    assert mc.var == pytest.approx(samples.mean(), rel=1e-10)
+    assert mc.var_se == pytest.approx(samples.std(ddof=1) / np.sqrt(500), rel=1e-10)
+
+
+def test_k_inv_formed_only_when_used():
+    model, target, _ = _cell(d=12, sigma2=0.0)
+    evaluate_cell(model, target, mc_test_points=0)
+    assert "K_inv" not in model.__dict__
+    noisy, _, _ = _cell(d=12)
+    variance_split(noisy, 1)
+    assert "K_inv" in noisy.__dict__
+
+
+def _forced_fit(monkeypatch, lam, failures):
+    """fit on a d = 12 cell whose first `failures` factorizations raise."""
+    real = estimator.cho_factor
+    calls = []
+
+    def cho_factor_failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) <= failures:
+            raise LinAlgError("forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "cho_factor", cho_factor_failing)
+    sp = compute_spectrum(kernel_by_id("exp"), 12)
+    seed = SeedPath(31337, (12, 0))
+    ds = make_dataset(build_target(sp, 0.5, 1.5, seed.child(TAG_AXIS)), 42, 1.0, seed)
+    return ds, sp, lambda policy: fit(ds, sp, lam=lam, jitter_policy=policy)
+
+
+@pytest.mark.parametrize("lam, failures", [(1e-3, 0), (0.0, 1), (1e-3, 1)])
+def test_fit_matches_dense_solve(monkeypatch, lam, failures):
+    ds, sp, run = _forced_fit(monkeypatch, lam, failures)
+    model = run("allow")
+    jitter = 1e-10 * eval_phi(sp.spec, 1.0) if failures else 0.0
+    assert model.jitter_used == jitter
+    A = assemble_kernel_matrix(sp.spec, ds.points) + (ds.n * lam + jitter) * np.eye(ds.n)
+    for x, rhs in ((model.alpha, ds.y), (model.alpha_clean, ds.clean)):
+        ref = np.linalg.solve(A, rhs)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_fit_factorization_failure_messages(monkeypatch):
+    _, _, run = _forced_fit(monkeypatch, 0.0, 1)
+    with pytest.raises(NumericalError, match="jitter is forbidden"):
+        run("forbid")
+    monkeypatch.undo()
+    _, _, run = _forced_fit(monkeypatch, 0.0, 2)
+    with pytest.raises(NumericalError, match="even with jitter"):
+        run("allow")
 
 
 def test_variance_monotone_in_ridge():

@@ -6,6 +6,7 @@ import pytest
 
 from kilab import (ExperimentConfig, UsageError, analyze, compute_spectrum,
                    phase_grid, read_rows, run_cell, run_sweep, write_rows)
+from kilab import harness
 from kilab.cli import main as cli_main
 from kilab.harness import CSV_COLUMNS, _parse_range
 
@@ -116,6 +117,26 @@ def test_sweep_band_above_kmax_is_error_row():
     rows = list(run_sweep(cfg, workers=1))
     assert len(rows) == 4
     assert all("UsageError" in r["error"] for r in rows)
+
+
+def test_unexpected_exception_is_error_row(monkeypatch):
+    # an exception from outside kilab (here a ValueError from fit) must not
+    # end the sweep: its cell becomes an error row and the next cell runs
+    real_fit = harness.fit
+    calls = []
+
+    def fit_failing_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise ValueError("array must not contain infs or NaNs")
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "fit", fit_failing_once)
+    rows = list(run_sweep(small_config(), workers=1))
+    assert len(rows) == 4
+    assert rows[0]["error"] == "ValueError: array must not contain infs or NaNs"
+    assert "bias_sq_exact" not in rows[0]
+    assert all(r["error"] == "" and r["bias_sq_exact"] >= 0 for r in rows[1:])
 
 
 def test_write_and_read_rows(tmp_path):

@@ -164,6 +164,22 @@ def test_assemble_antipodal_pair():
     assert K[0, 1] == pytest.approx(math.exp(-2), abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [50, 431])
+def test_assemble_exactly_symmetric(n):
+    spec = kernel_by_id("exp")
+    K = assemble_kernel_matrix(spec, sample_sphere(16, n, SeedPath(15, (n,))))
+    assert np.array_equal(K, K.T)
+    assert np.all(np.diag(K) == eval_phi(spec, 1.0))
+
+
+def test_eval_phi_clips_rounding_and_rejects_the_rest():
+    spec = kernel_by_id("exp")
+    assert eval_phi(spec, 1 + 1e-13) == eval_phi(spec, 1.0)
+    assert eval_phi(spec, np.array([-1 - 1e-13]))[0] == eval_phi(spec, -1.0)
+    with pytest.raises(UsageError):
+        eval_phi(spec, 1 + 1e-11)
+
+
 def test_kernel_matrix_min_eigenvalue_near_kappa1():
     # lambda_min(K) stays a constant fraction of the degree > l tail mass
     # when n ~ d^gamma with l = floor(gamma)

@@ -5,6 +5,7 @@ import pytest
 
 from kilab import (SeedPath, UsageError, ZonalBasis, gram_zonal, multiplicity,
                    quadrature, sample_sphere, zonal_series)
+from kilab.zonal import BLOCK_DOUBLES, clip_unit
 
 
 def test_multiplicity_base_cases():
@@ -170,3 +171,38 @@ def test_zonal_series_edge_cases():
     assert np.array_equal(zonal_series(3, [2.5], t), np.full(5, 2.5))
     with pytest.raises(UsageError):
         zonal_series(3, [1.0, 1.0], np.array([1.5]))
+
+
+def _unblocked_recurrence(d, k_max, t):
+    """Test-only oracle: the recurrence with one new array per degree."""
+    p = [np.ones_like(t), t.copy()]
+    for k in range(1, k_max):
+        p.append(((2 * k + d - 1) * t * p[k] - k * p[k - 1]) / (k + d - 1))
+    return p[: k_max + 1]
+
+
+def test_eval_all_rows_are_independent():
+    # iter_values reuses three buffers; eval_all must still copy every degree
+    t = np.linspace(-1, 1, 37)
+    p = ZonalBasis(5, 9).eval_all(t)
+    assert np.array_equal(p, np.stack(_unblocked_recurrence(5, 9, t)))
+
+
+def test_zonal_series_across_row_blocks():
+    # 300 x 300 splits into row blocks of 54 rows, the last one of 30
+    d, coef = 7, np.array([0.5, 0.25, 0.125, 0.0625, 0.03125])
+    G = sample_sphere(d, 300, SeedPath(9)).gram()
+    assert 300 % (BLOCK_DOUBLES // 300) != 0
+    expected = sum(c * p for c, p in zip(coef, _unblocked_recurrence(d, 4, G)))
+    assert np.array_equal(zonal_series(d, coef, G), expected)
+
+
+def test_clip_unit_copies_only_out_of_range_input():
+    t = np.array([-1.0, 0.3, 1.0])
+    assert clip_unit(t, "zonal") is t
+    over = np.array([-1 - 1e-13, 1 + 1e-13])
+    assert np.array_equal(clip_unit(over, "zonal"), [-1.0, 1.0])
+    assert over[1] > 1.0  # the input itself is left alone
+    assert ZonalBasis(4, 3).eval(3, 1 + 1e-13) == ZonalBasis(4, 3).eval(3, 1.0)
+    with pytest.raises(UsageError):
+        ZonalBasis(4, 3).eval(3, 1 + 1e-11)
