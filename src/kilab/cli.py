@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import statistics
 import sys
 
 from .errors import NumericalError, UsageError
@@ -51,10 +52,29 @@ def _cmd_phase(args) -> int:
     return EXIT_OK
 
 
+def _progress(rows, config: ExperimentConfig):
+    """Pass rows through; after the last replicate of each d, print d, n,
+    cells done, the median runtime_ms of that d's cells and failures so far."""
+    total = len(config.d_list) * config.replicates
+    done = failed = 0
+    times = []
+    for row in rows:
+        yield row
+        done += 1
+        failed += bool(row.get("error"))
+        if "runtime_ms" in row:
+            times.append(row["runtime_ms"])
+        if row["replicate"] == config.replicates - 1:
+            median = f"{statistics.median(times):.1f} ms" if times else "n/a"
+            print(f"d={row['d']} n={row['n']}: {done}/{total} cells, "
+                  f"median {median}, {failed} failed", file=sys.stderr)
+            times = []
+
+
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    total, failed = write_rows(run_sweep(config, workers=args.workers),
-                               args.output)
+    total, failed = write_rows(
+        _progress(run_sweep(config, workers=args.workers), config), args.output)
     print(f"wrote {total} rows to {args.output} ({failed} failed)",
           file=sys.stderr)
     return EXIT_NUMERICAL if failed else EXIT_OK

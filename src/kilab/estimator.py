@@ -188,7 +188,7 @@ def exact_bias_by_degree(model: FittedInterpolant, target: Target) -> BiasReport
             or not np.array_equal(target.spectrum.mu, sp.mu)):
         raise UsageError("target was built on a different spectrum")
     G = model.dataset.points.gram()
-    t_w = np.clip(model.dataset.points.coordinates @ target.axis, -1.0, 1.0)
+    t_w = model.dataset.points.coordinates @ target.axis
     a = model.alpha_clean
     basis = sp.basis()
 

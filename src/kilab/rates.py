@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
 from .errors import UsageError
 
@@ -171,9 +170,15 @@ def fit_slope(pairs) -> SlopeFit:
     ds = sorted(by_d)
     x = np.log(ds)
     y = np.array([float(np.mean(by_d[d])) for d in ds])
-    res = linregress(x, y)
+    # ordinary least squares as scipy.stats.linregress computes it (r clipped
+    # to [-1, 1], stderr on m - 2 degrees of freedom), except that constant y
+    # gives r = 0 and stderr = 0 where linregress gives nan
+    xc, yc = x - x.mean(), y - y.mean()
+    sxx, sxy, syy = float(xc @ xc), float(xc @ yc), float(yc @ yc)
+    slope = sxy / sxx
+    r = 0.0 if syy == 0.0 else min(max(sxy / math.sqrt(sxx * syy), -1.0), 1.0)
     return SlopeFit(
-        slope=float(res.slope), intercept=float(res.intercept),
-        stderr=float(res.stderr), r2=float(res.rvalue ** 2),
+        slope=slope, intercept=float(y.mean() - slope * x.mean()),
+        stderr=math.sqrt((1.0 - r * r) * syy / sxx / (len(ds) - 2)), r2=r * r,
         d_values=tuple(ds), mean_log_values=tuple(y),
     )

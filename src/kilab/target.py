@@ -93,8 +93,8 @@ def eval_target(target: Target, points: SpherePoints) -> np.ndarray:
     if points.d != target.d:
         raise UsageError(f"dimension mismatch: points d={points.d}, target d={target.d}")
     sp = target.spectrum
-    t = np.clip(points.coordinates @ target.axis, -1.0, 1.0)
-    return zonal_series(sp.d, target.beta * np.sqrt(sp.multiplicities[: target.l + 2]), t)
+    return zonal_series(sp.d, target.beta * np.sqrt(sp.multiplicities[: target.l + 2]),
+                        points.coordinates @ target.axis)
 
 
 def make_dataset(target: Target, n: int, sigma2: float, seed: SeedPath) -> Dataset:

@@ -253,13 +253,20 @@ def test_cli_phase(tmp_path):
                      "-o", out]) == 1
 
 
-def test_cli_run_and_fit(tmp_path):
+def test_cli_run_and_fit(tmp_path, capsys):
     cfg = small_config(d_list=(6, 8, 12), replicates=3)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg.to_dict()))
     out = str(tmp_path / "rows.csv")
     assert cli_main(["run", "--config", str(cfg_path), "-o", out]) == 0
     assert len(read_rows(out)) == 9
+    progress = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("d=")]
+    assert [line.split(":")[0] for line in progress] == [
+        f"d={d} n={cfg.n_for(d)}" for d in (6, 8, 12)]
+    assert [line.split(": ")[1].split(" cells")[0] for line in progress] == [
+        "3/9", "6/9", "9/9"]
+    assert all(line.endswith(", 0 failed") for line in progress)
     # d in (6, 8, 12) is preasymptotic, so only the exit-code plumbing is
     # under test here; rate accuracy has its own acceptance coverage
     assert cli_main(["fit", "--input", out, "--quantity", "var_exact",

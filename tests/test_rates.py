@@ -140,3 +140,26 @@ def test_fit_slope_rejections():
         fit_slope([(8, 1.0), (16, 0.5)])
     with pytest.raises(UsageError):
         fit_slope([(8, 1.0), (16, -0.5), (32, 0.1)])
+
+
+def test_fit_slope_matches_linregress_oracle():
+    from scipy.stats import linregress  # reference only; kilab must not import it
+
+    rng = np.random.default_rng(5)
+    noisy = [(d, math.exp(rng.normal(0.3, 0.2)) * d ** -0.7)
+             for d in (6, 8, 12, 16, 24, 32) for _ in range(3)]
+    power = [(d, 7.0 * d ** -1.25) for d in (8, 16, 32, 64)]
+    constant = [(d, 3.0) for d in (8, 16, 32)]
+    minimum = [(8, 0.4), (16, 0.1), (32, 0.07)]
+    for pairs in (noisy, power, constant, minimum):
+        sf = fit_slope(pairs)
+        ref = linregress(np.log(sf.d_values), sf.mean_log_values)
+        assert sf.slope == pytest.approx(ref.slope, rel=1e-12, abs=1e-12)
+        assert sf.intercept == pytest.approx(ref.intercept, rel=1e-12, abs=1e-12)
+        if pairs is constant:
+            # y - mean(y) is exactly 0 here, where linregress reports
+            # rvalue = stderr = nan; the fit reports r = 0 and stderr = 0
+            assert sf.r2 == 0.0 and sf.stderr == 0.0
+            continue
+        assert sf.stderr == pytest.approx(ref.stderr, rel=1e-12, abs=1e-12)
+        assert sf.r2 == pytest.approx(ref.rvalue ** 2, rel=1e-12, abs=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -71,6 +72,14 @@ def test_eval_at_axis():
     pts = SpherePoints(6, t.axis[None, :])
     expected = sum(t.beta[k] * math.sqrt(multiplicity(6, k)) for k in range(t.l + 2))
     assert eval_target(t, pts)[0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_eval_target_rejects_non_unit_axis():
+    sp = _spectrum(6)
+    t = build_target(sp, 1.0, 1.5, SEED.child(6))
+    pts = SpherePoints(6, t.axis[None, :])
+    with pytest.raises(UsageError):
+        eval_target(dataclasses.replace(t, axis=2 * t.axis), pts)
 
 
 def test_constant_target():
