@@ -2,10 +2,10 @@
 exact spectral bias/variance oracles and large-d convergence-rate checks.
 """
 
-from .errors import KilabError, NumericalError, UsageError, VerificationError
+from .errors import KilabError, NumericalError, UsageError
 from .seeding import SeedPath, SpherePoints, sample_noise, sample_sphere
-from .zonal import (ZonalBasis, QuadratureRule, gram_zonal, multiplicity,
-                    quadrature, zonal_series)
+from .zonal import (ZonalBasis, QuadratureRule, multiplicity, quadrature,
+                    zonal_series)
 from .spectrum import (KernelSpec, Spectrum, TailSums, assemble_kernel_matrix,
                        compute_spectrum, eval_phi, kernel_by_id,
                        kernel_from_coefficients, tail_sums)

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: UsageError -> 1, NumericalError -> 2,
-VerificationError -> 3.
+Exit-code mapping used by the CLI: UsageError -> 1, NumericalError -> 2.
+Exit code 3 is a failed `kilab verify` (cli.EXIT_VERIFY), not an exception.
 """
 
 
@@ -16,6 +16,3 @@ class UsageError(KilabError):
 class NumericalError(KilabError):
     """A numerical procedure failed (factorization, quadrature, eigensolver)."""
 
-
-class VerificationError(KilabError):
-    """An internal invariant check failed."""

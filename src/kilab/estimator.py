@@ -18,6 +18,8 @@ and the degree-k component of the bias
 where a = K^-1 f*(X) and p_k(w)_i = P_kd(<x_i, w>). Monte Carlo versions
 of both quantities serve as independent cross-checks, never as truth.
 
+fit builds G once and keeps it on the fitted model in place of K: K = Phi(G)
+lives only inside fit and, elementwise again, inside concentration_report.
 Both per-degree sums stream over row blocks of G. K^-1 is formed once per
 fit, on first use (FittedInterpolant.K_inv), for S = K^-1 K^-T and the Monte
 Carlo variance; a cell with sigma^2 = 0 and Monte Carlo off never forms it.
@@ -48,8 +50,7 @@ class FittedInterpolant:
 
     dataset: Dataset
     spectrum: Spectrum
-    lam: float
-    K: np.ndarray
+    G: np.ndarray              # Gram matrix X X^T of the training points
     cho: tuple                 # scipy (c, lower) factor of K + n*lam*I + jitter*I
     alpha: np.ndarray          # (K + n lam I)^-1 Y
     alpha_clean: np.ndarray    # (K + n lam I)^-1 f*(X)
@@ -80,7 +81,8 @@ def fit(dataset: Dataset, spectrum: Spectrum, lam: float = 0.0,
         raise UsageError("dataset and spectrum dimensions differ")
 
     n = dataset.n
-    K = assemble_kernel_matrix(spectrum.spec, dataset.points)
+    G = dataset.points.gram()
+    K = assemble_kernel_matrix(spectrum.spec, G)
 
     def shifted(shift: float) -> np.ndarray:
         A = K.copy(order="F")   # Fortran order: LAPACK factors it in place
@@ -120,8 +122,8 @@ def fit(dataset: Dataset, spectrum: Spectrum, lam: float = 0.0,
 
     alpha = solve_refined(dataset.y)
     alpha_clean = solve_refined(dataset.clean)
-    return FittedInterpolant(dataset=dataset, spectrum=spectrum, lam=float(lam),
-                             K=K, cho=factor, alpha=alpha,
+    return FittedInterpolant(dataset=dataset, spectrum=spectrum, G=G,
+                             cho=factor, alpha=alpha,
                              alpha_clean=alpha_clean, jitter_used=jitter)
 
 
@@ -152,7 +154,7 @@ def variance_split(model: FittedInterpolant, l: int) -> tuple[float, float]:
     sp = model.spectrum
     S = model.K_inv @ model.K_inv.T
     inner = np.zeros(sp.k_max + 1)
-    for rows, values in sp.basis().iter_blocks(model.dataset.points.gram()):
+    for rows, values in sp.basis().iter_blocks(model.G):
         for k, p_k in enumerate(values):
             inner[k] += np.vdot(S[rows], p_k)
     var_k = sigma2 * sp.mu**2 * sp.multiplicities * inner
@@ -187,7 +189,6 @@ def exact_bias_by_degree(model: FittedInterpolant, target: Target) -> BiasReport
             target.spectrum.d != sp.d or target.spectrum.k_max != sp.k_max
             or not np.array_equal(target.spectrum.mu, sp.mu)):
         raise UsageError("target was built on a different spectrum")
-    G = model.dataset.points.gram()
     t_w = model.dataset.points.coordinates @ target.axis
     a = model.alpha_clean
     basis = sp.basis()
@@ -196,7 +197,7 @@ def exact_bias_by_degree(model: FittedInterpolant, target: Target) -> BiasReport
     beta[: target.l + 2] = target.beta
 
     quad = np.zeros(sp.k_max + 1)        # a^T P_k(G) a
-    for rows, values in basis.iter_blocks(G):
+    for rows, values in basis.iter_blocks(model.G):
         for k, p_k in enumerate(values):
             quad[k] += a[rows] @ (p_k @ a)
 
@@ -266,17 +267,24 @@ def concentration_report(model: FittedInterpolant, l: int) -> ConcentrationRepor
     if l >= sp.k_max:
         raise UsageError(f"l={l} must be below k_max={sp.k_max}")
     n = model.n
-    G = model.dataset.points.gram()
+    G = model.G
     kappa1 = tail_sums(sp, l).kappa1
 
-    lam_min_K = float(eigvalsh(model.K, subset_by_index=(0, 0))[0])
-
-    ev = eigvalsh(model.K - zonal_series(sp.d, (sp.mu * sp.multiplicities)[: l + 1], G))
+    # every matrix here is exactly symmetric and owned, so its transpose is
+    # a Fortran-order view that LAPACK overwrites without a copy
+    K = assemble_kernel_matrix(sp.spec, G)
+    K_high = zonal_series(sp.d, (sp.mu * sp.multiplicities)[: l + 1], G)
+    np.subtract(K, K_high, out=K_high)
+    lam_min_K = float(eigvalsh(K.T, subset_by_index=(0, 0), overwrite_a=True)[0])
+    del K
+    ev = eigvalsh(K_high.T, overwrite_a=True)
+    del K_high
     delta1 = float(max(abs(ev[0] / kappa1 - 1.0), abs(ev[-1] / kappa1 - 1.0)))
 
     B_l = sum(multiplicity(sp.d, k) for k in range(l + 1))
-    A = zonal_series(sp.d, sp.multiplicities[: l + 1], G) / n
-    ev_a = eigvalsh(A)
+    A = zonal_series(sp.d, sp.multiplicities[: l + 1], G)
+    A /= n
+    ev_a = eigvalsh(A.T, overwrite_a=True)
     top = ev_a[-min(B_l, n):]
     psi_dev = float(np.max(np.abs(top - 1.0)))
     return ConcentrationReport(lambda_min_K=lam_min_K, delta1_opnorm=delta1,

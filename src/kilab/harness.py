@@ -15,13 +15,13 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator
 
 import numpy as np
 
 from .errors import KilabError, UsageError
-from .estimator import evaluate_cell, fit
+from .estimator import ErrorReport, evaluate_cell, fit
 from .rates import (bias_exponent, classify, fit_slope, total_exponent,
                     var_exponent)
 from .seeding import SeedPath, TAG_AXIS, TAG_MC
@@ -35,11 +35,8 @@ CSV_COLUMNS = [
     "schema_version", "kernel", "gamma", "s", "sigma2", "lambda",
     "d", "n", "replicate", "seed_path",
     "l", "beta_norm_sq", "hs_norm_sq", "c0",
-    "bias_sq_exact", "var_exact", "var_low_degree", "var_high_degree",
-    "B1", "B2", "bias_residual_bound",
-    "bias_sq_mc", "bias_sq_mc_se", "var_mc", "var_mc_se", "mc_consistent",
-    "lambda_min_K", "delta1_opnorm", "psi_gram_deviation", "psi_gram_meaningful",
-    "kappa1", "kappa2", "jitter_used", "runtime_ms", "error",
+    *(f.name for f in fields(ErrorReport)),
+    "runtime_ms", "error",
 ]
 
 SEED_ENV_VAR = "KILAB_SEED"
@@ -77,6 +74,15 @@ class ExperimentConfig:
             raise UsageError("every d must be >= 2")
         if list(self.d_list) != sorted(set(self.d_list)):
             raise UsageError("d_list must be strictly increasing")
+        if self.sigma2 < 0:
+            raise UsageError(f"sigma2 must be >= 0, got {self.sigma2}")
+        if self.lam < 0:
+            raise UsageError(f"lam must be >= 0, got {self.lam}")
+        if 0 < self.mc_test_points < 100:
+            raise UsageError("mc_test_points must be 0 (off) or >= 100, "
+                             f"got {self.mc_test_points}")
+        if self.jitter_policy not in ("forbid", "allow"):
+            raise UsageError(f"unknown jitter_policy {self.jitter_policy!r}")
         for d in self.d_list:
             n = self.n_for(d)
             if n < 4:
@@ -100,7 +106,11 @@ class ExperimentConfig:
         if data.get("coefficients") is not None:
             data["coefficients"] = tuple(float(c) for c in data["coefficients"])
         if SEED_ENV_VAR in os.environ:
-            data["master_seed"] = int(os.environ[SEED_ENV_VAR])
+            try:
+                data["master_seed"] = int(os.environ[SEED_ENV_VAR])
+            except ValueError:
+                raise UsageError(f"{SEED_ENV_VAR} must be an integer, "
+                                 f"got {os.environ[SEED_ENV_VAR]!r}") from None
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -162,13 +172,7 @@ def run_cell(config: ExperimentConfig, spectrum: Spectrum, d: int,
         "l": target.l, "beta_norm_sq": target.l2_norm_sq,
         "hs_norm_sq": target.hs_norm_sq, "c0": target.c0,
     })
-    for name in ("bias_sq_exact", "var_exact", "var_low_degree",
-                 "var_high_degree", "B1", "B2", "bias_residual_bound",
-                 "bias_sq_mc", "bias_sq_mc_se", "var_mc", "var_mc_se",
-                 "mc_consistent", "lambda_min_K", "delta1_opnorm",
-                 "psi_gram_deviation", "psi_gram_meaningful",
-                 "kappa1", "kappa2", "jitter_used"):
-        row[name] = getattr(report, name)
+    row.update(asdict(report))
     row["runtime_ms"] = (time.perf_counter() - t0) * 1e3
     return row
 

@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .seeding import SpherePoints
 from .zonal import ZonalBasis, clip_unit, multiplicity, quadrature
 
 K_MAX_CAP = 64
@@ -205,9 +204,10 @@ def tail_sums(spectrum: Spectrum, l: int) -> TailSums:
     return TailSums(l=l, kappa1=kappa1, kappa2=kappa2)
 
 
-def assemble_kernel_matrix(spec: KernelSpec, points: SpherePoints) -> np.ndarray:
-    """K_ij = Phi(<x_i, x_j>), exactly symmetric with Phi(1) on the diagonal
-    (gram() forms X X^T as one symmetric product, so no symmetrizing copy)."""
-    K = eval_phi(spec, points.gram())
+def assemble_kernel_matrix(spec: KernelSpec, G: np.ndarray) -> np.ndarray:
+    """K = Phi(G) for a Gram matrix G = X X^T, with Phi(1) on the diagonal;
+    exactly symmetric when G is (SpherePoints.gram forms X X^T as one
+    symmetric product, so no symmetrizing copy)."""
+    K = eval_phi(spec, G)
     np.fill_diagonal(K, float(eval_phi(spec, 1.0)))
     return K

@@ -112,16 +112,6 @@ class ZonalBasis:
             yield p_next
             p_prev, p_cur, p_next = p_cur, p_next, p_prev
 
-    def eval(self, k: int, t) -> np.ndarray:
-        """P_{k,d}(t) for scalar or array t."""
-        if k > self.k_max:
-            raise UsageError(f"degree {k} exceeds k_max={self.k_max}")
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        for j, vals in enumerate(self.iter_values(t_arr)):
-            if j == k:
-                return vals if np.ndim(t) else float(vals[0])
-        raise AssertionError("unreachable")
-
     def eval_all(self, t: np.ndarray) -> np.ndarray:
         """Stack of shape (k_max+1, *t.shape) with all degrees at once."""
         t = np.asarray(t, dtype=float)
@@ -175,17 +165,3 @@ def quadrature(d: int, points: int) -> QuadratureRule:
         raise NumericalError(f"degenerate Gauss-Jacobi weights for d={d}, m={points}")
     return QuadratureRule(d=d, nodes=nodes, weights=weights / total)
 
-
-def gram_zonal(basis: ZonalBasis, k: int, G: np.ndarray) -> np.ndarray:
-    """The degree-k harmonic Gram matrix N(d,k) * P_kd(G).
-
-    By the addition theorem this equals Psi_k Psi_k^T for any orthonormal
-    basis Psi_k of the degree-k eigenspace evaluated at the sample points.
-    G must be a matrix of pairwise inner products of unit vectors.
-    """
-    G = np.asarray(G, dtype=float)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise UsageError(f"G must be square, got shape {G.shape}")
-    if np.max(np.abs(np.diag(G) - 1.0)) > 1e-9:
-        raise UsageError("G diagonal is not 1: inputs must be unit sphere points")
-    return multiplicity(basis.d, k) * basis.eval(k, G)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, cho_solve
+from scipy.linalg import LinAlgError, cho_solve, eigvalsh
 
 from kilab import (Dataset, NumericalError, SeedPath, SpherePoints, UsageError,
                    assemble_kernel_matrix, build_target, compute_spectrum,
@@ -225,7 +225,8 @@ def test_fit_matches_dense_solve(monkeypatch, lam, failures):
     model = run("allow")
     jitter = 1e-10 * eval_phi(sp.spec, 1.0) if failures else 0.0
     assert model.jitter_used == jitter
-    A = assemble_kernel_matrix(sp.spec, ds.points) + (ds.n * lam + jitter) * np.eye(ds.n)
+    A = (assemble_kernel_matrix(sp.spec, ds.points.gram())
+         + (ds.n * lam + jitter) * np.eye(ds.n))
     for x, rhs in ((model.alpha, ds.y), (model.alpha_clean, ds.clean)):
         ref = np.linalg.solve(A, rhs)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -321,6 +322,28 @@ def test_concentration_report_fields():
     assert rep.lambda_min_K > 0
     assert rep.B_l == 1 + multiplicity(16, 1)
     assert rep.meaningful == (model.n >= rep.B_l)
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.0])
+def test_concentration_report_matches_dense_oracle(gamma):
+    # test-only oracle: K rebuilt from the points, eigensolves on copies
+    model, target, _ = _cell(d=12, gamma=gamma)
+    sp, l, n = model.spectrum, target.l, model.n
+    G_before = model.G.copy()
+    rep = concentration_report(model, l)
+    assert np.array_equal(model.G, G_before)
+
+    G = model.dataset.points.gram()
+    K = assemble_kernel_matrix(sp.spec, G)
+    lam_min = eigvalsh(K, subset_by_index=(0, 0))[0]
+    ev = eigvalsh(K - zonal_series(sp.d, (sp.mu * sp.multiplicities)[: l + 1], G))
+    kappa1 = tail_sums(sp, l).kappa1
+    delta1 = max(abs(ev[0] / kappa1 - 1.0), abs(ev[-1] / kappa1 - 1.0))
+    ev_a = eigvalsh(zonal_series(sp.d, sp.multiplicities[: l + 1], G) / n)
+    psi_dev = np.max(np.abs(ev_a[-min(rep.B_l, n):] - 1.0))
+    assert rep.lambda_min_K == pytest.approx(lam_min, rel=1e-12)
+    assert rep.delta1_opnorm == pytest.approx(delta1, rel=1e-12)
+    assert rep.psi_gram_deviation == pytest.approx(psi_dev, rel=1e-12)
 
 
 def test_concentration_flags_small_n():

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from kilab import (ExperimentConfig, UsageError, analyze, compute_spectrum,
-                   phase_grid, read_rows, run_cell, run_sweep, write_rows)
+from kilab import (ExperimentConfig, SpherePoints, UsageError, analyze,
+                   compute_spectrum, phase_grid, read_rows, run_cell, run_sweep,
+                   write_rows)
 from kilab import harness
 from kilab.cli import main as cli_main
 from kilab.harness import CSV_COLUMNS, _parse_range
@@ -44,6 +45,25 @@ def test_config_validation():
         small_config(d_list=(6, 8, 4000))  # n above cap
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sigma2", -1.0), ("lam", -1e-3), ("mc_test_points", 50),
+    ("jitter_policy", "sometimes")])
+def test_config_rejects_bad_values(tmp_path, field, value):
+    with pytest.raises(UsageError):
+        small_config(**{field: value})
+    data = small_config().to_dict()
+    data[field] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "rows.csv"
+    assert cli_main(["run", "--config", str(cfg_path), "-o", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_config_accepts_boundary_values():
+    small_config(sigma2=0.0, lam=0.0, mc_test_points=100, jitter_policy="allow")
+
+
 def test_config_dict_round_trip():
     cfg = small_config()
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
@@ -66,6 +86,18 @@ def test_seed_env_override(monkeypatch):
     assert ExperimentConfig.from_dict(data).master_seed == 42
 
 
+def test_seed_env_must_be_an_integer(monkeypatch, tmp_path):
+    data = small_config().to_dict()
+    monkeypatch.setenv("KILAB_SEED", "abc")
+    with pytest.raises(UsageError, match="KILAB_SEED"):
+        ExperimentConfig.from_dict(data)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "rows.csv"
+    assert cli_main(["run", "--config", str(cfg_path), "-o", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_run_cell_row_shape():
     cfg = small_config(mc_test_points=500)
     sp = compute_spectrum(cfg.kernel_spec(), 6)
@@ -75,6 +107,37 @@ def test_run_cell_row_shape():
     assert row["seed_path"] == "42:6:0"
     assert row["var_exact"] > 0 and row["bias_sq_exact"] >= 0
     assert set(CSV_COLUMNS) <= set(row)
+
+
+def test_csv_columns_are_the_schema_version_1_header():
+    # the header is the on-disk format: names and order are pinned
+    assert harness.SCHEMA_VERSION == 1
+    assert CSV_COLUMNS == [
+        "schema_version", "kernel", "gamma", "s", "sigma2", "lambda",
+        "d", "n", "replicate", "seed_path",
+        "l", "beta_norm_sq", "hs_norm_sq", "c0",
+        "bias_sq_exact", "var_exact", "var_low_degree", "var_high_degree",
+        "B1", "B2", "bias_residual_bound",
+        "bias_sq_mc", "bias_sq_mc_se", "var_mc", "var_mc_se", "mc_consistent",
+        "lambda_min_K", "delta1_opnorm", "psi_gram_deviation",
+        "psi_gram_meaningful", "kappa1", "kappa2", "jitter_used",
+        "runtime_ms", "error",
+    ]
+
+
+def test_run_cell_builds_the_gram_matrix_once(monkeypatch):
+    gram = SpherePoints.gram
+    self_grams = []
+
+    def gram_counted(points, other=None):
+        self_grams.append(other is None)
+        return gram(points, other)
+
+    monkeypatch.setattr(SpherePoints, "gram", gram_counted)
+    cfg = small_config(mc_test_points=500)
+    row = run_cell(cfg, compute_spectrum(cfg.kernel_spec(), 6), 6, 0)
+    assert row["error"] == ""
+    assert self_grams.count(True) == 1
 
 
 def test_sweep_deterministic_and_worker_invariant():

@@ -106,8 +106,8 @@ def test_cross_degree_orthogonality_mc():
     t = build_target(sp, 0.5, 1.5, SEED.child(11))
     pts = sample_sphere(8, 50_000, SEED.child(12))
     tw = np.clip(pts.coordinates @ t.axis, -1, 1)
-    basis = ZonalBasis(8, t.l + 1)
-    comps = [t.beta[k] * math.sqrt(multiplicity(8, k)) * basis.eval(k, tw)
+    p = ZonalBasis(8, t.l + 1).eval_all(tw)
+    comps = [t.beta[k] * math.sqrt(multiplicity(8, k)) * p[k]
              for k in range(t.l + 2)]
     for j in range(len(comps)):
         for k in range(j + 1, len(comps)):
