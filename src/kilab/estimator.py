@@ -19,10 +19,11 @@ where a = K^-1 f*(X) and p_k(w)_i = P_kd(<x_i, w>). Monte Carlo versions
 of both quantities serve as independent cross-checks, never as truth.
 
 fit builds G once and keeps it on the fitted model in place of K: K = Phi(G)
-lives only inside fit and, elementwise again, inside concentration_report.
-Both per-degree sums stream over row blocks of G. K^-1 is formed once per
-fit, on first use (FittedInterpolant.K_inv), for S = K^-1 K^-T and the Monte
-Carlo variance; a cell with sigma^2 = 0 and Monte Carlo off never forms it.
+lives only inside fit (and the on-demand concentration_report, which
+evaluate_cell never runs). Both per-degree sums stream over row blocks of G.
+K^-1 is formed once per fit, on first use (FittedInterpolant.K_inv), for
+S = K^-1 K^-T and the Monte Carlo variance; a cell with sigma^2 = 0 and
+Monte Carlo off never forms it.
 """
 
 from __future__ import annotations
@@ -263,6 +264,9 @@ class ConcentrationReport:
 
 
 def concentration_report(model: FittedInterpolant, l: int) -> ConcentrationReport:
+    """On-demand diagnostics, never run by evaluate_cell: forms K from model.G
+    and makes three dense O(n^3) eigensolves (lambda_min(K), the degree > l
+    part of K, and the low-degree harmonic Gram matrix / n)."""
     sp = model.spectrum
     if l >= sp.k_max:
         raise UsageError(f"l={l} must be below k_max={sp.k_max}")
@@ -308,10 +312,6 @@ class ErrorReport:
     var_mc: float | None
     var_mc_se: float | None
     mc_consistent: bool | None   # exact within 4 SE of MC (None if MC skipped)
-    lambda_min_K: float
-    delta1_opnorm: float
-    psi_gram_deviation: float
-    psi_gram_meaningful: bool
     kappa1: float
     kappa2: float
     jitter_used: float
@@ -326,7 +326,6 @@ def evaluate_cell(model: FittedInterpolant, target: Target,
     var_low, var_high = variance_split(model, l)
     var_exact = var_low + var_high
     bias = exact_bias_by_degree(model, target)
-    conc = concentration_report(model, l)
 
     bias_mc = bias_se = var_mc = var_se = None
     mc_ok = None
@@ -353,10 +352,6 @@ def evaluate_cell(model: FittedInterpolant, target: Target,
         var_mc=var_mc,
         var_mc_se=var_se,
         mc_consistent=mc_ok,
-        lambda_min_K=conc.lambda_min_K,
-        delta1_opnorm=conc.delta1_opnorm,
-        psi_gram_deviation=conc.psi_gram_deviation,
-        psi_gram_meaningful=conc.meaningful,
         kappa1=ts.kappa1,
         kappa2=ts.kappa2,
         jitter_used=model.jitter_used,

@@ -29,7 +29,7 @@ from .spectrum import (KernelSpec, Spectrum, compute_spectrum,
                        kernel_by_id, kernel_from_coefficients)
 from .target import build_target, make_dataset
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CSV_COLUMNS = [
     "schema_version", "kernel", "gamma", "s", "sigma2", "lambda",
@@ -83,6 +83,9 @@ class ExperimentConfig:
                              f"got {self.mc_test_points}")
         if self.jitter_policy not in ("forbid", "allow"):
             raise UsageError(f"unknown jitter_policy {self.jitter_policy!r}")
+        if self.trace_tol <= 0:
+            raise UsageError(f"trace_tol must be positive, got {self.trace_tol}")
+        self.kernel_spec()   # an unknown kernel or bad coefficients raise here
         for d in self.d_list:
             n = self.n_for(d)
             if n < 4:

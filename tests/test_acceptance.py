@@ -9,9 +9,10 @@ identity and oracle criteria use tight tolerances.
 import numpy as np
 
 from kilab import (SeedPath, SpherePoints, ExperimentConfig, build_target,
-                   classify, compute_spectrum, evaluate_cell, eval_phi,
-                   fit, fit_slope, kernel_by_id, make_dataset,
-                   minimax_exponent, predict, run_sweep, total_exponent)
+                   classify, compute_spectrum, concentration_report,
+                   evaluate_cell, eval_phi, fit, fit_slope, kernel_by_id,
+                   make_dataset, minimax_exponent, predict, run_sweep,
+                   total_exponent)
 from kilab.seeding import TAG_AXIS, TAG_MC
 from kilab.verify import report_to_json, run_verify
 
@@ -211,12 +212,20 @@ def test_09_phase_diagram_correctness():
 
 
 def test_10_concentration_trend():
-    rows = _sweep_rows(gamma=1.5, s=0.5, sigma2=1.0,
-                       d_list=(8, 16, 32), replicates=60)
-    med = {}
-    for field in ("delta1_opnorm", "psi_gram_deviation"):
-        med[field] = [float(np.median([r[field] for r in rows if r["d"] == d]))
-                      for d in (8, 16, 32)]
+    # concentration_report is not part of a sweep cell, so this builds the
+    # cells of a gamma=1.5, s=0.5 sweep the way run_cell does and calls it
+    gamma, s, replicates = 1.5, 0.5, 60
+    med = {"delta1_opnorm": [], "psi_gram_deviation": []}
+    for d in (8, 16, 32):
+        sp = compute_spectrum(kernel_by_id("exp"), d)
+        reps = []
+        for r in range(replicates):
+            seed = SeedPath(ACCEPT_SEED, (d, r))
+            target = build_target(sp, s, gamma, seed.child(TAG_AXIS))
+            model = fit(make_dataset(target, round(d**gamma), 1.0, seed), sp)
+            reps.append(concentration_report(model, target.l))
+        for field in med:
+            med[field].append(float(np.median([getattr(c, field) for c in reps])))
     ok = all(a > b for m in med.values() for a, b in zip(m, m[1:]))
     _verdict("criterion-10 concentration-trend", ok,
              "median delta1 " + " -> ".join(f"{v:.3f}" for v in med["delta1_opnorm"])

@@ -47,7 +47,8 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("sigma2", -1.0), ("lam", -1e-3), ("mc_test_points", 50),
-    ("jitter_policy", "sometimes")])
+    ("jitter_policy", "sometimes"), ("kernel", "foo"),
+    ("coefficients", (0.5, -0.1)), ("trace_tol", 0.0)])
 def test_config_rejects_bad_values(tmp_path, field, value):
     with pytest.raises(UsageError):
         small_config(**{field: value})
@@ -109,9 +110,9 @@ def test_run_cell_row_shape():
     assert set(CSV_COLUMNS) <= set(row)
 
 
-def test_csv_columns_are_the_schema_version_1_header():
+def test_csv_columns_are_the_schema_version_2_header():
     # the header is the on-disk format: names and order are pinned
-    assert harness.SCHEMA_VERSION == 1
+    assert harness.SCHEMA_VERSION == 2
     assert CSV_COLUMNS == [
         "schema_version", "kernel", "gamma", "s", "sigma2", "lambda",
         "d", "n", "replicate", "seed_path",
@@ -119,10 +120,22 @@ def test_csv_columns_are_the_schema_version_1_header():
         "bias_sq_exact", "var_exact", "var_low_degree", "var_high_degree",
         "B1", "B2", "bias_residual_bound",
         "bias_sq_mc", "bias_sq_mc_se", "var_mc", "var_mc_se", "mc_consistent",
-        "lambda_min_K", "delta1_opnorm", "psi_gram_deviation",
-        "psi_gram_meaningful", "kappa1", "kappa2", "jitter_used",
+        "kappa1", "kappa2", "jitter_used",
         "runtime_ms", "error",
     ]
+
+
+def test_run_cell_never_runs_concentration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("concentration_report called in a sweep cell")
+
+    monkeypatch.setattr("kilab.estimator.concentration_report", refuse)
+    cfg = small_config(mc_test_points=500)
+    row = run_cell(cfg, compute_spectrum(cfg.kernel_spec(), 6), 6, 0)
+    assert row["error"] == ""
+    for key in ("lambda_min_K", "delta1_opnorm", "psi_gram_deviation",
+                "psi_gram_meaningful"):
+        assert key not in row
 
 
 def test_run_cell_builds_the_gram_matrix_once(monkeypatch):
@@ -209,7 +222,7 @@ def test_write_and_read_rows(tmp_path):
     assert (total, failed) == (4, 0)
     rows = read_rows(path)
     assert len(rows) == 4
-    assert rows[0]["schema_version"] == "1"
+    assert rows[0]["schema_version"] == "2"
     assert float(rows[0]["var_exact"]) > 0
     assert rows[0]["bias_sq_mc"] == ""  # mc disabled
     # repr round trip keeps exact float values
