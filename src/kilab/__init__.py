@@ -12,8 +12,8 @@ from .spectrum import (KernelSpec, Spectrum, TailSums, assemble_kernel_matrix,
 from .target import Dataset, Target, build_target, eval_target, make_dataset
 from .estimator import (BiasReport, ErrorReport, FittedInterpolant, McErrors,
                         ConcentrationReport, concentration_report,
-                        evaluate_cell, exact_bias_by_degree, exact_variance,
-                        fit, mc_errors, predict, variance_split)
+                        evaluate_cell, exact_bias_by_degree, fit, mc_errors,
+                        predict, variance_split)
 from .rates import (PhasePoint, SlopeFit, bias_exponent, classify, fit_slope,
                     gamma_threshold, minimax_exponent, total_exponent,
                     var_exponent)

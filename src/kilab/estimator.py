@@ -1,8 +1,8 @@
-"""Ridge / minimum-norm interpolation fits and exact error oracles.
+"""Minimum-norm interpolation fits and exact error oracles.
 
-The estimator is f_hat(x) = k(x, X) (K + n*lambda*I)^-1 Y (lambda = 0 for
-interpolation). Because both the kernel and the target are zonal, the bias
-and variance of the fitted function are exact finite-dimensional
+The estimator is the minimum-norm interpolant f_hat(x) = k(x, X) K^-1 Y.
+Because both the kernel and the target are zonal, the bias and variance
+of the fitted function are exact finite-dimensional
 expressions in the n x n Gram matrix G. With M = sum_k mu_k^2 N_k P_k(G)
 the variance is sigma^2 * tr(K^-1 M K^-1) = sigma^2 * <K^-2, M>, which
 splits into one nonnegative term per degree,
@@ -41,21 +41,19 @@ from .spectrum import Spectrum, assemble_kernel_matrix, eval_phi, tail_sums
 from .target import Dataset, Target, eval_target
 from .zonal import multiplicity, zonal_series
 
-JITTER_LEVEL_FACTOR = 1e-10
 RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class FittedInterpolant:
-    """An SPD-factorized kernel system with dual weights for Y and f*(X)."""
+    """A Cholesky-factorized kernel matrix with dual weights for Y and f*(X)."""
 
     dataset: Dataset
     spectrum: Spectrum
     G: np.ndarray              # Gram matrix X X^T of the training points
-    cho: tuple                 # scipy (c, lower) factor of K + n*lam*I + jitter*I
-    alpha: np.ndarray          # (K + n lam I)^-1 Y
-    alpha_clean: np.ndarray    # (K + n lam I)^-1 f*(X)
-    jitter_used: float
+    cho: tuple                 # scipy (c, lower) Cholesky factor of K
+    alpha: np.ndarray          # K^-1 Y
+    alpha_clean: np.ndarray    # K^-1 f*(X)
 
     @property
     def n(self) -> int:
@@ -63,60 +61,35 @@ class FittedInterpolant:
 
     @cached_property
     def K_inv(self) -> np.ndarray:
-        """(K + n lam I + jitter I)^-1 from the factor, formed on first use."""
+        """K^-1 from the factor, formed on first use."""
         return cho_solve(self.cho, np.eye(self.n, order="F"), overwrite_b=True)
 
 
-def fit(dataset: Dataset, spectrum: Spectrum, lam: float = 0.0,
-        jitter_policy: str = "forbid") -> FittedInterpolant:
-    """Factorize K + n*lambda*I and solve for the dual weights.
+def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
+    """Factorize K by Cholesky and solve for the dual weights.
 
-    jitter_policy: "forbid" raises on factorization failure; "allow" retries
-    once with jitter 1e-10 * Phi(1) on the diagonal and records it.
+    Raises NumericalError when K is not positive definite.
     """
-    if lam < 0:
-        raise UsageError(f"ridge level must be >= 0, got {lam}")
-    if jitter_policy not in ("forbid", "allow"):
-        raise UsageError(f"unknown jitter policy {jitter_policy!r}")
     if dataset.points.d != spectrum.d:
         raise UsageError("dataset and spectrum dimensions differ")
 
-    n = dataset.n
     G = dataset.points.gram()
     K = assemble_kernel_matrix(spectrum.spec, G)
-
-    def shifted(shift: float) -> np.ndarray:
-        A = K.copy(order="F")   # Fortran order: LAPACK factors it in place
-        A.flat[:: n + 1] += shift
-        return A
-
-    jitter = 0.0
     try:
-        factor = cho_factor(shifted(n * lam), lower=True, overwrite_a=True)
+        # Fortran order: LAPACK factors the copy in place
+        factor = cho_factor(K.copy(order="F"), lower=True, overwrite_a=True)
     except LinAlgError:
-        if jitter_policy == "forbid":
-            lam_min = float(eigvalsh(shifted(n * lam), subset_by_index=(0, 0))[0])
-            raise NumericalError(
-                f"kernel system not positive definite (lambda_min ~ {lam_min:.3e}) "
-                "and jitter is forbidden"
-            ) from None
-        jitter = JITTER_LEVEL_FACTOR * float(eval_phi(spectrum.spec, 1.0))
-        try:
-            factor = cho_factor(shifted(n * lam + jitter), lower=True, overwrite_a=True)
-        except LinAlgError:
-            lam_min = float(eigvalsh(shifted(n * lam), subset_by_index=(0, 0))[0])
-            raise NumericalError(
-                f"factorization failed even with jitter {jitter:.1e} "
-                f"(lambda_min ~ {lam_min:.3e})"
-            ) from None
-    shift = n * lam + jitter   # the residuals use (K + shift*I) x = K x + shift*x
+        lam_min = float(eigvalsh(K, subset_by_index=(0, 0))[0])
+        raise NumericalError(
+            f"kernel matrix not positive definite (lambda_min ~ {lam_min:.3e})"
+        ) from None
 
     def solve_refined(rhs: np.ndarray) -> np.ndarray:
         x = cho_solve(factor, rhs)
         # one iterative-refinement sweep keeps the 1e-10 residual contract
-        x = x + cho_solve(factor, rhs - (K @ x + shift * x))
+        x = x + cho_solve(factor, rhs - K @ x)
         scale = max(float(np.linalg.norm(rhs)), 1e-300)
-        rel = float(np.linalg.norm(rhs - (K @ x + shift * x))) / scale
+        rel = float(np.linalg.norm(rhs - K @ x)) / scale
         if rel > RESIDUAL_TOL:
             raise NumericalError(f"linear solve residual {rel:.3e} exceeds {RESIDUAL_TOL}")
         return x
@@ -124,8 +97,7 @@ def fit(dataset: Dataset, spectrum: Spectrum, lam: float = 0.0,
     alpha = solve_refined(dataset.y)
     alpha_clean = solve_refined(dataset.clean)
     return FittedInterpolant(dataset=dataset, spectrum=spectrum, G=G,
-                             cho=factor, alpha=alpha,
-                             alpha_clean=alpha_clean, jitter_used=jitter)
+                             cho=factor, alpha=alpha, alpha_clean=alpha_clean)
 
 
 def predict(model: FittedInterpolant, points: SpherePoints) -> np.ndarray:
@@ -134,12 +106,6 @@ def predict(model: FittedInterpolant, points: SpherePoints) -> np.ndarray:
         raise UsageError("query dimension does not match training dimension")
     kx = eval_phi(model.spectrum.spec, points.gram(model.dataset.points))
     return kx @ model.alpha
-
-
-def exact_variance(model: FittedInterpolant) -> float:
-    """sigma^2 * <K^-2, M> with M = sum_k mu_k^2 N_k P_k(G)."""
-    low, high = variance_split(model, l=-1)
-    return low + high
 
 
 def variance_split(model: FittedInterpolant, l: int) -> tuple[float, float]:
@@ -314,7 +280,6 @@ class ErrorReport:
     mc_consistent: bool | None   # exact within 4 SE of MC (None if MC skipped)
     kappa1: float
     kappa2: float
-    jitter_used: float
 
 
 def evaluate_cell(model: FittedInterpolant, target: Target,
@@ -354,5 +319,4 @@ def evaluate_cell(model: FittedInterpolant, target: Target,
         mc_consistent=mc_ok,
         kappa1=ts.kappa1,
         kappa2=ts.kappa2,
-        jitter_used=model.jitter_used,
     )

@@ -29,10 +29,10 @@ from .spectrum import (KernelSpec, Spectrum, compute_spectrum,
                        kernel_by_id, kernel_from_coefficients)
 from .target import build_target, make_dataset
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 CSV_COLUMNS = [
-    "schema_version", "kernel", "gamma", "s", "sigma2", "lambda",
+    "schema_version", "kernel", "gamma", "s", "sigma2",
     "d", "n", "replicate", "seed_path",
     "l", "beta_norm_sq", "hs_norm_sq", "c0",
     *(f.name for f in fields(ErrorReport)),
@@ -40,6 +40,11 @@ CSV_COLUMNS = [
 ]
 
 SEED_ENV_VAR = "KILAB_SEED"
+
+
+def _is_int(value) -> bool:
+    """Python or numpy integer; bools and integral floats such as 8.0 are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -54,14 +59,18 @@ class ExperimentConfig:
     sigma2: float = 1.0
     n_coefficient: float = 1.0
     replicates: int = 1
-    lam: float = 0.0
     master_seed: int = 20240901
     mc_test_points: int = 2000
     trace_tol: float = 1e-10
-    jitter_policy: str = "forbid"
     n_cap: int = 8000
 
     def __post_init__(self):
+        for name in ("replicates", "master_seed", "mc_test_points", "n_cap"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
+        if not all(_is_int(d) for d in self.d_list):
+            raise UsageError(f"every d must be an integer, got {list(self.d_list)}")
         if self.gamma <= 0:
             raise UsageError(f"gamma must be positive, got {self.gamma}")
         if self.s < 0:
@@ -76,13 +85,9 @@ class ExperimentConfig:
             raise UsageError("d_list must be strictly increasing")
         if self.sigma2 < 0:
             raise UsageError(f"sigma2 must be >= 0, got {self.sigma2}")
-        if self.lam < 0:
-            raise UsageError(f"lam must be >= 0, got {self.lam}")
         if 0 < self.mc_test_points < 100:
             raise UsageError("mc_test_points must be 0 (off) or >= 100, "
                              f"got {self.mc_test_points}")
-        if self.jitter_policy not in ("forbid", "allow"):
-            raise UsageError(f"unknown jitter_policy {self.jitter_policy!r}")
         if self.trace_tol <= 0:
             raise UsageError(f"trace_tol must be positive, got {self.trace_tol}")
         self.kernel_spec()   # an unknown kernel or bad coefficients raise here
@@ -105,7 +110,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
         if "d_list" in data:
-            data["d_list"] = tuple(int(d) for d in data["d_list"])
+            data["d_list"] = tuple(data["d_list"])
         if data.get("coefficients") is not None:
             data["coefficients"] = tuple(float(c) for c in data["coefficients"])
         if SEED_ENV_VAR in os.environ:
@@ -152,7 +157,7 @@ def run_cell(config: ExperimentConfig, spectrum: Spectrum, d: int,
         "schema_version": SCHEMA_VERSION,
         "kernel": spectrum.spec.family_id,
         "gamma": config.gamma, "s": config.s, "sigma2": config.sigma2,
-        "lambda": config.lam, "d": d, "n": n, "replicate": replicate,
+        "d": d, "n": n, "replicate": replicate,
         "seed_path": f"{config.master_seed}:{d}:{replicate}",
         "error": "",
     }
@@ -161,8 +166,7 @@ def run_cell(config: ExperimentConfig, spectrum: Spectrum, d: int,
         target = build_target(spectrum, config.s, config.gamma,
                               cell_seed.child(TAG_AXIS))
         dataset = make_dataset(target, n, config.sigma2, cell_seed)
-        model = fit(dataset, spectrum, lam=config.lam,
-                    jitter_policy=config.jitter_policy)
+        model = fit(dataset, spectrum)
         report = evaluate_cell(model, target,
                                mc_test_points=config.mc_test_points,
                                mc_seed=cell_seed.child(TAG_MC))

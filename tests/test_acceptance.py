@@ -96,7 +96,7 @@ def test_03_interpolation_constraint():
         seed = SeedPath(ACCEPT_SEED, (3, i))
         target = build_target(sp, 1.0, gamma, seed.child(TAG_AXIS))
         ds = make_dataset(target, n, 1.0, seed)
-        model = fit(ds, sp)  # jitter forbidden by default
+        model = fit(ds, sp)
         resid = float(np.max(np.abs(predict(model, ds.points) - ds.y)))
         scale = max(1.0, float(np.max(np.abs(ds.y))))
         worst = max(worst, resid / scale)

@@ -5,7 +5,7 @@ from scipy.linalg import LinAlgError, cho_solve, eigvalsh
 from kilab import (Dataset, NumericalError, SeedPath, SpherePoints, UsageError,
                    assemble_kernel_matrix, build_target, compute_spectrum,
                    concentration_report, estimator, evaluate_cell,
-                   exact_bias_by_degree, exact_variance, eval_phi, fit,
+                   exact_bias_by_degree, eval_phi, fit,
                    kernel_by_id, make_dataset, mc_errors, multiplicity,
                    predict, sample_sphere, tail_sums, variance_split,
                    zonal_series)
@@ -15,12 +15,12 @@ from kilab.zonal import BLOCK_DOUBLES
 SEED = SeedPath(31337)
 
 
-def _cell(d=8, gamma=1.5, s=0.5, sigma2=1.0, n=None, lam=0.0, seed_label=0):
+def _cell(d=8, gamma=1.5, s=0.5, sigma2=1.0, n=None, seed_label=0):
     sp = compute_spectrum(kernel_by_id("exp"), d)
     seed = SeedPath(31337, (d, seed_label))
     target = build_target(sp, s, gamma, seed.child(TAG_AXIS))
     ds = make_dataset(target, n or round(d**gamma), sigma2, seed)
-    return fit(ds, sp, lam=lam), target, seed
+    return fit(ds, sp), target, seed
 
 
 def test_single_point_dual_weight():
@@ -31,28 +31,10 @@ def test_single_point_dual_weight():
     assert model.alpha[0] == pytest.approx(ds.y[0] / eval_phi(sp.spec, 1.0), rel=1e-12)
 
 
-def test_dual_norm_shrinks_with_ridge():
-    model0, target, seed = _cell(lam=0.0)
-    norms = []
-    for lam in (0.0, 1e-3, 1e-1, 10.0):
-        m = fit(model0.dataset, model0.spectrum, lam=lam)
-        norms.append(np.linalg.norm(m.alpha))
-    assert all(a >= b for a, b in zip(norms, norms[1:]))
-
-
-def test_interpolation_limit_of_ridge():
-    model0, target, seed = _cell(d=8, gamma=1.5)
-    model_eps = fit(model0.dataset, model0.spectrum, lam=1e-12)
-    test = sample_sphere(8, 100, seed.child(77))
-    gap = np.max(np.abs(predict(model0, test) - predict(model_eps, test)))
-    assert gap < 1e-6
-
-
 def test_training_labels_reproduced():
     model, target, _ = _cell()
     scale = max(1.0, float(np.max(np.abs(model.dataset.y))))
     resid = np.max(np.abs(predict(model, model.dataset.points) - model.dataset.y))
-    assert model.jitter_used == 0.0
     assert resid <= 1e-6 * scale
 
 
@@ -89,18 +71,18 @@ def test_variance_single_point():
     model = fit(ds, sp)
     phi2_one = tail_sums(sp, -1).kappa2
     expected = 1.0 * phi2_one / eval_phi(sp.spec, 1.0) ** 2
-    assert exact_variance(model) == pytest.approx(expected, rel=1e-10)
+    assert sum(variance_split(model, -1)) == pytest.approx(expected, rel=1e-10)
 
 
 def test_variance_zero_noise():
     model, _, _ = _cell(sigma2=0.0)
-    assert exact_variance(model) == 0.0
+    assert sum(variance_split(model, -1)) == 0.0
 
 
 def test_variance_split_sums_to_total():
     model, target, _ = _cell(d=12)
     low, high = variance_split(model, target.l)
-    assert low + high == pytest.approx(exact_variance(model), rel=1e-9)
+    assert low + high == pytest.approx(sum(variance_split(model, -1)), rel=1e-9)
     assert low >= 0 and high >= 0
 
 
@@ -124,16 +106,14 @@ def _trace_variance_split(model, l):
     return sigma2 * trace_quad(M_low), sigma2 * trace_quad(M - M_low)
 
 
-@pytest.mark.parametrize("d, gamma, lam", [
-    (16, 1.25, 0.0), (12, 1.75, 0.0), (10, 2.0, 0.0), (12, 1.5, 1e-3),
-])
-def test_variance_split_matches_trace_oracle(d, gamma, lam):
-    model, target, _ = _cell(d=d, gamma=gamma, lam=lam)
+@pytest.mark.parametrize("d, gamma", [(16, 1.25), (12, 1.75), (10, 2.0)])
+def test_variance_split_matches_trace_oracle(d, gamma):
+    model, target, _ = _cell(d=d, gamma=gamma)
     low, high = variance_split(model, target.l)
     low_ref, high_ref = _trace_variance_split(model, target.l)
     assert low == pytest.approx(low_ref, rel=1e-9)
     assert high == pytest.approx(high_ref, rel=1e-9)
-    assert exact_variance(model) == pytest.approx(low_ref + high_ref, rel=1e-9)
+    assert sum(variance_split(model, -1)) == pytest.approx(low_ref + high_ref, rel=1e-9)
 
 
 def _full_pk(d, k_max, G):
@@ -179,9 +159,8 @@ def test_blocked_degree_sums_match_full_matrix_oracle(d, n):
         assert abs(rep.by_degree[k] - max(expected, 0.0)) <= mu2n * quad_tol[k] + 1e-15
 
 
-@pytest.mark.parametrize("lam", [0.0, 1e-3])
-def test_mc_variance_matches_two_solve_oracle(lam):
-    model, target, seed = _cell(d=12, gamma=1.75, lam=lam)
+def test_mc_variance_matches_two_solve_oracle():
+    model, target, seed = _cell(d=12, gamma=1.75)
     mc = mc_errors(model, target, 500, seed.child(TAG_MC))
     # the route K_inv replaced: two triangular solves with m right-hand sides
     test = sample_sphere(target.d, 500, seed.child(TAG_MC))
@@ -201,8 +180,8 @@ def test_k_inv_formed_only_when_used():
     assert "K_inv" in noisy.__dict__
 
 
-def _forced_fit(monkeypatch, lam, failures):
-    """fit on a d = 12 cell whose first `failures` factorizations raise."""
+def _forced_fit(monkeypatch, failures):
+    """A d = 12 cell whose first `failures` factorizations raise."""
     real = estimator.cho_factor
     calls = []
 
@@ -216,39 +195,22 @@ def _forced_fit(monkeypatch, lam, failures):
     sp = compute_spectrum(kernel_by_id("exp"), 12)
     seed = SeedPath(31337, (12, 0))
     ds = make_dataset(build_target(sp, 0.5, 1.5, seed.child(TAG_AXIS)), 42, 1.0, seed)
-    return ds, sp, lambda policy: fit(ds, sp, lam=lam, jitter_policy=policy)
+    return ds, sp
 
 
-@pytest.mark.parametrize("lam, failures", [(1e-3, 0), (0.0, 1), (1e-3, 1)])
-def test_fit_matches_dense_solve(monkeypatch, lam, failures):
-    ds, sp, run = _forced_fit(monkeypatch, lam, failures)
-    model = run("allow")
-    jitter = 1e-10 * eval_phi(sp.spec, 1.0) if failures else 0.0
-    assert model.jitter_used == jitter
-    A = (assemble_kernel_matrix(sp.spec, ds.points.gram())
-         + (ds.n * lam + jitter) * np.eye(ds.n))
+def test_fit_matches_dense_solve(monkeypatch):
+    ds, sp = _forced_fit(monkeypatch, 0)
+    model = fit(ds, sp)
+    K = assemble_kernel_matrix(sp.spec, ds.points.gram())
     for x, rhs in ((model.alpha, ds.y), (model.alpha_clean, ds.clean)):
-        ref = np.linalg.solve(A, rhs)
+        ref = np.linalg.solve(K, rhs)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_fit_factorization_failure_messages(monkeypatch):
-    _, _, run = _forced_fit(monkeypatch, 0.0, 1)
-    with pytest.raises(NumericalError, match="jitter is forbidden"):
-        run("forbid")
-    monkeypatch.undo()
-    _, _, run = _forced_fit(monkeypatch, 0.0, 2)
-    with pytest.raises(NumericalError, match="even with jitter"):
-        run("allow")
-
-
-def test_variance_monotone_in_ridge():
-    model0, target, _ = _cell(d=8)
-    values = []
-    for lam in (0.0, 1e-4, 1e-2, 1.0):
-        m = fit(model0.dataset, model0.spectrum, lam=lam)
-        values.append(exact_variance(m))
-    assert all(a >= b - 1e-14 for a, b in zip(values, values[1:]))
+    ds, sp = _forced_fit(monkeypatch, 1)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        fit(ds, sp)
 
 
 def test_bias_zero_target():
@@ -302,7 +264,7 @@ def test_b2_tracks_tail_energy():
 def test_mc_exact_agreement():
     model, target, seed = _cell(d=16, gamma=1.5, s=0.5)
     rep = exact_bias_by_degree(model, target)
-    var = exact_variance(model)
+    var = sum(variance_split(model, -1))
     mc = mc_errors(model, target, 4000, seed.child(TAG_MC))
     assert abs(rep.total - mc.bias_sq) <= 3 * mc.bias_sq_se
     assert abs(var - mc.var) <= 3 * mc.var_se
@@ -390,10 +352,4 @@ def test_evaluate_cell_full_report():
     assert rep.bias_sq_exact >= 0 and rep.var_exact >= 0
     assert rep.B1 + rep.B2 == pytest.approx(rep.bias_sq_exact, rel=1e-9)
     assert rep.mc_consistent
-    assert rep.jitter_used == 0.0
 
-
-def test_fit_rejects_negative_ridge():
-    model, target, _ = _cell()
-    with pytest.raises(UsageError):
-        fit(model.dataset, model.spectrum, lam=-1.0)

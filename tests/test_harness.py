@@ -46,9 +46,9 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("sigma2", -1.0), ("lam", -1e-3), ("mc_test_points", 50),
-    ("jitter_policy", "sometimes"), ("kernel", "foo"),
-    ("coefficients", (0.5, -0.1)), ("trace_tol", 0.0)])
+    ("sigma2", -1.0), ("mc_test_points", 50), ("kernel", "foo"),
+    ("replicates", 2.5), ("master_seed", 4.5), ("coefficients", (0.5, -0.1)),
+    ("trace_tol", 0.0), ("d_list", (6.7, 8.2)), ("mc_test_points", 150.5)])
 def test_config_rejects_bad_values(tmp_path, field, value):
     with pytest.raises(UsageError):
         small_config(**{field: value})
@@ -62,7 +62,9 @@ def test_config_rejects_bad_values(tmp_path, field, value):
 
 
 def test_config_accepts_boundary_values():
-    small_config(sigma2=0.0, lam=0.0, mc_test_points=100, jitter_policy="allow")
+    small_config(sigma2=0.0, mc_test_points=100)
+    small_config(d_list=(np.int64(6), np.int64(8)), replicates=np.int64(2),
+                 master_seed=np.int64(42))
 
 
 def test_config_dict_round_trip():
@@ -72,10 +74,14 @@ def test_config_dict_round_trip():
     assert ExperimentConfig.from_dict(cfg2.to_dict()) == cfg2
 
 
-def test_from_dict_rejects_unknown_keys():
-    with pytest.raises(UsageError):
+# lam and jitter_policy were fields until schema 3; their old defaults
+# must now fail like any unknown key
+@pytest.mark.parametrize("key, value", [
+    ("bogus", 1), ("lam", 0.0), ("jitter_policy", "forbid")])
+def test_from_dict_rejects_unknown_keys(key, value):
+    with pytest.raises(UsageError, match="unknown config keys"):
         ExperimentConfig.from_dict({"gamma": 1.3, "s": 1.0, "d_list": [6],
-                                    "n_coefficient": 2.0, "bogus": 1})
+                                    "n_coefficient": 2.0, key: value})
 
 
 def test_seed_env_override(monkeypatch):
@@ -110,17 +116,17 @@ def test_run_cell_row_shape():
     assert set(CSV_COLUMNS) <= set(row)
 
 
-def test_csv_columns_are_the_schema_version_2_header():
+def test_csv_columns_are_the_schema_version_3_header():
     # the header is the on-disk format: names and order are pinned
-    assert harness.SCHEMA_VERSION == 2
+    assert harness.SCHEMA_VERSION == 3
     assert CSV_COLUMNS == [
-        "schema_version", "kernel", "gamma", "s", "sigma2", "lambda",
+        "schema_version", "kernel", "gamma", "s", "sigma2",
         "d", "n", "replicate", "seed_path",
         "l", "beta_norm_sq", "hs_norm_sq", "c0",
         "bias_sq_exact", "var_exact", "var_low_degree", "var_high_degree",
         "B1", "B2", "bias_residual_bound",
         "bias_sq_mc", "bias_sq_mc_se", "var_mc", "var_mc_se", "mc_consistent",
-        "kappa1", "kappa2", "jitter_used",
+        "kappa1", "kappa2",
         "runtime_ms", "error",
     ]
 
@@ -222,7 +228,7 @@ def test_write_and_read_rows(tmp_path):
     assert (total, failed) == (4, 0)
     rows = read_rows(path)
     assert len(rows) == 4
-    assert rows[0]["schema_version"] == "2"
+    assert rows[0]["schema_version"] == "3"
     assert float(rows[0]["var_exact"]) > 0
     assert rows[0]["bias_sq_mc"] == ""  # mc disabled
     # repr round trip keeps exact float values
