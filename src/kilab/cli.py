@@ -27,7 +27,7 @@ EXIT_VERIFY = 3
 
 def _cmd_spectrum(args) -> int:
     spec = kernel_by_id(args.kernel)
-    sp = compute_spectrum(spec, args.d, tol=args.kmax_tol)
+    sp = compute_spectrum(spec, args.d)
     rows = [
         (k, repr(float(sp.mu[k])), int(sp.multiplicities[k]),
          repr(float(sp.mu[k] * sp.multiplicities[k])))
@@ -111,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="dump per-degree eigenvalues as CSV")
     p.add_argument("--kernel", default="exp")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--kmax-tol", type=float, default=1e-10)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_spectrum)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -39,7 +38,7 @@ CSV_COLUMNS = [
     "runtime_ms", "error",
 ]
 
-SEED_ENV_VAR = "KILAB_SEED"
+N_CAP = 8000   # largest n a cell may have: K and its inverse must fit in memory
 
 
 def _is_int(value) -> bool:
@@ -61,11 +60,9 @@ class ExperimentConfig:
     replicates: int = 1
     master_seed: int = 20240901
     mc_test_points: int = 2000
-    trace_tol: float = 1e-10
-    n_cap: int = 8000
 
     def __post_init__(self):
-        for name in ("replicates", "master_seed", "mc_test_points", "n_cap"):
+        for name in ("replicates", "master_seed", "mc_test_points"):
             value = getattr(self, name)
             if not _is_int(value):
                 raise UsageError(f"{name} must be an integer, got {value!r}")
@@ -88,44 +85,41 @@ class ExperimentConfig:
         if 0 < self.mc_test_points < 100:
             raise UsageError("mc_test_points must be 0 (off) or >= 100, "
                              f"got {self.mc_test_points}")
-        if self.trace_tol <= 0:
-            raise UsageError(f"trace_tol must be positive, got {self.trace_tol}")
-        self.kernel_spec()   # an unknown kernel or bad coefficients raise here
+        self.kernel_spec()   # a bad kernel name or coefficients raise here
         for d in self.d_list:
             n = self.n_for(d)
             if n < 4:
                 raise UsageError(f"d={d} gives n={n} < 4")
-            if n > self.n_cap:
-                raise UsageError(f"d={d} gives n={n} above the cap {self.n_cap}")
+            if n > N_CAP:
+                raise UsageError(f"d={d} gives n={n} above the cap {N_CAP}")
 
     def n_for(self, d: int) -> int:
         return int(round(self.n_coefficient * d ** self.gamma))
 
     def kernel_spec(self) -> KernelSpec:
         if self.coefficients is not None:
-            return kernel_from_coefficients(self.coefficients)
+            spec = kernel_from_coefficients(self.coefficients)
+            if self.kernel != "custom":
+                raise UsageError('coefficients need "kernel": "custom", '
+                                 f"got {self.kernel!r}")
+            return spec
         return kernel_by_id(self.kernel)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        if "d_list" in data:
-            data["d_list"] = tuple(data["d_list"])
-        if data.get("coefficients") is not None:
-            data["coefficients"] = tuple(float(c) for c in data["coefficients"])
-        if SEED_ENV_VAR in os.environ:
-            try:
-                data["master_seed"] = int(os.environ[SEED_ENV_VAR])
-            except ValueError:
-                raise UsageError(f"{SEED_ENV_VAR} must be an integer, "
-                                 f"got {os.environ[SEED_ENV_VAR]!r}") from None
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise UsageError("config must be a JSON object")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        data = dict(data)
         try:
+            if "d_list" in data:
+                data["d_list"] = tuple(data["d_list"])
+            if data.get("coefficients") is not None:
+                data["coefficients"] = tuple(float(c) for c in data["coefficients"])
             return cls(**data)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise UsageError(f"bad config: {exc}") from None
 
     def to_dict(self) -> dict:
@@ -191,15 +185,12 @@ def _cell_worker(args) -> dict:
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> Iterator[dict]:
     """Yield one row per (d, replicate) cell, in deterministic cell order."""
     spec = config.kernel_spec()
-    spectra = {d: compute_spectrum(spec, d, config.trace_tol)
-               for d in config.d_list}
+    spectra = {d: compute_spectrum(spec, d) for d in config.d_list}
     cells = [(d, r) for d in config.d_list for r in range(config.replicates)]
     if workers <= 1:
         for d, r in cells:
             yield run_cell(config, spectra[d], d, r)
         return
-    # workers get the config object itself; re-parsing it with from_dict
-    # would let KILAB_SEED override the master_seed it was built with
     args = [(config, spectra[d], d, r) for d, r in cells]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_cell_worker, args, chunksize=4)

@@ -27,6 +27,7 @@ from .zonal import ZonalBasis, clip_unit, multiplicity, quadrature
 K_MAX_CAP = 64
 NEGATIVE_MU_CLAMP = 1e-13
 ORTHO_RESIDUAL_TOL = 1e-10
+TRACE_TOL = 1e-10   # k_max is the first degree whose trace residual is below this
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,9 @@ def kernel_by_id(kernel_id: str) -> KernelSpec:
         ) from None
 
 
-def kernel_from_coefficients(coeffs: Sequence[float], family_id: str = "custom",
+def kernel_from_coefficients(coeffs: Sequence[float],
                              degenerate: bool = False) -> KernelSpec:
-    return KernelSpec(family_id=family_id, coefficients=tuple(float(c) for c in coeffs),
+    return KernelSpec(family_id="custom", coefficients=tuple(float(c) for c in coeffs),
                       degenerate=degenerate)
 
 
@@ -136,10 +137,8 @@ class TailSums:
     kappa2: float
 
 
-def compute_spectrum(spec: KernelSpec, d: int, tol: float = 1e-10) -> Spectrum:
-    """Eigenvalues mu_k by quadrature, truncated once the trace residual < tol."""
-    if tol <= 0:
-        raise UsageError(f"trace tolerance must be positive, got {tol}")
+def compute_spectrum(spec: KernelSpec, d: int) -> Spectrum:
+    """Eigenvalues mu_k by quadrature, truncated once the trace residual < TRACE_TOL."""
     phi1 = float(eval_phi(spec, 1.0))
 
     basis = ZonalBasis(d, K_MAX_CAP)
@@ -175,11 +174,11 @@ def compute_spectrum(spec: KernelSpec, d: int, tol: float = 1e-10) -> Spectrum:
 
     cum_trace = np.cumsum(mu * mults)
     residuals = phi1 - cum_trace
-    ok = np.nonzero(residuals < tol)[0]
+    ok = np.nonzero(residuals < TRACE_TOL)[0]
     if ok.size == 0:
         raise NumericalError(
             f"k_max cap {K_MAX_CAP} binds: trace residual {residuals[-1]:.3e} >= "
-            f"tol {tol:.1e} for kernel {spec.family_id!r} at d={d}"
+            f"{TRACE_TOL:.1e} for kernel {spec.family_id!r} at d={d}"
         )
     k_max = int(ok[0])
     trace_residual = float(max(residuals[k_max], 0.0))
@@ -195,7 +194,8 @@ def tail_sums(spectrum: Spectrum, l: int) -> TailSums:
     """Multiplicity-weighted tail sums over degrees > l (l = -1 gives the trace)."""
     if l >= spectrum.k_max:
         raise UsageError(
-            f"tail degree l={l} >= k_max={spectrum.k_max}; recompute with smaller tol"
+            f"tail degree l={l} >= k_max={spectrum.k_max}: the kernel's "
+            "spectrum ends at k_max"
         )
     lo = l + 1
     w = spectrum.mu[lo:] * spectrum.multiplicities[lo:]

@@ -23,6 +23,8 @@ from .seeding import SeedPath, SpherePoints, sample_noise, sample_sphere, TAG_PO
 from .spectrum import Spectrum
 from .zonal import zonal_series
 
+NORM_BUDGET = 4.0   # R: the target's squared power-space norm is min(R, l+2)
+
 
 @dataclass(frozen=True)
 class Target:
@@ -54,32 +56,28 @@ class Dataset:
     y: np.ndarray
     clean: np.ndarray         # f*(X)
     sigma2: float
-    seed: SeedPath
 
     @property
     def n(self) -> int:
         return self.points.n
 
 
-def build_target(spectrum: Spectrum, s: float, gamma: float, seed: SeedPath,
-                 norm_budget: float = 4.0) -> Target:
+def build_target(spectrum: Spectrum, s: float, gamma: float, seed: SeedPath) -> Target:
     """Construct the equal-energy band-limited target for (s, gamma)."""
     if s < 0:
         raise UsageError(f"source exponent must be >= 0, got {s}")
     if gamma <= 0:
         raise UsageError(f"gamma must be positive, got {gamma}")
-    if norm_budget <= 0:
-        raise UsageError(f"norm budget must be positive, got {norm_budget}")
     l = math.floor(gamma)
     if l + 1 > spectrum.k_max:
         raise UsageError(
-            f"target band l+1={l + 1} exceeds spectrum k_max={spectrum.k_max}; "
-            "recompute the spectrum with a smaller trace tolerance"
+            f"target band l+1={l + 1} exceeds spectrum k_max={spectrum.k_max}: "
+            "the kernel's spectrum ends at k_max"
         )
     mu_band = spectrum.mu[: l + 2]
     if np.any(mu_band <= 0):
         raise UsageError("spectrum has vanishing eigenvalues inside the target band")
-    c_sq = min(norm_budget, l + 2.0) / (l + 2.0)
+    c_sq = min(NORM_BUDGET, l + 2.0) / (l + 2.0)
     beta = math.sqrt(c_sq) * mu_band ** (s / 2.0)
     hs_norm_sq = float(c_sq * (l + 2))
     c0 = float(min(c_sq, (beta[: l + 1] ** 2).sum()))
@@ -105,4 +103,4 @@ def make_dataset(target: Target, n: int, sigma2: float, seed: SeedPath) -> Datas
     clean = eval_target(target, points)
     noise = sample_noise(n, sigma2, seed.child(TAG_NOISE))
     return Dataset(points=points, y=clean + noise, clean=clean,
-                   sigma2=float(sigma2), seed=seed)
+                   sigma2=float(sigma2))

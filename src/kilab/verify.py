@@ -88,7 +88,7 @@ def check_mercer(spectrum_hook=None) -> str:
     for kernel_id in ("exp", "geometric"):
         spec = kernel_by_id(kernel_id)
         for d in (4, 8, 16):
-            sp = compute_spectrum(spec, d, tol=1e-10)
+            sp = compute_spectrum(spec, d)
             if spectrum_hook is not None:
                 sp = spectrum_hook(sp)
             assert np.all(sp.mu >= 0), f"negative eigenvalue ({kernel_id}, d={d})"
@@ -108,7 +108,7 @@ def check_eigen_decay() -> str:
     spec = kernel_by_id("exp")
     scaled = {k: [] for k in range(4)}
     for d in (10, 20, 40):
-        sp = compute_spectrum(spec, d, tol=1e-10)
+        sp = compute_spectrum(spec, d)
         for k in range(4):
             scaled[k].append(sp.mu[k] * d**k)
     for k, vals in scaled.items():
@@ -122,7 +122,7 @@ def check_kappa_rates() -> str:
     l = 1
     scaled = []
     for d in (8, 16, 32):
-        sp = compute_spectrum(spec, d, tol=1e-10)
+        sp = compute_spectrum(spec, d)
         ts = tail_sums(sp, l)
         assert 0 < ts.kappa1 <= 1.0, f"kappa1 {ts.kappa1} out of range"
         assert ts.kappa2 <= sp.mu[l + 1] * ts.kappa1 + 1e-15, "kappa2 bound violated"
@@ -135,7 +135,7 @@ def check_kappa_rates() -> str:
 def _one_cell(kernel_id: str, gamma: float, s: float, d: int, sigma2: float,
               replicate: int, mc_points: int = 0):
     spec = kernel_by_id(kernel_id)
-    sp = compute_spectrum(spec, d, tol=1e-10)
+    sp = compute_spectrum(spec, d)
     seed = SeedPath(VERIFY_SEED, (d, replicate))
     target = build_target(sp, s, gamma, seed.child(TAG_AXIS))
     n = int(round(d**gamma))

@@ -140,10 +140,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray  # positive, sum to 1
 
-    @property
-    def size(self) -> int:
-        return self.nodes.size
-
     def integrate(self, values: np.ndarray) -> float:
         """Integral of a function sampled at the nodes (last axis)."""
         return float(np.asarray(values) @ self.weights)

@@ -42,7 +42,7 @@ def test_zero_labels_zero_function():
     model, target, seed = _cell()
     ds = model.dataset
     zero_ds = ds.__class__(points=ds.points, y=np.zeros(ds.n),
-                           clean=np.zeros(ds.n), sigma2=0.0, seed=ds.seed)
+                           clean=np.zeros(ds.n), sigma2=0.0)
     m = fit(zero_ds, model.spectrum)
     test = sample_sphere(8, 50, seed.child(78))
     assert np.max(np.abs(predict(m, test))) < 1e-12
@@ -55,8 +55,7 @@ def test_prediction_antipodal_symmetry():
     pts = SpherePoints(4, np.vstack([half, -half]))
     y_half = SEED.child(4).rng().normal(size=15)
     ds = Dataset(points=pts, y=np.concatenate([y_half, y_half]),
-                clean=np.concatenate([y_half, y_half]), sigma2=0.0,
-                seed=SEED)
+                clean=np.concatenate([y_half, y_half]), sigma2=0.0)
     model = fit(ds, sp)
     q_half = sample_sphere(4, 30, SEED.child(5)).coordinates
     q = SpherePoints(4, np.vstack([q_half, -q_half]))
@@ -221,7 +220,7 @@ def test_bias_zero_target():
                             hs_norm_sq=0.0, c0=0.0)
     ds = model.dataset
     zero_ds = ds.__class__(points=ds.points, y=ds.y, clean=np.zeros(ds.n),
-                           sigma2=ds.sigma2, seed=ds.seed)
+                           sigma2=ds.sigma2)
     m = fit(zero_ds, model.spectrum)
     rep = exact_bias_by_degree(m, zero)
     assert rep.total == 0.0

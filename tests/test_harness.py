@@ -20,6 +20,14 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def _cli_run(tmp_path, data):
+    """`kilab run` on `data` written as a config file: (exit code, CSV written)."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "rows.csv"
+    return cli_main(["run", "--config", str(cfg_path), "-o", str(out)]), out.exists()
+
+
 def test_n_for():
     cfg = small_config()
     assert cfg.n_for(6) == round(2.0 * 6**1.3)
@@ -48,17 +56,14 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("sigma2", -1.0), ("mc_test_points", 50), ("kernel", "foo"),
     ("replicates", 2.5), ("master_seed", 4.5), ("coefficients", (0.5, -0.1)),
-    ("trace_tol", 0.0), ("d_list", (6.7, 8.2)), ("mc_test_points", 150.5)])
+    ("coefficients", (0.5, 0.4)), ("d_list", (6.7, 8.2)),
+    ("mc_test_points", 150.5)])
 def test_config_rejects_bad_values(tmp_path, field, value):
     with pytest.raises(UsageError):
         small_config(**{field: value})
     data = small_config().to_dict()
     data[field] = value
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(data))
-    out = tmp_path / "rows.csv"
-    assert cli_main(["run", "--config", str(cfg_path), "-o", str(out)]) == 1
-    assert not out.exists()
+    assert _cli_run(tmp_path, data) == (1, False)
 
 
 def test_config_accepts_boundary_values():
@@ -74,35 +79,43 @@ def test_config_dict_round_trip():
     assert ExperimentConfig.from_dict(cfg2.to_dict()) == cfg2
 
 
-# lam and jitter_policy were fields until schema 3; their old defaults
-# must now fail like any unknown key
+# lam and jitter_policy were fields until schema 3, trace_tol and n_cap
+# until the spectrum tolerance and the n cap became constants; their old
+# defaults must now fail like any unknown key
 @pytest.mark.parametrize("key, value", [
-    ("bogus", 1), ("lam", 0.0), ("jitter_policy", "forbid")])
-def test_from_dict_rejects_unknown_keys(key, value):
+    ("bogus", 1), ("lam", 0.0), ("jitter_policy", "forbid"),
+    ("trace_tol", 1e-10), ("n_cap", 8000)])
+def test_from_dict_rejects_unknown_keys(tmp_path, key, value):
+    data = {"gamma": 1.3, "s": 1.0, "d_list": [6], "n_coefficient": 2.0,
+            key: value}
     with pytest.raises(UsageError, match="unknown config keys"):
-        ExperimentConfig.from_dict({"gamma": 1.3, "s": 1.0, "d_list": [6],
-                                    "n_coefficient": 2.0, key: value})
-
-
-def test_seed_env_override(monkeypatch):
-    data = small_config().to_dict()
-    monkeypatch.setenv("KILAB_SEED", "777")
-    cfg = ExperimentConfig.from_dict(data)
-    assert cfg.master_seed == 777
-    monkeypatch.delenv("KILAB_SEED")
-    assert ExperimentConfig.from_dict(data).master_seed == 42
-
-
-def test_seed_env_must_be_an_integer(monkeypatch, tmp_path):
-    data = small_config().to_dict()
-    monkeypatch.setenv("KILAB_SEED", "abc")
-    with pytest.raises(UsageError, match="KILAB_SEED"):
         ExperimentConfig.from_dict(data)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(data))
-    out = tmp_path / "rows.csv"
-    assert cli_main(["run", "--config", str(cfg_path), "-o", str(out)]) == 1
-    assert not out.exists()
+    assert _cli_run(tmp_path, data) == (1, False)
+
+
+_MINIMAL = {"gamma": 1.3, "s": 1.0, "d_list": [6], "n_coefficient": 2.0,
+            "mc_test_points": 0}
+
+
+@pytest.mark.parametrize("data", [
+    [1, 2],
+    {**_MINIMAL, "d_list": 8},
+    {**_MINIMAL, "coefficients": ["x"]},
+    {**_MINIMAL, "kernel": "nonsense", "coefficients": [0.25, 0.25, 0.5]},
+], ids=["array", "d_list-scalar", "coefficients-string", "kernel-not-custom"])
+def test_malformed_config_files_are_usage_errors(tmp_path, capsys, data):
+    assert _cli_run(tmp_path, data) == (1, False)
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("env_seed", ["777", "abc"])
+def test_seed_comes_from_the_config_only(monkeypatch, tmp_path, env_seed):
+    monkeypatch.setenv("KILAB_SEED", env_seed)
+    data = small_config(d_list=(6,), replicates=1).to_dict()
+    assert ExperimentConfig.from_dict(data).master_seed == 42
+    assert _cli_run(tmp_path, data) == (0, True)
+    rows = read_rows(str(tmp_path / "rows.csv"))
+    assert [r["seed_path"] for r in rows] == ["42:6:0"]
 
 
 def test_run_cell_row_shape():
@@ -172,7 +185,8 @@ def test_sweep_deterministic_and_worker_invariant():
 
 
 def test_sweep_workers_keep_the_config_seed(monkeypatch):
-    # KILAB_SEED is read when a config is parsed, never again by the workers
+    # the workers take master_seed from the config object they are handed;
+    # an ambient KILAB_SEED is read neither by the parent nor by a worker
     monkeypatch.setenv("KILAB_SEED", "7")
     cfg = small_config(master_seed=5)
     strip = lambda rows: [{k: v for k, v in r.items() if k != "runtime_ms"}

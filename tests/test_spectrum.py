@@ -70,7 +70,7 @@ def test_linear_kernel_eigenvalue():
 @pytest.mark.parametrize("d", [4, 8, 16])
 def test_mercer_reconstruction(kernel_id, d):
     spec = kernel_by_id(kernel_id)
-    sp = compute_spectrum(spec, d, tol=1e-10)
+    sp = compute_spectrum(spec, d)
     t = np.linspace(-1, 1, 201)
     coef = sp.mu * sp.multiplicities
     recon = np.zeros_like(t)

@@ -27,7 +27,7 @@ def test_flat_energy_at_s_zero():
 def test_source_condition_checker():
     for s, gamma in [(0.0, 1.5), (1.0, 1.5), (3.0, 2.4), (0.5, 0.8)]:
         sp = _spectrum(12)
-        t = build_target(sp, s, gamma, SEED.child(2), norm_budget=4.0)
+        t = build_target(sp, s, gamma, SEED.child(2))
         hs = float(np.sum(t.beta**2 * sp.mu[: t.l + 2] ** (-s)))
         assert hs == pytest.approx(t.hs_norm_sq, rel=1e-12)
         assert hs <= 4.0 + 1e-12
