@@ -20,10 +20,11 @@ of both quantities serve as independent cross-checks, never as truth.
 
 fit builds G once and keeps it on the fitted model in place of K: K = Phi(G)
 lives only inside fit (and the on-demand concentration_report, which
-evaluate_cell never runs). Both per-degree sums stream over row blocks of G.
-K^-1 is formed once per fit, on first use (FittedInterpolant.K_inv), for
-S = K^-1 K^-T and the Monte Carlo variance; a cell with sigma^2 = 0 and
-Monte Carlo off never forms it.
+evaluate_cell never runs). One O(k_max n^2) recurrence pass over row blocks
+of G (FittedInterpolant.degree_sums) yields both per-degree sums, <S, P_k(G)>
+for the variance and a^T P_k(G) a for the bias. K^-1 is formed once per fit,
+on first use (FittedInterpolant.K_inv), for S = K^-1 K^-T and the Monte Carlo
+variance; a cell with sigma^2 = 0 and Monte Carlo off never forms it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import NumericalError, UsageError
 from .seeding import SeedPath, SpherePoints, sample_sphere
 from .spectrum import Spectrum, assemble_kernel_matrix, eval_phi, tail_sums
 from .target import Dataset, Target, eval_target
-from .zonal import multiplicity, zonal_series
+from .zonal import ZonalBasis, multiplicity, zonal_series
 
 RESIDUAL_TOL = 1e-10
 
@@ -63,6 +64,23 @@ class FittedInterpolant:
     def K_inv(self) -> np.ndarray:
         """K^-1 from the factor, formed on first use."""
         return cho_solve(self.cho, np.eye(self.n, order="F"), overwrite_b=True)
+
+    @cached_property
+    def degree_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """(<S, P_k(G)>, a^T P_k(G) a) for k = 0..k_max from one recurrence
+        pass over G, with S = K^-1 K^-T and a = alpha_clean. S is formed only
+        when sigma^2 > 0; otherwise the first array stays zero."""
+        sp = self.spectrum
+        S = self.K_inv @ self.K_inv.T if self.dataset.sigma2 > 0 else None
+        a = self.alpha_clean
+        inner = np.zeros(sp.k_max + 1)
+        quad = np.zeros(sp.k_max + 1)
+        for rows, values in sp.basis().iter_blocks(self.G):
+            for k, p_k in enumerate(values):
+                if S is not None:
+                    inner[k] += np.vdot(S[rows], p_k)
+                quad[k] += a[rows] @ (p_k @ a)
+        return inner, quad
 
 
 def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
@@ -111,20 +129,15 @@ def predict(model: FittedInterpolant, points: SpherePoints) -> np.ndarray:
 def variance_split(model: FittedInterpolant, l: int) -> tuple[float, float]:
     """Exact variance split into degree <= l and degree > l contributions.
 
-    var_k = sigma^2 mu_k^2 N_k <S, P_k(G)> with S = K^-1 K^-T = K^-2 taken
-    from model.K_inv; every var_k is nonnegative, so the split has no
+    var_k = sigma^2 mu_k^2 N_k <S, P_k(G)> with S = K^-1 K^-T = K^-2, read
+    from model.degree_sums; every var_k is nonnegative, so the split has no
     cancellation. l = -1 puts everything in 'high'.
     """
     sigma2 = model.dataset.sigma2
     if sigma2 == 0.0:
         return 0.0, 0.0
     sp = model.spectrum
-    S = model.K_inv @ model.K_inv.T
-    inner = np.zeros(sp.k_max + 1)
-    for rows, values in sp.basis().iter_blocks(model.G):
-        for k, p_k in enumerate(values):
-            inner[k] += np.vdot(S[rows], p_k)
-    var_k = sigma2 * sp.mu**2 * sp.multiplicities * inner
+    var_k = sigma2 * sp.mu**2 * sp.multiplicities * model.degree_sums[0]
     return float(var_k[: l + 1].sum()), float(var_k[l + 1:].sum())
 
 
@@ -158,29 +171,21 @@ def exact_bias_by_degree(model: FittedInterpolant, target: Target) -> BiasReport
         raise UsageError("target was built on a different spectrum")
     t_w = model.dataset.points.coordinates @ target.axis
     a = model.alpha_clean
-    basis = sp.basis()
+    mu, n_k = sp.mu, sp.multiplicities
 
     beta = np.zeros(sp.k_max + 1)
     beta[: target.l + 2] = target.beta
+    cross = np.zeros(sp.k_max + 1)       # a^T p_k(w), needed where beta_k != 0
+    for k, p_w in enumerate(ZonalBasis(sp.d, target.l + 1).iter_values(t_w)):
+        cross[k] = a @ p_w
 
-    quad = np.zeros(sp.k_max + 1)        # a^T P_k(G) a
-    for rows, values in basis.iter_blocks(model.G):
-        for k, p_k in enumerate(values):
-            quad[k] += a[rows] @ (p_k @ a)
-
-    by_degree = np.zeros(sp.k_max + 1)
-    for k, p_w in enumerate(basis.iter_values(t_w)):
-        n_k = sp.multiplicities[k]
-        mu_k = sp.mu[k]
-        cross = float(a @ p_w)
-        val = (mu_k * mu_k * n_k * quad[k]
-               - 2.0 * mu_k * beta[k] * math.sqrt(n_k) * cross
-               + beta[k] * beta[k])
-        if val < -1e-10:
-            raise NumericalError(
-                f"negative degree-{k} bias contribution {val:.3e}"
-            )
-        by_degree[k] = max(val, 0.0)
+    by_degree = (mu * mu * n_k * model.degree_sums[1]
+                 - 2.0 * mu * beta * np.sqrt(n_k) * cross + beta * beta)
+    bad = by_degree < -1e-10
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NumericalError(f"negative degree-{k} bias contribution {by_degree[k]:.3e}")
+    by_degree = np.maximum(by_degree, 0.0)
 
     # dropped degrees only overshoot: mu_k^2 N_k a^T P_k(G) a <= n ||a||^2 tail
     mu_edge = float(sp.mu[sp.k_max])

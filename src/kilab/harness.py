@@ -183,15 +183,19 @@ def _cell_worker(args) -> dict:
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> Iterator[dict]:
-    """Yield one row per (d, replicate) cell, in deterministic cell order."""
+    """One row per (d, replicate) cell, in deterministic cell order.
+
+    Every spectrum is computed by the call itself, before the first row is
+    requested: a d whose spectrum fails raises here, before a CSV is opened.
+    """
     spec = config.kernel_spec()
     spectra = {d: compute_spectrum(spec, d) for d in config.d_list}
-    cells = [(d, r) for d in config.d_list for r in range(config.replicates)]
-    if workers <= 1:
-        for d, r in cells:
-            yield run_cell(config, spectra[d], d, r)
-        return
-    args = [(config, spectra[d], d, r) for d, r in cells]
+    args = [(config, spectra[d], d, r)
+            for d in config.d_list for r in range(config.replicates)]
+    return map(_cell_worker, args) if workers <= 1 else _pool_map(args, workers)
+
+
+def _pool_map(args: list, workers: int) -> Iterator[dict]:
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_cell_worker, args, chunksize=4)
 

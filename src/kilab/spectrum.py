@@ -35,14 +35,13 @@ class KernelSpec:
     """An inner-product kernel Phi: nonnegative Taylor coefficients, Phi(1) <= 1.
 
     `phi` is an optional closed-form evaluator; without it the truncated
-    series is evaluated by Horner's rule. `degenerate` marks test kernels
-    that are allowed to have zero coefficients.
+    series is evaluated by Horner's rule. Only the last coefficient may be
+    zero.
     """
 
     family_id: str
     coefficients: tuple[float, ...]
     phi: Callable[[np.ndarray], np.ndarray] | None = None
-    degenerate: bool = False
 
     def __post_init__(self):
         a = np.asarray(self.coefficients, dtype=float)
@@ -50,10 +49,8 @@ class KernelSpec:
             raise UsageError("kernel needs at least one coefficient")
         if np.any(a < 0):
             raise UsageError("kernel coefficients must be nonnegative")
-        if not self.degenerate and np.any(a[:-1] == 0):
-            raise UsageError(
-                "zero coefficients only allowed on degenerate test kernels"
-            )
+        if np.any(a[:-1] == 0):
+            raise UsageError("kernel coefficients below the last must be positive")
         if a.sum() > 1 + 1e-12 and self.phi is None:
             raise UsageError("coefficient sum exceeds 1 (violates Phi(1) <= 1)")
 
@@ -107,10 +104,8 @@ def kernel_by_id(kernel_id: str) -> KernelSpec:
         ) from None
 
 
-def kernel_from_coefficients(coeffs: Sequence[float],
-                             degenerate: bool = False) -> KernelSpec:
-    return KernelSpec(family_id="custom", coefficients=tuple(float(c) for c in coeffs),
-                      degenerate=degenerate)
+def kernel_from_coefficients(coeffs: Sequence[float]) -> KernelSpec:
+    return KernelSpec(family_id="custom", coefficients=tuple(float(c) for c in coeffs))
 
 
 @dataclass(frozen=True)
@@ -144,20 +139,15 @@ def compute_spectrum(spec: KernelSpec, d: int) -> Spectrum:
     basis = ZonalBasis(d, K_MAX_CAP)
     mults = np.array([multiplicity(d, k) for k in range(K_MAX_CAP + 1)], dtype=float)
 
-    m_quad = 8 * (K_MAX_CAP + 1)
-    for _ in range(5):
-        rule = quadrature(d, m_quad)
-        p_stack = basis.eval_all(rule.nodes)          # (K+1, m)
-        # orthonormality residual: N(d,k) E[P_k^2] must be 1
-        second = (p_stack * p_stack) @ rule.weights
-        ortho_residual = float(np.max(np.abs(mults * second - 1.0)))
-        if ortho_residual < ORTHO_RESIDUAL_TOL:
-            break
-        m_quad *= 2
-    else:
+    rule = quadrature(d, 8 * (K_MAX_CAP + 1))
+    p_stack = basis.eval_all(rule.nodes)          # (K+1, m)
+    # orthonormality residual: N(d,k) E[P_k^2] must be 1
+    second = (p_stack * p_stack) @ rule.weights
+    ortho_residual = float(np.max(np.abs(mults * second - 1.0)))
+    if not ortho_residual < ORTHO_RESIDUAL_TOL:
         raise NumericalError(
-            f"quadrature orthonormality residual {ortho_residual:.3e} did not "
-            f"stabilize below {ORTHO_RESIDUAL_TOL} (d={d})"
+            f"quadrature orthonormality residual {ortho_residual:.3e} is not "
+            f"below {ORTHO_RESIDUAL_TOL} (d={d})"
         )
 
     phi_vals = eval_phi(spec, rule.nodes)

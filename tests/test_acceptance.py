@@ -242,17 +242,21 @@ def test_11_determinism():
              f"reports ({len(first)} bytes)")
 
 
-def test_verify_catches_corrupted_spectrum():
+def test_verify_catches_corrupted_spectrum(monkeypatch):
     # a designed failure: perturbing one eigenvalue must break the
     # reconstruction check and flip the overall verdict
-    def corrupt(sp):
+    real = compute_spectrum
+
+    def corrupt(spec, d):
+        sp = real(spec, d)
         mu = sp.mu.copy()
         mu[1] *= 1 + 1e-6
         return type(sp)(spec=sp.spec, d=sp.d, k_max=sp.k_max, mu=mu,
                         multiplicities=sp.multiplicities,
                         trace_residual=sp.trace_residual)
 
-    results, report = run_verify(quick=True, spectrum_hook=corrupt)
+    monkeypatch.setattr("kilab.verify.compute_spectrum", corrupt)
+    results, report = run_verify(quick=True)
     failed = [r.name for r in results if not r.passed]
     assert not report["all_passed"]
     assert failed == ["mercer_reconstruction"]

@@ -9,7 +9,9 @@ from kilab import (ExperimentConfig, SpherePoints, UsageError, analyze,
                    write_rows)
 from kilab import harness
 from kilab.cli import main as cli_main
+from kilab.errors import NumericalError
 from kilab.harness import CSV_COLUMNS, _parse_range
+from kilab.zonal import ZonalBasis
 
 
 def small_config(**overrides):
@@ -172,6 +174,25 @@ def test_run_cell_builds_the_gram_matrix_once(monkeypatch):
     assert self_grams.count(True) == 1
 
 
+@pytest.mark.parametrize("sigma2, mc_test_points", [(1.0, 500), (0.0, 0)])
+def test_run_cell_makes_one_degree_pass_over_g(monkeypatch, sigma2,
+                                               mc_test_points):
+    # variance and bias read one set of per-degree sums over G
+    iter_blocks = ZonalBasis.iter_blocks
+    shapes = []
+
+    def iter_blocks_counted(basis, t):
+        shapes.append(np.shape(t))
+        return iter_blocks(basis, t)
+
+    monkeypatch.setattr(ZonalBasis, "iter_blocks", iter_blocks_counted)
+    cfg = small_config(sigma2=sigma2, mc_test_points=mc_test_points)
+    row = run_cell(cfg, compute_spectrum(cfg.kernel_spec(), 6), 6, 0)
+    assert row["error"] == ""
+    n = cfg.n_for(6)
+    assert shapes.count((n, n)) == 1
+
+
 def test_sweep_deterministic_and_worker_invariant():
     cfg = small_config()
     strip = lambda rows: [{k: v for k, v in r.items() if k != "runtime_ms"}
@@ -233,6 +254,21 @@ def test_unexpected_exception_is_error_row(monkeypatch):
     assert rows[0]["error"] == "ValueError: array must not contain infs or NaNs"
     assert "bias_sq_exact" not in rows[0]
     assert all(r["error"] == "" and r["bias_sq_exact"] >= 0 for r in rows[1:])
+
+
+def test_spectrum_failure_writes_no_csv(monkeypatch, tmp_path):
+    # a d whose spectrum fails must end the run before the CSV is opened,
+    # not after the rows of the earlier d are lost in a header-only file
+    real = harness.compute_spectrum
+
+    def failing_at_12(spec, d):
+        if d == 12:
+            raise NumericalError("quadrature failed")
+        return real(spec, d)
+
+    monkeypatch.setattr("kilab.harness.compute_spectrum", failing_at_12)
+    data = small_config(d_list=(6, 12), replicates=1).to_dict()
+    assert _cli_run(tmp_path, data) == (2, False)
 
 
 def test_write_and_read_rows(tmp_path):

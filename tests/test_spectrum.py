@@ -37,7 +37,7 @@ def test_eval_phi_geometric_kernel():
 
 
 def test_eval_phi_constant_kernel():
-    spec = kernel_from_coefficients([0.3], degenerate=True)
+    spec = kernel_from_coefficients([0.3])
     t = np.linspace(-1, 1, 11)
     assert np.array_equal(eval_phi(spec, t), np.full(11, 0.3))
 
@@ -48,22 +48,23 @@ def test_kernel_spec_validation():
     with pytest.raises(UsageError):
         kernel_from_coefficients([0.9, 0.2])  # sum > 1
     with pytest.raises(UsageError):
-        kernel_from_coefficients([0.5, 0.0, 0.3])  # interior zero, not degenerate
+        kernel_from_coefficients([0.5, 0.0, 0.3])  # interior zero
 
 
 def test_constant_kernel_spectrum():
-    spec = kernel_from_coefficients([0.3], degenerate=True)
+    spec = kernel_from_coefficients([0.3])
     sp = compute_spectrum(spec, 5)
     assert sp.mu[0] == pytest.approx(0.3, abs=1e-13)
     assert np.all(sp.mu[1:] == 0.0)
 
 
 def test_linear_kernel_eigenvalue():
-    # Phi(t) = t at d = 2: mu_1 = 1/(d+1), and mu_1 N(2,1) = 1 = Phi(1)
-    spec = kernel_from_coefficients([0.0, 1.0], degenerate=True)
+    # Phi(t) = 0.5 + 0.5 t at d = 2: mu_1 = 0.5/(d+1) = 1/6, and
+    # mu_1 N(2,1) = 0.5, the linear coefficient
+    spec = kernel_from_coefficients([0.5, 0.5])
     sp = compute_spectrum(spec, 2)
-    assert sp.mu[1] == pytest.approx(1 / 3, abs=1e-12)
-    assert sp.mu[1] * multiplicity(2, 1) == pytest.approx(1.0, abs=1e-11)
+    assert sp.mu[1] == pytest.approx(1 / 6, abs=1e-12)
+    assert sp.mu[1] * multiplicity(2, 1) == pytest.approx(0.5, abs=1e-11)
 
 
 @pytest.mark.parametrize("kernel_id", ["exp", "geometric"])
@@ -131,7 +132,7 @@ def test_squared_kernel_at_one_equals_kappa2():
 
 
 def test_squared_kernel_constant_case():
-    sp = compute_spectrum(kernel_from_coefficients([0.3], degenerate=True), 5)
+    sp = compute_spectrum(kernel_from_coefficients([0.3]), 5)
     t = np.linspace(-1, 1, 9)
     assert np.max(np.abs(zonal_series(5, _squared_coef(sp), t) - 0.09)) < 1e-13
 
@@ -224,7 +225,7 @@ def test_negative_coefficient_kernel_raises():
     def bad_phi(t):
         return 0.5 - 0.4 * t
 
-    spec = kernel_from_coefficients([0.5, 0.4], degenerate=True)
+    spec = kernel_from_coefficients([0.5, 0.4])
     object.__setattr__(spec, "phi", bad_phi)
     with pytest.raises(NumericalError):
         compute_spectrum(spec, 4)
