@@ -35,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigvalsh, LinAlgError
+from scipy.linalg.lapack import dpotri
 
 from .errors import NumericalError, UsageError
 from .seeding import SeedPath, SpherePoints, sample_sphere
@@ -43,6 +44,7 @@ from .target import Dataset, Target, eval_target
 from .zonal import ZonalBasis, multiplicity, zonal_series
 
 RESIDUAL_TOL = 1e-10
+MIRROR_BLOCK = 32    # columns per block when K^-1's triangle is mirrored
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,14 @@ class FittedInterpolant:
 
     @cached_property
     def K_inv(self) -> np.ndarray:
-        """K^-1 from the factor, formed on first use."""
-        return cho_solve(self.cho, np.eye(self.n, order="F"), overwrite_b=True)
+        """K^-1 from a copy of the factor by LAPACK potri (2n^3/3 flops, a
+        third of n solves against I), formed on first use; exactly symmetric."""
+        c, lower = self.cho
+        inv, info = dpotri(c, lower=lower)
+        if info != 0:
+            raise NumericalError(f"LAPACK dpotri failed (info={info})")
+        _mirror_lower(inv if lower else inv.T)
+        return inv
 
     @cached_property
     def degree_sums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -81,6 +89,18 @@ class FittedInterpolant:
                     inner[k] += np.vdot(S[rows], p_k)
                 quad[k] += a[rows] @ (p_k @ a)
         return inner, quad
+
+
+def _mirror_lower(a: np.ndarray) -> None:
+    """Copy the strict lower triangle of square a onto the upper one in
+    place, a column block at a time, so temporaries stay block-sized."""
+    n = len(a)
+    upper = np.triu(np.ones((MIRROR_BLOCK, MIRROR_BLOCK), dtype=bool), 1)
+    for c0 in range(0, n, MIRROR_BLOCK):
+        c1 = min(c0 + MIRROR_BLOCK, n)
+        a[:c0, c0:c1] = a[c0:c1, :c0].T
+        diag = a[c0:c1, c0:c1]
+        np.copyto(diag, diag.T, where=upper[: c1 - c0, : c1 - c0])
 
 
 def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:

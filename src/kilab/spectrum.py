@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .zonal import ZonalBasis, clip_unit, multiplicity, quadrature
+from .zonal import (QuadratureRule, ZonalBasis, clip_unit, multiplicity,
+                    quadrature)
 
 K_MAX_CAP = 64
 NEGATIVE_MU_CLAMP = 1e-13
@@ -132,14 +133,38 @@ class TailSums:
     kappa2: float
 
 
+def spectrum_rule(spec: KernelSpec, d: int) -> QuadratureRule:
+    """The Gauss-Jacobi rule compute_spectrum integrates with; its size is
+    derived in compute_spectrum's docstring."""
+    points = max(2 * (K_MAX_CAP + 1),
+                 math.ceil((len(spec.coefficients) + K_MAX_CAP) / 2))
+    return quadrature(d, points)
+
+
 def compute_spectrum(spec: KernelSpec, d: int) -> Spectrum:
-    """Eigenvalues mu_k by quadrature, truncated once the trace residual < TRACE_TOL."""
+    """Eigenvalues mu_k by quadrature, truncated once the trace residual < TRACE_TOL.
+
+    The rule (spectrum_rule) has m = max(2 (K_MAX_CAP + 1),
+    ceil((len(coefficients) + K_MAX_CAP) / 2)) nodes, 130 for both built-in
+    kernels. An m-node Gauss rule integrates polynomials of degree 2m - 1
+    exactly, which covers
+      - the orthonormality check N(d,k) E[P_k^2] = 1, of degree 2 K_MAX_CAP;
+      - every projection E[Phi P_k], k <= K_MAX_CAP, of degree
+        len(coefficients) - 1 + k, when Phi is a polynomial of at most
+        len(coefficients) terms (a custom kernel).
+    The closed forms of the built-in kernels differ from their Taylor
+    polynomial of degree 2m - 1 - K_MAX_CAP = 195 by less than 1e-24 on
+    [-1, 1], and |P_k| <= 1 under a probability rule, so their mu_k are
+    exact up to rounding too. A larger rule buys no accuracy and costs time
+    (roots_jacobi dominates); a 520-node rule's weights also underflow from
+    d = 512 on.
+    """
     phi1 = float(eval_phi(spec, 1.0))
 
     basis = ZonalBasis(d, K_MAX_CAP)
     mults = np.array([multiplicity(d, k) for k in range(K_MAX_CAP + 1)], dtype=float)
 
-    rule = quadrature(d, 8 * (K_MAX_CAP + 1))
+    rule = spectrum_rule(spec, d)
     p_stack = basis.eval_all(rule.nodes)          # (K+1, m)
     # orthonormality residual: N(d,k) E[P_k^2] must be 1
     second = (p_stack * p_stack) @ rule.weights

@@ -15,7 +15,8 @@ from .errors import KilabError
 from .estimator import evaluate_cell, fit, predict
 from .rates import classify, minimax_exponent, total_exponent
 from .seeding import SeedPath, TAG_AXIS, TAG_MC, sample_sphere
-from .spectrum import compute_spectrum, eval_phi, kernel_by_id, tail_sums
+from .spectrum import (K_MAX_CAP, compute_spectrum, eval_phi, kernel_by_id,
+                       spectrum_rule, tail_sums)
 from .target import build_target, make_dataset
 from .zonal import ZonalBasis, multiplicity, quadrature, zonal_series
 
@@ -66,20 +67,25 @@ def check_recurrence() -> str:
 
 
 def check_quadrature() -> str:
-    for d in (2, 3, 6, 32):
-        rule = quadrature(d, 80)
+    # small fixed rules, then the rule compute_spectrum uses, to K_MAX_CAP
+    rules = [(quadrature(d, 80), 12) for d in (2, 3, 6, 32)]
+    rules += [(spectrum_rule(kernel_by_id("exp"), d), K_MAX_CAP)
+              for d in (2, 45, 700)]
+    worst = 0.0
+    for rule, k_top in rules:
+        d = rule.d
         m1 = rule.integrate(rule.nodes)
         m2 = rule.integrate(rule.nodes**2)
         assert abs(m1) < 1e-14, f"first moment {m1:.2e} at d={d}"
         assert abs(m2 - 1.0 / (d + 1)) < 1e-12, f"second moment off at d={d}"
-        basis = ZonalBasis(d, 12)
-        p = basis.eval_all(rule.nodes)
-        gram = (p * rule.weights) @ p.T
-        mult = np.array([multiplicity(d, k) for k in range(13)])
-        ortho = gram * mult[:, None]
-        err = float(np.max(np.abs(ortho - np.eye(13))))
-        assert err < 1e-8, f"orthonormality residual {err:.2e} at d={d}"
-    return "moments and orthonormality pass"
+        p = ZonalBasis(d, k_top).eval_all(rule.nodes)
+        root_n = np.sqrt([float(multiplicity(d, k)) for k in range(k_top + 1)])
+        ortho = (p * rule.weights) @ p.T * np.outer(root_n, root_n)
+        err = float(np.max(np.abs(ortho - np.eye(k_top + 1))))
+        assert err < 1e-10, (
+            f"orthonormality residual {err:.2e} at d={d}, m={rule.nodes.size}")
+        worst = max(worst, err)
+    return f"moments and orthonormality pass, max residual {_fmt(worst)}"
 
 
 def check_mercer() -> str:

@@ -179,6 +179,24 @@ def test_k_inv_formed_only_when_used():
     assert "K_inv" in noisy.__dict__
 
 
+@pytest.mark.parametrize("n", [40, estimator.MIRROR_BLOCK + 45])
+def test_k_inv_matches_two_solve_route_and_is_symmetric(n):
+    # potri on the factor, then the lower triangle mirrored block by block
+    model, _, _ = _cell(d=12, n=n)
+    ref = cho_solve(model.cho, np.eye(n))
+    K_inv = model.K_inv
+    assert np.linalg.norm(K_inv - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.array_equal(K_inv, K_inv.T)
+
+
+def test_k_inv_potri_failure_raises(monkeypatch):
+    model, _, _ = _cell(d=12)
+    monkeypatch.setattr(estimator, "dpotri",
+                        lambda c, lower: (np.empty_like(c), 3))
+    with pytest.raises(NumericalError, match="info=3"):
+        model.K_inv
+
+
 def _forced_fit(monkeypatch, failures):
     """A d = 12 cell whose first `failures` factorizations raise."""
     real = estimator.cho_factor

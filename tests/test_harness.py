@@ -193,6 +193,18 @@ def test_run_cell_makes_one_degree_pass_over_g(monkeypatch, sigma2,
     assert shapes.count((n, n)) == 1
 
 
+def test_spectra_and_cells_run_at_d_from_512():
+    # a 520-node Gauss-Jacobi rule has NaN weights at every d >= 512
+    spec = small_config().kernel_spec()
+    for d in (512, 700):
+        assert compute_spectrum(spec, d).k_max > 1
+    cfg = small_config(gamma=1.0, s=0.5, d_list=(700,), n_coefficient=1.0,
+                       replicates=1, mc_test_points=500)
+    row = run_cell(cfg, compute_spectrum(spec, 700), 700, 0)
+    assert row["error"] == ""
+    assert row["n"] == 700 and row["mc_consistent"]
+
+
 def test_sweep_deterministic_and_worker_invariant():
     cfg = small_config()
     strip = lambda rows: [{k: v for k, v in r.items() if k != "runtime_ms"}

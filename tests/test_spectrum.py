@@ -8,6 +8,8 @@ from kilab import (NumericalError, SeedPath, SpherePoints, UsageError,
                    eval_phi, kernel_by_id, kernel_from_coefficients,
                    multiplicity, quadrature, sample_sphere, tail_sums,
                    zonal_series)
+from kilab import verify
+from kilab.spectrum import spectrum_rule
 
 
 def _squared_coef(sp):
@@ -79,6 +81,53 @@ def test_mercer_reconstruction(kernel_id, d):
         recon += coef[k] * p_k
     assert np.max(np.abs(eval_phi(spec, t) - recon)) <= 2e-10
     assert abs(coef.sum() + sp.trace_residual - eval_phi(spec, 1.0)) < 1e-12
+
+
+def _projections(spec, d, points, k_top):
+    """E[Phi P_k] for k <= k_top on a points-node Gauss-Jacobi rule."""
+    rule = quadrature(d, points)
+    p = ZonalBasis(d, k_top).eval_all(rule.nodes)
+    return p @ (rule.weights * eval_phi(spec, rule.nodes))
+
+
+@pytest.mark.parametrize("kernel_id", ["exp", "geometric"])
+@pytest.mark.parametrize("d", [8, 16, 45])
+def test_spectrum_rule_matches_a_520_node_rule(kernel_id, d):
+    spec = kernel_by_id(kernel_id)
+    assert len(spectrum_rule(spec, d).nodes) == 130
+    mu = compute_spectrum(spec, d).mu[:4]
+    ref = _projections(spec, d, 520, 3)
+    assert np.all(np.abs(mu - ref) <= 1e-12 * ref)
+
+
+def test_spectrum_rule_grows_with_custom_coefficients():
+    # Phi * P_k has degree 199 + k: the rule must outgrow the built-ins' 130
+    spec = kernel_from_coefficients([0.03 * 0.97**j for j in range(200)])
+    d = 45
+    assert len(spectrum_rule(spec, d).nodes) == 132
+    sp = compute_spectrum(spec, d)
+    ref = _projections(spec, d, 520, sp.k_max)
+    assert np.max(np.abs(sp.mu - ref)) <= 1e-13
+
+
+def test_verify_checks_the_spectrum_rule(monkeypatch):
+    # a 60-node rule is not exact for P_64^2: the check must see it
+    assert "orthonormality" in verify.check_quadrature()
+    monkeypatch.setattr(verify, "spectrum_rule",
+                        lambda spec, d: quadrature(d, 60))
+    with pytest.raises(AssertionError, match="orthonormality residual"):
+        verify.check_quadrature()
+
+
+# k_max of exp at every d of the benchmark workloads and criteria 05-08; a
+# quadrature change that moves the truncation must fail here
+EXP_K_MAX = {**{d: 10 for d in range(2, 5)}, **{d: 11 for d in range(5, 22)},
+             **{d: 12 for d in range(22, 33)}, 45: 12}
+
+
+def test_exp_k_max_pinned_where_results_are_gated():
+    spec = kernel_by_id("exp")
+    assert {d: compute_spectrum(spec, d).k_max for d in EXP_K_MAX} == EXP_K_MAX
 
 
 def test_eigenvalue_decay_matches_d_power():
