@@ -21,10 +21,15 @@ of both quantities serve as independent cross-checks, never as truth.
 fit builds G once and keeps it on the fitted model in place of K: K = Phi(G)
 lives only inside fit (and the on-demand concentration_report, which
 evaluate_cell never runs). One O(k_max n^2) recurrence pass over row blocks
-of G (FittedInterpolant.degree_sums) yields both per-degree sums, <S, P_k(G)>
-for the variance and a^T P_k(G) a for the bias. K^-1 is formed once per fit,
-on first use (FittedInterpolant.K_inv), for S = K^-1 K^-T and the Monte Carlo
-variance; a cell with sigma^2 = 0 and Monte Carlo off never forms it.
+of G's lower triangle (FittedInterpolant.degree_sums) yields both per-degree
+sums, <S, P_k(G)> for the variance and a^T P_k(G) a for the bias. K^-1 is
+formed once per fit, on first use (FittedInterpolant.K_inv), for
+S = K^-1 K^-T and the Monte Carlo variance; a cell with sigma^2 = 0 and Monte
+Carlo off never forms it.
+
+A cell holds at most three n x n arrays at once: G, the Cholesky factor and
+K^-1. S and the m x n Monte Carlo cross-kernel k(x, X) exist only as row
+panels of at most PANEL_ROWS rows, each in one reused buffer.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigvalsh, LinAlgError
@@ -45,6 +51,13 @@ from .zonal import ZonalBasis, multiplicity, zonal_series
 
 RESIDUAL_TOL = 1e-10
 MIRROR_BLOCK = 32    # columns per block when K^-1's triangle is mirrored
+# rows per panel of S = K^-1 K^-T and of the cross-kernel k(x, X), so each
+# holds at most PANEL_ROWS x n doubles; at n = 2025 this runs level with 512
+# rows (256 made the Monte Carlo check 15 % slower). 576 = 24 * 24 keeps the
+# panels on OpenBLAS's AVX-512 dgemm packing boundaries: at one BLAS thread
+# they reproduced the m = 2000 cross-Gram of one dense product bit for bit,
+# where 512-row panels moved a few of its entries by an ulp.
+PANEL_ROWS = 576
 
 
 @dataclass(frozen=True)
@@ -76,18 +89,37 @@ class FittedInterpolant:
     @cached_property
     def degree_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """(<S, P_k(G)>, a^T P_k(G) a) for k = 0..k_max from one recurrence
-        pass over G, with S = K^-1 K^-T and a = alpha_clean. S is formed only
-        when sigma^2 > 0; otherwise the first array stays zero."""
+        pass over the lower triangle of G, with S = K^-1 K^-T and
+        a = alpha_clean.
+
+        Row panel [p0, p1) covers G[p0:p1, :p1]: its strictly lower columns
+        [0, p0) stand for both triangles and get weight 2 (an exact doubling
+        of S's panel and of a), its diagonal block weight 1. S exists one
+        panel K^-1[p0:p1] K^-1[:p1]^T at a time, and only when sigma^2 > 0;
+        otherwise the first array stays zero. With n <= PANEL_ROWS this is
+        one dense pass over G with S = K^-1 K^-T.
+        """
         sp = self.spectrum
-        S = self.K_inv @ self.K_inv.T if self.dataset.sigma2 > 0 else None
+        K_inv = self.K_inv if self.dataset.sigma2 > 0 else None
         a = self.alpha_clean
         inner = np.zeros(sp.k_max + 1)
         quad = np.zeros(sp.k_max + 1)
-        for rows, values in sp.basis().iter_blocks(self.G):
-            for k, p_k in enumerate(values):
-                if S is not None:
-                    inner[k] += np.vdot(S[rows], p_k)
-                quad[k] += a[rows] @ (p_k @ a)
+        basis = sp.basis()
+        if K_inv is not None:
+            S_buf = np.empty((min(PANEL_ROWS, self.n), self.n))
+        for p0 in range(0, self.n, PANEL_ROWS):
+            p1 = min(p0 + PANEL_ROWS, self.n)
+            a_w = a[:p1].copy()
+            a_w[:p0] *= 2.0
+            if K_inv is not None:
+                S_p = np.matmul(K_inv[p0:p1], K_inv[:p1].T, out=S_buf[: p1 - p0, :p1])
+                S_p[:, :p0] *= 2.0
+            for rows, values in basis.iter_blocks(self.G[p0:p1, :p1]):
+                a_rows = a[p0:p1][rows]
+                for k, p_k in enumerate(values):
+                    if K_inv is not None:
+                        inner[k] += np.vdot(S_p[rows], p_k)
+                    quad[k] += a_rows @ (p_k @ a_w)
         return inner, quad
 
 
@@ -123,12 +155,14 @@ def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
         ) from None
 
     def solve_refined(rhs: np.ndarray) -> np.ndarray:
-        x = cho_solve(factor, rhs)
+        # cho_factor checked K; the residual test below catches a
+        # non-finite solution, so the solves skip re-scanning the factor
+        x = cho_solve(factor, rhs, check_finite=False)
         # one iterative-refinement sweep keeps the 1e-10 residual contract
-        x = x + cho_solve(factor, rhs - K @ x)
+        x = x + cho_solve(factor, rhs - K @ x, check_finite=False)
         scale = max(float(np.linalg.norm(rhs)), 1e-300)
         rel = float(np.linalg.norm(rhs - K @ x)) / scale
-        if rel > RESIDUAL_TOL:
+        if not rel <= RESIDUAL_TOL:
             raise NumericalError(f"linear solve residual {rel:.3e} exceeds {RESIDUAL_TOL}")
         return x
 
@@ -138,12 +172,31 @@ def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
                              cho=factor, alpha=alpha, alpha_clean=alpha_clean)
 
 
+def _cross_kernel_panels(model: FittedInterpolant, points: SpherePoints
+                         ) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (rows, k(x_rows, X)) over panels of at most PANEL_ROWS query
+    points: each panel's Gram matrix against the training points X, with
+    Phi applied in place. Every panel reuses one buffer, so a yielded panel
+    is valid only until the next is requested and no m x n array exists."""
+    X = model.dataset.points
+    if points.d != X.d:
+        raise UsageError("query dimension does not match training dimension")
+    buf = np.empty((min(PANEL_ROWS, points.n), X.n))
+    for p0 in range(0, points.n, PANEL_ROWS):
+        rows = slice(p0, min(p0 + PANEL_ROWS, points.n))
+        # the rows of points.gram(X), clipped into [-1, 1] as it does
+        panel = np.matmul(points.coordinates[rows], X.coordinates.T,
+                          out=buf[: rows.stop - p0])
+        np.clip(panel, -1.0, 1.0, out=panel)
+        yield rows, eval_phi(model.spectrum.spec, panel, out=panel)
+
+
 def predict(model: FittedInterpolant, points: SpherePoints) -> np.ndarray:
     """k(x, X) alpha for each query point x."""
-    if points.d != model.dataset.points.d:
-        raise UsageError("query dimension does not match training dimension")
-    kx = eval_phi(model.spectrum.spec, points.gram(model.dataset.points))
-    return kx @ model.alpha
+    out = np.empty(points.n)
+    for rows, kx in _cross_kernel_panels(model, points):
+        out[rows] = kx @ model.alpha
+    return out
 
 
 def variance_split(model: FittedInterpolant, l: int) -> tuple[float, float]:
@@ -227,17 +280,24 @@ def mc_errors(model: FittedInterpolant, target: Target, m_test: int,
     if m_test < 100:
         raise UsageError(f"mc test points must be >= 100, got {m_test}")
     test = sample_sphere(target.d, m_test, seed)
-    kx = eval_phi(model.spectrum.spec, test.gram(model.dataset.points))  # (m, n)
+    sigma2 = model.dataset.sigma2
+    fitted = np.empty(m_test)
+    norms = np.empty(m_test)           # ||K^-1 k(X, x)||^2 when sigma^2 > 0
+    s_buf = np.empty((model.n, min(PANEL_ROWS, m_test))) if sigma2 != 0.0 else None
+    for rows, kx in _cross_kernel_panels(model, test):
+        fitted[rows] = kx @ model.alpha_clean
+        if s_buf is not None:
+            # K^-1 k(X, x) for the panel's points, one column each
+            s = np.matmul(model.K_inv, kx.T, out=s_buf[:, : len(kx)])
+            norms[rows] = np.sum(np.square(s, out=s), axis=0)
 
-    bias_samples = (kx @ model.alpha_clean - eval_target(target, test)) ** 2
+    bias_samples = (fitted - eval_target(target, test)) ** 2
     bias_sq = float(bias_samples.mean())
     bias_se = float(bias_samples.std(ddof=1) / math.sqrt(m_test))
 
-    sigma2 = model.dataset.sigma2
     if sigma2 == 0.0:
         return McErrors(bias_sq, bias_se, 0.0, 0.0)
-    s = model.K_inv @ kx.T                            # K^-1 k(X, x), (n, m)
-    var_samples = sigma2 * np.sum(np.square(s, out=s), axis=0)
+    var_samples = sigma2 * norms
     var = float(var_samples.mean())
     var_se = float(var_samples.std(ddof=1) / math.sqrt(m_test))
     return McErrors(bias_sq, bias_se, var, var_se)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .zonal import (QuadratureRule, ZonalBasis, clip_unit, multiplicity,
+from .zonal import (QuadratureRule, ZonalBasis, clip_unit, multiplicities,
                     quadrature)
 
 K_MAX_CAP = 64
@@ -35,14 +35,15 @@ TRACE_TOL = 1e-10   # k_max is the first degree whose trace residual is below th
 class KernelSpec:
     """An inner-product kernel Phi: nonnegative Taylor coefficients, Phi(1) <= 1.
 
-    `phi` is an optional closed-form evaluator; without it the truncated
+    `phi` is an optional closed-form evaluator phi(t, out) that writes
+    Phi(t) into `out` (which may be t itself); without it the truncated
     series is evaluated by Horner's rule. Only the last coefficient may be
     zero.
     """
 
     family_id: str
     coefficients: tuple[float, ...]
-    phi: Callable[[np.ndarray], np.ndarray] | None = None
+    phi: Callable[[np.ndarray, np.ndarray], None] | None = None
 
     def __post_init__(self):
         a = np.asarray(self.coefficients, dtype=float)
@@ -56,15 +57,22 @@ class KernelSpec:
             raise UsageError("coefficient sum exceeds 1 (violates Phi(1) <= 1)")
 
 
-def eval_phi(spec: KernelSpec, t) -> np.ndarray:
-    """Phi(t) for |t| <= 1, closed form when available else Horner."""
+def eval_phi(spec: KernelSpec, t, out: np.ndarray | None = None) -> np.ndarray:
+    """Phi(t) for |t| <= 1, closed form when available else Horner, written
+    into `out` when given; out may be t itself, so a caller that owns its
+    Gram panel evaluates the kernel in place."""
     t_arr = clip_unit(t, "kernel")
+    if out is None:
+        out = np.empty_like(t_arr)
     if spec.phi is not None:
-        out = spec.phi(t_arr)
+        spec.phi(t_arr, out)
     else:
-        out = np.zeros_like(t_arr)
+        if np.may_share_memory(out, t_arr):
+            t_arr = t_arr.copy()
+        out[...] = 0.0
         for a_j in reversed(spec.coefficients):
-            out = out * t_arr + a_j
+            out *= t_arr
+            out += a_j
     return out if np.ndim(t) else float(out)
 
 
@@ -76,12 +84,14 @@ def _geometric_coefficients(n_terms: int = 80) -> tuple[float, ...]:
     return tuple(0.5 ** (j + 1) for j in range(n_terms))
 
 
-def _phi_exp(t):
-    return np.exp(t - 1.0)
+def _phi_exp(t, out):
+    np.subtract(t, 1.0, out=out)
+    np.exp(out, out=out)
 
 
-def _phi_geometric(t):
-    return 1.0 / (2.0 - t)
+def _phi_geometric(t, out):
+    np.subtract(2.0, t, out=out)
+    np.divide(1.0, out, out=out)
 
 
 # module-level evaluators keep KernelSpec (and Spectrum) picklable
@@ -162,7 +172,7 @@ def compute_spectrum(spec: KernelSpec, d: int) -> Spectrum:
     phi1 = float(eval_phi(spec, 1.0))
 
     basis = ZonalBasis(d, K_MAX_CAP)
-    mults = np.array([multiplicity(d, k) for k in range(K_MAX_CAP + 1)], dtype=float)
+    mults = np.array(multiplicities(d, K_MAX_CAP), dtype=float)
 
     rule = spectrum_rule(spec, d)
     p_stack = basis.eval_all(rule.nodes)          # (K+1, m)
@@ -222,7 +232,7 @@ def tail_sums(spectrum: Spectrum, l: int) -> TailSums:
 def assemble_kernel_matrix(spec: KernelSpec, G: np.ndarray) -> np.ndarray:
     """K = Phi(G) for a Gram matrix G = X X^T, with Phi(1) on the diagonal;
     exactly symmetric when G is (SpherePoints.gram forms X X^T as one
-    symmetric product, so no symmetrizing copy)."""
+    symmetric product, so no symmetrizing copy). G is left unchanged."""
     K = eval_phi(spec, G)
     np.fill_diagonal(K, float(eval_phi(spec, 1.0)))
     return K

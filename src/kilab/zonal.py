@@ -66,6 +66,26 @@ def multiplicity(d: int, k: int) -> int:
     return q
 
 
+def multiplicities(d: int, k_max: int) -> list[int]:
+    """N(d,0..k_max) with one exact big-integer step per degree, not the
+    factorials of multiplicity(): B_k = C(k+d-2, k) = B_{k-1} (k+d-2) / k and
+    N(d,k) = (2k+d-1) B_k / (d-1)."""
+    if d < 1:
+        raise UsageError(f"dimension must be >= 1, got {d}")
+    if k_max < 0:
+        raise UsageError(f"k_max must be >= 0, got {k_max}")
+    if d == 1:
+        return [1] + [2] * k_max      # the circle: cos(k t) and sin(k t)
+    out, b = [1], 1
+    for k in range(1, k_max + 1):
+        b, r = divmod(b * (k + d - 2), k)
+        n_k, r2 = divmod((2 * k + d - 1) * b, d - 1)
+        if r or r2:
+            raise NumericalError(f"multiplicity formula not integral at d={d}, k={k}")
+        out.append(n_k)
+    return out
+
+
 class ZonalBasis:
     """Evaluator for P_{0..k_max, d} via the stable three-term recurrence."""
 

@@ -5,7 +5,7 @@ from scipy.linalg import LinAlgError, cho_solve, eigvalsh
 from kilab import (Dataset, NumericalError, SeedPath, SpherePoints, UsageError,
                    assemble_kernel_matrix, build_target, compute_spectrum,
                    concentration_report, estimator, evaluate_cell,
-                   exact_bias_by_degree, eval_phi, fit,
+                   eval_target, exact_bias_by_degree, eval_phi, fit,
                    kernel_by_id, make_dataset, mc_errors, multiplicity,
                    predict, sample_sphere, tail_sums, variance_split,
                    zonal_series)
@@ -123,10 +123,12 @@ def _full_pk(d, k_max, G):
     return p[: k_max + 1]
 
 
-@pytest.mark.parametrize("d, n", [(8, 1), (8, 100), (12, 200)])
+@pytest.mark.parametrize("d, n", [(8, 1), (8, 100), (12, 200),
+                                  (12, estimator.PANEL_ROWS + 200)])
 def test_blocked_degree_sums_match_full_matrix_oracle(d, n):
     # n = 1; n = 100 is below one row block; n = 200 is not a multiple of
-    # its block rows (81, 81, 38)
+    # its block rows (81, 81, 38); n = PANEL_ROWS + 200 runs the lower-
+    # triangle pass over two row panels, the second one ragged
     assert n == 1 or n < BLOCK_DOUBLES // n or n % (BLOCK_DOUBLES // n)
     model, target, _ = _cell(d=d, gamma=1.5, n=n)
     sp = model.spectrum
@@ -134,7 +136,8 @@ def test_blocked_degree_sums_match_full_matrix_oracle(d, n):
     a = model.alpha_clean
     G = model.dataset.points.gram()
     # The k = 0 term 1^T S 1 is badly conditioned, so each degree's
-    # tolerance scales with sum_ij |W_ij P_k(G_ij)| for its weight W.
+    # tolerance scales with sum_ij |W_ij P_k(G_ij)| for its weight W. The
+    # panelled pass measured at most 2.7e-15 of that scale (n <= 1229).
     var_k, var_tol, quad, quad_tol = [], [], [], []
     for p_k in _full_pk(sp.d, sp.k_max, G):
         var_k.append(np.vdot(S, p_k))
@@ -157,6 +160,14 @@ def test_blocked_degree_sums_match_full_matrix_oracle(d, n):
                     + beta[k] ** 2)
         assert abs(rep.by_degree[k] - max(expected, 0.0)) <= mu2n * quad_tol[k] + 1e-15
 
+    # at sigma^2 = 0 the pass skips S and reads the same a^T P_k(G) a
+    ds = model.dataset
+    noiseless = fit(Dataset(points=ds.points, y=ds.clean, clean=ds.clean,
+                            sigma2=0.0), sp)
+    inner, quad_noiseless = noiseless.degree_sums
+    assert not inner.any() and "K_inv" not in noiseless.__dict__
+    assert np.array_equal(quad_noiseless, model.degree_sums[1])
+
 
 def test_mc_variance_matches_two_solve_oracle():
     model, target, seed = _cell(d=12, gamma=1.75)
@@ -168,6 +179,30 @@ def test_mc_variance_matches_two_solve_oracle():
     samples = model.dataset.sigma2 * np.sum(s * s, axis=0)
     assert mc.var == pytest.approx(samples.mean(), rel=1e-10)
     assert mc.var_se == pytest.approx(samples.std(ddof=1) / np.sqrt(500), rel=1e-10)
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 0.0])
+def test_panelled_mc_and_predict_match_dense_formulas(sigma2):
+    # n = PANEL_ROWS + 88 and m = 2 PANEL_ROWS + 37: three test-point panels,
+    # the last ragged. A panel's BLAS products need not equal the same rows
+    # of the full m x n products bit for bit (OpenBLAS blocks by the operand
+    # sizes), so the tolerances cover a few ulps: measured at most 3.1e-15
+    # relative on McErrors and 2.2e-13 of max |prediction|.
+    n, m = estimator.PANEL_ROWS + 88, 2 * estimator.PANEL_ROWS + 37
+    model, target, seed = _cell(d=12, n=n, sigma2=sigma2)
+    mc = mc_errors(model, target, m, seed.child(TAG_MC))
+    test = sample_sphere(target.d, m, seed.child(TAG_MC))
+    kx = eval_phi(model.spectrum.spec, test.gram(model.dataset.points))
+    bias = (kx @ model.alpha_clean - eval_target(target, test)) ** 2
+    s = model.K_inv @ kx.T
+    var = sigma2 * np.sum(np.square(s, out=s), axis=0)
+    dense = (bias.mean(), bias.std(ddof=1) / np.sqrt(m),
+             var.mean(), var.std(ddof=1) / np.sqrt(m))
+    got = (mc.bias_sq, mc.bias_sq_se, mc.var, mc.var_se)
+    assert got == pytest.approx(dense, rel=1e-13, abs=0.0)
+
+    pred, pred_dense = predict(model, test), kx @ model.alpha
+    assert np.max(np.abs(pred - pred_dense)) <= 1e-12 * np.max(np.abs(pred_dense))
 
 
 def test_k_inv_formed_only_when_used():
@@ -227,6 +262,15 @@ def test_fit_matches_dense_solve(monkeypatch):
 def test_fit_factorization_failure_messages(monkeypatch):
     ds, sp = _forced_fit(monkeypatch, 1)
     with pytest.raises(NumericalError, match="not positive definite"):
+        fit(ds, sp)
+
+
+def test_fit_rejects_a_non_finite_solve(monkeypatch):
+    # a NaN residual compares False against any tolerance
+    ds, sp = _forced_fit(monkeypatch, 0)
+    monkeypatch.setattr(estimator, "cho_solve",
+                        lambda factor, rhs, **kwargs: np.full_like(rhs, np.nan))
+    with pytest.raises(NumericalError, match="residual nan"):
         fit(ds, sp)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from kilab import (ExperimentConfig, SpherePoints, UsageError, analyze,
                    compute_spectrum, phase_grid, read_rows, run_cell, run_sweep,
                    write_rows)
-from kilab import harness
+from kilab import estimator, harness
 from kilab.cli import main as cli_main
 from kilab.errors import NumericalError
 from kilab.harness import CSV_COLUMNS, _parse_range
@@ -191,6 +192,27 @@ def test_run_cell_makes_one_degree_pass_over_g(monkeypatch, sigma2,
     assert row["error"] == ""
     n = cfg.n_for(6)
     assert shapes.count((n, n)) == 1
+
+
+def test_run_cell_peak_memory_is_three_n_squared_plus_panels():
+    # G, the Cholesky factor and K^-1 are the only n x n arrays; everything
+    # else is at most c row panels of PANEL_ROWS x n doubles. c = 3 covers the
+    # cross-kernel and K^-1 k(X, x) panels of the Monte Carlo check with one
+    # panel to spare (measured 4.25 n^2 here, 3 n^2 + 2.2 panels).
+    cfg = ExperimentConfig(kernel="exp", gamma=2.0, s=0.5, d_list=(32,),
+                           sigma2=1.0, mc_test_points=2000)
+    spectrum = compute_spectrum(cfg.kernel_spec(), 32)
+    n = cfg.n_for(32)
+    assert n == 1024 > estimator.PANEL_ROWS
+    tracemalloc.start()
+    try:
+        row = run_cell(cfg, spectrum, 32, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row["error"] == ""
+    c = 3
+    assert peak <= 8 * (3 * n * n + c * estimator.PANEL_ROWS * n)
 
 
 def test_spectra_and_cells_run_at_d_from_512():

@@ -44,6 +44,34 @@ def test_eval_phi_constant_kernel():
     assert np.array_equal(eval_phi(spec, t), np.full(11, 0.3))
 
 
+def _former_phi(spec, t):
+    """The expressions eval_phi used before it wrote into a buffer."""
+    if spec.family_id == "exp":
+        return np.exp(t - 1.0)
+    if spec.family_id == "geometric":
+        return 1.0 / (2.0 - t)
+    out = np.zeros_like(t)
+    for a_j in reversed(spec.coefficients):
+        out = out * t + a_j
+    return out
+
+
+@pytest.mark.parametrize("spec", [kernel_by_id("exp"), kernel_by_id("geometric"),
+                                  kernel_from_coefficients([0.3, 0.2, 0.1, 0.05])],
+                         ids=lambda spec: spec.family_id)
+def test_eval_phi_matches_former_expressions(spec):
+    t = np.linspace(-1.0, 1.0, 301).reshape(7, 43)
+    expected = _former_phi(spec, t)
+    assert np.array_equal(eval_phi(spec, t), expected)
+    out = np.empty_like(t)
+    assert eval_phi(spec, t, out=out) is out and np.array_equal(out, expected)
+    t_copy = t.copy()
+    assert np.array_equal(eval_phi(spec, t_copy, out=t_copy), expected)  # in place
+    for x in (1.0, -0.3):
+        value = eval_phi(spec, x)
+        assert type(value) is float and value == float(_former_phi(spec, np.float64(x)))
+
+
 def test_kernel_spec_validation():
     with pytest.raises(UsageError):
         kernel_from_coefficients([0.5, -0.1])
@@ -271,8 +299,8 @@ def test_low_degree_matrix_rank_bound():
 
 def test_negative_coefficient_kernel_raises():
     # a non-PSD zonal function must be rejected as materially negative
-    def bad_phi(t):
-        return 0.5 - 0.4 * t
+    def bad_phi(t, out):
+        np.subtract(0.5, 0.4 * t, out=out)
 
     spec = kernel_from_coefficients([0.5, 0.4])
     object.__setattr__(spec, "phi", bad_phi)

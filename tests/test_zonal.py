@@ -5,7 +5,8 @@ import pytest
 
 from kilab import (SeedPath, UsageError, ZonalBasis, multiplicity, quadrature,
                    sample_sphere, zonal_series)
-from kilab.zonal import BLOCK_DOUBLES, clip_unit
+from kilab.spectrum import K_MAX_CAP
+from kilab.zonal import BLOCK_DOUBLES, clip_unit, multiplicities
 
 
 def _harmonic_gram(d, k, G):
@@ -31,11 +32,20 @@ def test_multiplicity_large_arguments_exact():
         assert val == math.comb(k + d, k) - math.comb(k + d - 2, k - 2)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 45, 700, 2000])
+def test_multiplicities_match_multiplicity(d):
+    assert multiplicities(d, K_MAX_CAP) == [multiplicity(d, k)
+                                             for k in range(K_MAX_CAP + 1)]
+
+
 def test_multiplicity_rejects_bad_input():
     with pytest.raises(UsageError):
         multiplicity(0, 1)
     with pytest.raises(UsageError):
         multiplicity(3, -1)
+    for d, k_max in ((0, 3), (3, -1)):
+        with pytest.raises(UsageError):
+            multiplicities(d, k_max)
 
 
 def test_degree_one_is_identity():
