@@ -81,8 +81,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    report = analyze(args.input, args.quantity, gamma=args.gamma, s=args.s,
-                     tolerance=args.tolerance)
+    report = analyze(args.input, args.quantity, tolerance=args.tolerance)
     print(json.dumps(report, indent=2, sort_keys=True))
     verdict = "PASS" if report["passed"] else "FAIL"
     print(f"{verdict}: slope {report['slope']:+.4f} +- {report['stderr']:.4f} "
@@ -130,8 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--quantity", required=True,
                    choices=["var_exact", "bias_sq_exact", "total"])
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--s", type=float, required=True)
     p.add_argument("--tolerance", type=float, default=0.25)
     p.set_defaults(func=_cmd_fit)
 

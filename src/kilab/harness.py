@@ -20,13 +20,12 @@ from typing import Iterator
 import numpy as np
 
 from .errors import KilabError, UsageError
-from .estimator import ErrorReport, evaluate_cell, fit
-from .rates import (bias_exponent, classify, fit_slope, total_exponent,
-                    var_exponent)
+from .estimator import ErrorReport, FittedInterpolant, evaluate_cell, fit
+from .rates import classify, fit_slope
 from .seeding import SeedPath, TAG_AXIS, TAG_MC
 from .spectrum import (KernelSpec, Spectrum, compute_spectrum,
                        kernel_by_id, kernel_from_coefficients)
-from .target import build_target, make_dataset
+from .target import Target, build_target, make_dataset
 
 SCHEMA_VERSION = 3
 
@@ -68,6 +67,9 @@ class ExperimentConfig:
                 raise UsageError(f"{name} must be an integer, got {value!r}")
         if not all(_is_int(d) for d in self.d_list):
             raise UsageError(f"every d must be an integer, got {list(self.d_list)}")
+        for name in ("gamma", "s", "sigma2", "n_coefficient"):
+            if not math.isfinite(getattr(self, name)):
+                raise UsageError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma <= 0:
             raise UsageError(f"gamma must be positive, got {self.gamma}")
         if self.s < 0:
@@ -141,29 +143,34 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
 
+def fit_cell(config: ExperimentConfig, spectrum: Spectrum, d: int,
+             replicate: int) -> tuple[Target, FittedInterpolant, SeedPath]:
+    """The cell recipe: the target, the fitted model and the seed path of cell
+    (d, replicate), every random stream a child of (master_seed, d, replicate)."""
+    seed = SeedPath(config.master_seed, (d, replicate))
+    target = build_target(spectrum, config.s, config.gamma, seed.child(TAG_AXIS))
+    dataset = make_dataset(target, config.n_for(d), config.sigma2, seed)
+    return target, fit(dataset, spectrum), seed
+
+
 def run_cell(config: ExperimentConfig, spectrum: Spectrum, d: int,
              replicate: int) -> dict:
     """Compute one CSV row; any Exception becomes an error row "<Type>: <message>"
     (with a traceback on stderr unless it is a KilabError)."""
-    n = config.n_for(d)
-    cell_seed = SeedPath(config.master_seed, (d, replicate))
     row = {
         "schema_version": SCHEMA_VERSION,
         "kernel": spectrum.spec.family_id,
         "gamma": config.gamma, "s": config.s, "sigma2": config.sigma2,
-        "d": d, "n": n, "replicate": replicate,
+        "d": d, "n": config.n_for(d), "replicate": replicate,
         "seed_path": f"{config.master_seed}:{d}:{replicate}",
         "error": "",
     }
     t0 = time.perf_counter()
     try:
-        target = build_target(spectrum, config.s, config.gamma,
-                              cell_seed.child(TAG_AXIS))
-        dataset = make_dataset(target, n, config.sigma2, cell_seed)
-        model = fit(dataset, spectrum)
+        target, model, seed = fit_cell(config, spectrum, d, replicate)
         report = evaluate_cell(model, target,
                                mc_test_points=config.mc_test_points,
-                               mc_seed=cell_seed.child(TAG_MC))
+                               mc_seed=seed.child(TAG_MC))
     except Exception as exc:  # one failing cell must not end the sweep
         if not isinstance(exc, KilabError):
             traceback.print_exc()
@@ -231,31 +238,32 @@ def read_rows(path: str) -> list[dict]:
         return list(csv.DictReader(f))
 
 
-def analyze(results_path: str, quantity: str, gamma: float, s: float,
-            tolerance: float = 0.25) -> dict:
-    """Fit the log-log slope of a result column against the theory exponent."""
+def analyze(results_path: str, quantity: str, tolerance: float = 0.25) -> dict:
+    """Fit the log-log slope of a result column against the theory exponent
+    of the one (gamma, s) setting that the successful rows record."""
     if quantity not in ("var_exact", "bias_sq_exact", "total"):
         raise UsageError(f"unknown quantity {quantity!r}")
     rows = [r for r in read_rows(results_path) if not r.get("error")]
     if not rows:
         raise UsageError(f"no successful result rows in {results_path}")
-    pairs = []
-    for r in rows:
-        d = float(r["d"])
-        if quantity == "total":
-            v = float(r["bias_sq_exact"]) + float(r["var_exact"])
-        else:
-            v = float(r[quantity])
-        pairs.append((d, v))
-    sf = fit_slope(pairs)
-    if quantity == "var_exact":
-        theory = var_exponent(gamma)
-    elif quantity == "bias_sq_exact":
-        theory = bias_exponent(s, gamma)
-        if theory is None:
-            raise UsageError("bias exponent is undefined at integer gamma")
-    else:
-        theory = total_exponent(s, gamma)
+    try:
+        settings = {(float(r["gamma"]), float(r["s"])) for r in rows}
+    except (KeyError, TypeError, ValueError):
+        raise UsageError(f"rows of {results_path} do not all record gamma and s") from None
+    for gamma, s in settings:   # first: NaN settings never compare equal
+        if not (math.isfinite(gamma) and math.isfinite(s)):
+            raise UsageError(f"rows of {results_path} record gamma={gamma}, s={s}")
+    if len(settings) > 1:
+        raise UsageError(f"{results_path} holds rows of {len(settings)} "
+                         "(gamma, s) settings; fit one sweep at a time")
+    (gamma, s), = settings
+    columns = ("bias_sq_exact", "var_exact") if quantity == "total" else (quantity,)
+    sf = fit_slope((float(r["d"]), sum(float(r[c]) for c in columns)) for r in rows)
+    p = classify(s, gamma)
+    theory = {"var_exact": p.var_exponent, "bias_sq_exact": p.bias_exponent,
+              "total": p.total_exponent}[quantity]
+    if theory is None:
+        raise UsageError("bias exponent is undefined at integer gamma")
     passed = abs(sf.slope - theory) <= tolerance
     return {
         "quantity": quantity, "gamma": gamma, "s": s,
@@ -272,7 +280,8 @@ def _parse_range(text: str) -> np.ndarray:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise UsageError(f"range must be start:stop:step, got {text!r}") from None
-    if step <= 0 or stop < start:
+    if (not all(map(math.isfinite, (start, stop, step)))
+            or step <= 0 or stop < start):
         raise UsageError(f"bad range {text!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(count)

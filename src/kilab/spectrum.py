@@ -49,6 +49,8 @@ class KernelSpec:
         a = np.asarray(self.coefficients, dtype=float)
         if a.size == 0:
             raise UsageError("kernel needs at least one coefficient")
+        if not np.all(np.isfinite(a)):
+            raise UsageError("kernel coefficients must be finite")
         if np.any(a < 0):
             raise UsageError("kernel coefficients must be nonnegative")
         if np.any(a[:-1] == 0):
@@ -76,14 +78,6 @@ def eval_phi(spec: KernelSpec, t, out: np.ndarray | None = None) -> np.ndarray:
     return out if np.ndim(t) else float(out)
 
 
-def _exp_coefficients(n_terms: int = 40) -> tuple[float, ...]:
-    return tuple(math.exp(-1) / math.factorial(j) for j in range(n_terms))
-
-
-def _geometric_coefficients(n_terms: int = 80) -> tuple[float, ...]:
-    return tuple(0.5 ** (j + 1) for j in range(n_terms))
-
-
 def _phi_exp(t, out):
     np.subtract(t, 1.0, out=out)
     np.exp(out, out=out)
@@ -97,11 +91,12 @@ def _phi_geometric(t, out):
 # module-level evaluators keep KernelSpec (and Spectrum) picklable
 BUILTIN_KERNELS = {
     "exp": lambda: KernelSpec(
-        family_id="exp", coefficients=_exp_coefficients(), phi=_phi_exp,
+        family_id="exp", phi=_phi_exp,
+        coefficients=tuple(math.exp(-1) / math.factorial(j) for j in range(40)),
     ),
     "geometric": lambda: KernelSpec(
-        family_id="geometric", coefficients=_geometric_coefficients(),
-        phi=_phi_geometric,
+        family_id="geometric", phi=_phi_geometric,
+        coefficients=tuple(0.5 ** (j + 1) for j in range(80)),
     ),
 }
 
@@ -138,7 +133,6 @@ class Spectrum:
 class TailSums:
     """kappa1 = sum_{k>l} mu_k N(d,k), kappa2 likewise with mu_k^2."""
 
-    l: int
     kappa1: float
     kappa2: float
 
@@ -226,7 +220,7 @@ def tail_sums(spectrum: Spectrum, l: int) -> TailSums:
     w = spectrum.mu[lo:] * spectrum.multiplicities[lo:]
     kappa1 = float(w.sum() + spectrum.trace_residual)
     kappa2 = float((spectrum.mu[lo:] * w).sum())
-    return TailSums(l=l, kappa1=kappa1, kappa2=kappa2)
+    return TailSums(kappa1=kappa1, kappa2=kappa2)
 
 
 def assemble_kernel_matrix(spec: KernelSpec, G: np.ndarray) -> np.ndarray:

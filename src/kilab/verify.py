@@ -12,13 +12,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import KilabError
-from .estimator import evaluate_cell, fit, predict
+from .estimator import evaluate_cell, predict
+from .harness import ExperimentConfig, fit_cell
 from .rates import classify, minimax_exponent, total_exponent
-from .seeding import SeedPath, TAG_AXIS, TAG_MC, sample_sphere
+from .seeding import SeedPath, TAG_MC, sample_sphere
 from .spectrum import (K_MAX_CAP, compute_spectrum, eval_phi, kernel_by_id,
                        spectrum_rule, tail_sums)
-from .target import build_target, make_dataset
-from .zonal import ZonalBasis, multiplicity, quadrature, zonal_series
+from .zonal import (ZonalBasis, multiplicities, multiplicity, quadrature,
+                    zonal_series)
 
 VERIFY_SEED = 715517
 
@@ -48,6 +49,9 @@ def check_multiplicities() -> str:
     assert multiplicity(2, 2) == 5, f"N(2,2) = {multiplicity(2, 2)} != 5"
     assert multiplicity(3, 1) == 4, f"N(3,1) = {multiplicity(3, 1)} != 4"
     assert multiplicity(1, 5) == 2, f"N(1,5) = {multiplicity(1, 5)} != 2"
+    for d in (1, 2, 7, 64):
+        assert multiplicities(d, 12) == [multiplicity(d, k) for k in range(13)], (
+            f"multiplicities({d}, 12) disagrees with the factorial formula")
     return "spot values exact"
 
 
@@ -79,7 +83,7 @@ def check_quadrature() -> str:
         assert abs(m1) < 1e-14, f"first moment {m1:.2e} at d={d}"
         assert abs(m2 - 1.0 / (d + 1)) < 1e-12, f"second moment off at d={d}"
         p = ZonalBasis(d, k_top).eval_all(rule.nodes)
-        root_n = np.sqrt([float(multiplicity(d, k)) for k in range(k_top + 1)])
+        root_n = np.sqrt(np.array(multiplicities(d, k_top), dtype=float))
         ortho = (p * rule.weights) @ p.T * np.outer(root_n, root_n)
         err = float(np.max(np.abs(ortho - np.eye(k_top + 1))))
         assert err < 1e-10, (
@@ -136,23 +140,19 @@ def check_kappa_rates() -> str:
     return "kappa1 = Theta(1), kappa2 ~ d^-(l+1)"
 
 
-def _one_cell(kernel_id: str, gamma: float, s: float, d: int, sigma2: float,
-              replicate: int, mc_points: int = 0):
-    spec = kernel_by_id(kernel_id)
-    sp = compute_spectrum(spec, d)
-    seed = SeedPath(VERIFY_SEED, (d, replicate))
-    target = build_target(sp, s, gamma, seed.child(TAG_AXIS))
-    n = int(round(d**gamma))
-    ds = make_dataset(target, n, sigma2, seed)
-    model = fit(ds, sp)
-    return model, target, seed
+def _one_cell(gamma: float, s: float, d: int):
+    """(target, model, seed path) of replicate 0 at (gamma, s, d), built by
+    the recipe sweeps run, on the exp kernel with n = round(d^gamma)."""
+    config = ExperimentConfig(gamma=gamma, s=s, d_list=(d,),
+                              master_seed=VERIFY_SEED)
+    return fit_cell(config, compute_spectrum(config.kernel_spec(), d), d, 0)
 
 
 def check_interpolation(quick: bool) -> str:
     cells = [(1.3, 8), (1.5, 10)] if quick else [(1.3, 8), (1.5, 12), (2.4, 8), (1.3, 16)]
     worst = 0.0
     for gamma, d in cells:
-        model, target, _ = _one_cell("exp", gamma, 0.5, d, 1.0, 0)
+        _, model, _ = _one_cell(gamma, 0.5, d)
         resid = float(np.max(np.abs(predict(model, model.dataset.points)
                                     - model.dataset.y)))
         scale = max(1.0, float(np.max(np.abs(model.dataset.y))))
@@ -164,10 +164,9 @@ def check_interpolation(quick: bool) -> str:
 def check_exact_vs_mc(quick: bool) -> str:
     cells = [(1.5, 8, 0.5), (1.5, 12, 1.0)] if quick else \
             [(1.5, 8, 0.5), (1.5, 12, 1.0), (1.3, 10, 2.0), (2.4, 6, 0.5)]
-    mc_points = 2000
     for gamma, d, s in cells:
-        model, target, seed = _one_cell("exp", gamma, s, d, 1.0, 0)
-        report = evaluate_cell(model, target, mc_test_points=mc_points,
+        target, model, seed = _one_cell(gamma, s, d)
+        report = evaluate_cell(model, target, mc_test_points=2000,
                                mc_seed=seed.child(TAG_MC))
         assert report.mc_consistent, (
             f"exact vs MC mismatch at (gamma={gamma}, d={d}, s={s}): "
@@ -203,8 +202,8 @@ def check_determinism() -> str:
     a = sample_sphere(6, 500, SeedPath(VERIFY_SEED, (1, 2, 3))).coordinates
     b = sample_sphere(6, 500, SeedPath(VERIFY_SEED, (1, 2, 3))).coordinates
     assert a.tobytes() == b.tobytes(), "sphere sampling not bit-identical"
-    m1, t1, s1 = _one_cell("exp", 1.5, 0.5, 8, 1.0, 0)
-    m2, t2, s2 = _one_cell("exp", 1.5, 0.5, 8, 1.0, 0)
+    t1, m1, s1 = _one_cell(1.5, 0.5, 8)
+    t2, m2, s2 = _one_cell(1.5, 0.5, 8)
     r1 = evaluate_cell(m1, t1, 500, s1.child(TAG_MC))
     r2 = evaluate_cell(m2, t2, 500, s2.child(TAG_MC))
     assert r1.bias_sq_exact == r2.bias_sq_exact, "bias not reproducible"

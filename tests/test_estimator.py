@@ -406,6 +406,13 @@ def test_lambda_min_vs_kappa1_grows_with_d():
     assert medians[-1] < 1.0
 
 
+def test_evaluate_cell_defaults_run_the_exact_oracles_only():
+    model, target, _ = _cell()
+    rep = evaluate_cell(model, target)
+    assert rep.var_exact > 0 and rep.bias_sq_exact >= 0
+    assert rep.bias_sq_mc is None and rep.mc_consistent is None
+
+
 def test_evaluate_cell_full_report():
     model, target, seed = _cell(d=12)
     rep = evaluate_cell(model, target, mc_test_points=2000,

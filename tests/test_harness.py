@@ -8,10 +8,11 @@ import pytest
 from kilab import (ExperimentConfig, SpherePoints, UsageError, analyze,
                    compute_spectrum, phase_grid, read_rows, run_cell, run_sweep,
                    write_rows)
-from kilab import estimator, harness
+from kilab import estimator, evaluate_cell, harness
 from kilab.cli import main as cli_main
 from kilab.errors import NumericalError
 from kilab.harness import CSV_COLUMNS, _parse_range
+from kilab.seeding import TAG_MC
 from kilab.zonal import ZonalBasis
 
 
@@ -60,7 +61,8 @@ def test_config_validation():
     ("sigma2", -1.0), ("mc_test_points", 50), ("kernel", "foo"),
     ("replicates", 2.5), ("master_seed", 4.5), ("coefficients", (0.5, -0.1)),
     ("coefficients", (0.5, 0.4)), ("d_list", (6.7, 8.2)),
-    ("mc_test_points", 150.5)])
+    ("mc_test_points", 150.5), ("s", math.nan), ("sigma2", math.nan),
+    ("gamma", math.inf), ("n_coefficient", math.inf), ("s", math.inf)])
 def test_config_rejects_bad_values(tmp_path, field, value):
     with pytest.raises(UsageError):
         small_config(**{field: value})
@@ -105,7 +107,9 @@ _MINIMAL = {"gamma": 1.3, "s": 1.0, "d_list": [6], "n_coefficient": 2.0,
     {**_MINIMAL, "d_list": 8},
     {**_MINIMAL, "coefficients": ["x"]},
     {**_MINIMAL, "kernel": "nonsense", "coefficients": [0.25, 0.25, 0.5]},
-], ids=["array", "d_list-scalar", "coefficients-string", "kernel-not-custom"])
+    {**_MINIMAL, "kernel": "custom", "coefficients": [0.5, math.nan]},
+], ids=["array", "d_list-scalar", "coefficients-string", "kernel-not-custom",
+        "coefficients-nan"])
 def test_malformed_config_files_are_usage_errors(tmp_path, capsys, data):
     assert _cli_run(tmp_path, data) == (1, False)
     assert capsys.readouterr().err.startswith("error: ")
@@ -145,6 +149,22 @@ def test_csv_columns_are_the_schema_version_3_header():
         "kappa1", "kappa2",
         "runtime_ms", "error",
     ]
+
+
+def test_fit_cell_is_the_recipe_run_cell_runs():
+    # evaluate_cell on fit_cell's cell gives run_cell's row, so code that
+    # builds a cell with fit_cell (kilab verify) checks what sweeps run
+    cfg = small_config(mc_test_points=500)
+    sp = compute_spectrum(cfg.kernel_spec(), 8)
+    row = run_cell(cfg, sp, 8, 1)
+    target, model, seed = harness.fit_cell(cfg, sp, 8, 1)
+    assert seed.path == (8, 1) and model.n == row["n"] and target.l == row["l"]
+    report = evaluate_cell(model, target, mc_test_points=cfg.mc_test_points,
+                           mc_seed=seed.child(TAG_MC))
+    for key, value in vars(report).items():
+        assert row[key] == value, key
+    assert row["beta_norm_sq"] == target.l2_norm_sq
+    assert row["hs_norm_sq"] == target.hs_norm_sq and row["c0"] == target.c0
 
 
 def test_run_cell_never_runs_concentration(monkeypatch):
@@ -329,6 +349,8 @@ def test_parse_range():
         _parse_range("2:1:0.5")
     with pytest.raises(UsageError):
         _parse_range("1:2:0")
+    with pytest.raises(UsageError):
+        _parse_range("0.5:nan:0.25")
 
 
 def test_phase_grid_spot_checks():
@@ -352,38 +374,74 @@ def test_phase_grid_injects_integer_gamma_lines():
     assert 1.0 in gammas and 2.0 in gammas
 
 
-def test_analyze_synthetic_csv(tmp_path):
-    path = str(tmp_path / "synth.csv")
+def _synthetic_csv(path, gamma, s):
+    """Three replicates per d with var ~ d^-0.5 and bias^2 ~ d^-1, recorded
+    as a sweep at (gamma, s)."""
     rows = []
     for d in (8, 16, 32, 64):
         for rep in range(3):
-            rows.append({"schema_version": 1, "d": d, "replicate": rep,
+            rows.append({"schema_version": 1, "gamma": gamma, "s": s,
+                         "d": d, "replicate": rep,
                          "var_exact": 2.0 * d**-0.5,
                          "bias_sq_exact": 5.0 * d**-1.0, "error": ""})
-    write_rows(iter(rows), path)
-    rep = analyze(path, "var_exact", gamma=1.5, s=1.0)
+    write_rows(iter(rows), str(path))
+    return rows
+
+
+def test_analyze_synthetic_csv(tmp_path):
+    # gamma and s come from the rows: at (1.5, 0.5) the variance, bias and
+    # total exponents are -0.5, -1 and -0.5
+    path = str(tmp_path / "synth.csv")
+    _synthetic_csv(path, 1.5, 0.5)
+    rep = analyze(path, "var_exact")
     assert rep["passed"] and rep["slope"] == pytest.approx(-0.5, abs=1e-9)
-    rep = analyze(path, "bias_sq_exact", gamma=1.5, s=0.5)
+    assert (rep["gamma"], rep["s"]) == (1.5, 0.5)
+    rep = analyze(path, "bias_sq_exact")
     assert rep["passed"] and rep["slope"] == pytest.approx(-1.0, abs=1e-9)
-    rep = analyze(path, "total", gamma=1.5, s=1.0)
+    rep = analyze(path, "total")
     assert rep["theory_exponent"] == pytest.approx(-0.5)
+    integer_gamma = str(tmp_path / "integer_gamma.csv")
+    _synthetic_csv(integer_gamma, 2.0, 1.0)
     with pytest.raises(UsageError):
-        analyze(path, "bias_sq_exact", gamma=2.0, s=1.0)
+        analyze(integer_gamma, "bias_sq_exact")
     with pytest.raises(UsageError):
-        analyze(path, "nope", gamma=1.5, s=1.0)
+        analyze(path, "nope")
+
+
+def test_analyze_needs_gamma_and_s_in_the_rows(tmp_path):
+    path = str(tmp_path / "bare.csv")
+    rows = [{"schema_version": 1, "d": d, "replicate": 0,
+             "var_exact": d**-0.5, "error": ""} for d in (8, 16, 32)]
+    write_rows(iter(rows), path)
+    with pytest.raises(UsageError, match="gamma and s"):
+        analyze(path, "var_exact")
+    for gamma in (math.inf, math.nan):
+        _synthetic_csv(path, gamma, 0.5)
+        with pytest.raises(UsageError, match=f"gamma={gamma}"):
+            analyze(path, "var_exact")
+
+
+def test_cli_fit_rejects_rows_of_two_sweeps(tmp_path, capsys):
+    path = tmp_path / "two.csv"
+    rows = (_synthetic_csv(tmp_path / "a.csv", 1.5, 0.5)
+            + _synthetic_csv(tmp_path / "b.csv", 1.75, 0.5))
+    write_rows(iter(rows), str(path))
+    assert cli_main(["fit", "--input", str(path),
+                     "--quantity", "var_exact"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_analyze_skips_error_rows(tmp_path):
     path = str(tmp_path / "mixed.csv")
     rows = []
     for d in (8, 16, 32):
-        rows.append({"schema_version": 1, "d": d, "replicate": 0,
-                     "var_exact": d**-0.5, "bias_sq_exact": d**-1.0,
-                     "error": ""})
-        rows.append({"schema_version": 1, "d": d, "replicate": 1,
-                     "error": "NumericalError: boom"})
+        rows.append({"schema_version": 1, "gamma": 1.5, "s": 1.0, "d": d,
+                     "replicate": 0, "var_exact": d**-0.5,
+                     "bias_sq_exact": d**-1.0, "error": ""})
+        rows.append({"schema_version": 1, "gamma": 1.5, "s": 1.0, "d": d,
+                     "replicate": 1, "error": "NumericalError: boom"})
     write_rows(iter(rows), path)
-    rep = analyze(path, "var_exact", gamma=1.5, s=1.0)
+    rep = analyze(path, "var_exact")
     assert rep["slope"] == pytest.approx(-0.5, abs=1e-9)
 
 
@@ -436,10 +494,8 @@ def test_cli_run_and_fit(tmp_path, capsys):
     # d in (6, 8, 12) is preasymptotic, so only the exit-code plumbing is
     # under test here; rate accuracy has its own acceptance coverage
     assert cli_main(["fit", "--input", out, "--quantity", "var_exact",
-                     "--gamma", "1.3", "--s", "1.0",
                      "--tolerance", "2.0"]) == 0
     assert cli_main(["fit", "--input", out, "--quantity", "var_exact",
-                     "--gamma", "1.3", "--s", "1.0",
                      "--tolerance", "1e-6"]) == 2
 
 

@@ -79,6 +79,8 @@ def test_kernel_spec_validation():
         kernel_from_coefficients([0.9, 0.2])  # sum > 1
     with pytest.raises(UsageError):
         kernel_from_coefficients([0.5, 0.0, 0.3])  # interior zero
+    with pytest.raises(UsageError, match="finite"):
+        kernel_from_coefficients([0.5, float("nan")])
 
 
 def test_constant_kernel_spectrum():
