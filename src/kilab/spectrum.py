@@ -7,9 +7,10 @@ sum_j a_j <= 1, has Mercer decomposition
 
 so the per-degree eigenvalues are the projections
 
-    mu_k = E_rho[Phi(t) P_kd(t)],
+    mu_k = E_rho[Phi(t) P_kd(t)] = sum_j a_j E_rho[t^j P_kd(t)],
 
-computed here by Gauss-Jacobi quadrature. Tail sums kappa1/kappa2 over
+computed here exactly from the coefficients by the zonal recurrence
+(zonal.zonal_projections). Tail sums kappa1/kappa2 over
 degrees > l and kernel-matrix assembly also live here.
 """
 
@@ -22,12 +23,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .zonal import (QuadratureRule, ZonalBasis, clip_unit, multiplicities,
-                    quadrature)
+from .zonal import ZonalBasis, clip_unit, multiplicities, zonal_projections
 
 K_MAX_CAP = 64
-NEGATIVE_MU_CLAMP = 1e-13
-ORTHO_RESIDUAL_TOL = 1e-10
 TRACE_TOL = 1e-10   # k_max is the first degree whose trace residual is below this
 
 
@@ -37,8 +35,9 @@ class KernelSpec:
 
     `phi` is an optional closed-form evaluator phi(t, out) that writes
     Phi(t) into `out` (which may be t itself); without it the truncated
-    series is evaluated by Horner's rule. Only the last coefficient may be
-    zero.
+    series is evaluated by Horner's rule. K is built from `phi` but the
+    spectrum from the coefficients, so the two must agree within
+    1e-12 on [-1, 1]. Only the last coefficient may be zero.
     """
 
     family_id: str
@@ -55,8 +54,14 @@ class KernelSpec:
             raise UsageError("kernel coefficients must be nonnegative")
         if np.any(a[:-1] == 0):
             raise UsageError("kernel coefficients below the last must be positive")
-        if a.sum() > 1 + 1e-12 and self.phi is None:
+        if a.sum() > 1 + 1e-12:
             raise UsageError("coefficient sum exceeds 1 (violates Phi(1) <= 1)")
+        if self.phi is not None:
+            t = np.linspace(-1.0, 1.0, 17)
+            gap = np.max(np.abs(eval_phi(self, t) - np.polynomial.polynomial.polyval(t, a)))
+            if not gap <= 1e-12:
+                raise UsageError(f"closed-form phi differs from the coefficient "
+                                 f"series by {gap:.3e} on [-1, 1]")
 
 
 def eval_phi(spec: KernelSpec, t, out: np.ndarray | None = None) -> np.ndarray:
@@ -137,62 +142,16 @@ class TailSums:
     kappa2: float
 
 
-def spectrum_rule(spec: KernelSpec, d: int) -> QuadratureRule:
-    """The Gauss-Jacobi rule compute_spectrum integrates with; its size is
-    derived in compute_spectrum's docstring."""
-    points = max(2 * (K_MAX_CAP + 1),
-                 math.ceil((len(spec.coefficients) + K_MAX_CAP) / 2))
-    return quadrature(d, points)
-
-
 def compute_spectrum(spec: KernelSpec, d: int) -> Spectrum:
-    """Eigenvalues mu_k by quadrature, truncated once the trace residual < TRACE_TOL.
-
-    The rule (spectrum_rule) has m = max(2 (K_MAX_CAP + 1),
-    ceil((len(coefficients) + K_MAX_CAP) / 2)) nodes, 130 for both built-in
-    kernels. An m-node Gauss rule integrates polynomials of degree 2m - 1
-    exactly, which covers
-      - the orthonormality check N(d,k) E[P_k^2] = 1, of degree 2 K_MAX_CAP;
-      - every projection E[Phi P_k], k <= K_MAX_CAP, of degree
-        len(coefficients) - 1 + k, when Phi is a polynomial of at most
-        len(coefficients) terms (a custom kernel).
-    The closed forms of the built-in kernels differ from their Taylor
-    polynomial of degree 2m - 1 - K_MAX_CAP = 195 by less than 1e-24 on
-    [-1, 1], and |P_k| <= 1 under a probability rule, so their mu_k are
-    exact up to rounding too. A larger rule buys no accuracy and costs time
-    (roots_jacobi dominates); a 520-node rule's weights also underflow from
-    d = 512 on.
-    """
+    """Eigenvalues mu_k = sum_j a_j E[t^j P_kd] from the coefficients
+    (zonal_projections: exact up to rounding, full relative precision and
+    nonnegative at any d), truncated at the first degree whose trace
+    residual is below TRACE_TOL."""
     phi1 = float(eval_phi(spec, 1.0))
-
-    basis = ZonalBasis(d, K_MAX_CAP)
     mults = np.array(multiplicities(d, K_MAX_CAP), dtype=float)
+    mu = zonal_projections(d, spec.coefficients, K_MAX_CAP)
 
-    rule = spectrum_rule(spec, d)
-    p_stack = basis.eval_all(rule.nodes)          # (K+1, m)
-    # orthonormality residual: N(d,k) E[P_k^2] must be 1
-    second = (p_stack * p_stack) @ rule.weights
-    ortho_residual = float(np.max(np.abs(mults * second - 1.0)))
-    if not ortho_residual < ORTHO_RESIDUAL_TOL:
-        raise NumericalError(
-            f"quadrature orthonormality residual {ortho_residual:.3e} is not "
-            f"below {ORTHO_RESIDUAL_TOL} (d={d})"
-        )
-
-    phi_vals = eval_phi(spec, rule.nodes)
-    mu = p_stack @ (rule.weights * phi_vals)
-
-    bad = mu < -NEGATIVE_MU_CLAMP
-    if np.any(bad):
-        k_bad = int(np.argmax(bad))
-        raise NumericalError(
-            f"materially negative eigenvalue mu_{k_bad}={mu[k_bad]:.3e} "
-            f"(kernel {spec.family_id!r} violates the positive-coefficient model)"
-        )
-    mu = np.maximum(mu, 0.0)
-
-    cum_trace = np.cumsum(mu * mults)
-    residuals = phi1 - cum_trace
+    residuals = phi1 - np.cumsum(mu * mults)
     ok = np.nonzero(residuals < TRACE_TOL)[0]
     if ok.size == 0:
         raise NumericalError(

@@ -7,10 +7,12 @@ Everything spectral in this package reduces, via the addition theorem
 to the polynomials P_kd normalized so P_kd(1) = 1, the multiplicities
 N(d,k), and integration against the inner-product density
 
-    rho_d(t) ∝ (1 - t^2)^((d-2)/2)   on [-1, 1],
+    rho_d(t) ∝ (1 - t^2)^((d-2)/2)   on [-1, 1].
 
-realized by Gauss-Jacobi quadrature. Explicit spherical harmonics are
-never constructed.
+Projections of a power series onto P_kd come exactly from the recurrence
+(zonal_projections); the Gauss-Jacobi rule (quadrature) is the reference
+they are checked against. Explicit spherical harmonics are never
+constructed.
 
 Per-degree sums over an n x n Gram matrix run the recurrence on
 cache-sized row blocks (ZonalBasis.iter_blocks): no n x n P_k(G) exists.
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import NumericalError, UsageError
 
@@ -152,6 +153,35 @@ def zonal_series(d: int, coef, t) -> np.ndarray:
     return out if np.ndim(t) else float(out[0])
 
 
+def zonal_projections(d: int, coef, k_max: int) -> np.ndarray:
+    """E_rho[f P_kd] for k = 0..k_max, f(t) = sum_j coef[j] t^j, exactly.
+
+    The recurrence reads t P_k = a_k P_{k+1} + c_k P_{k-1} with
+    a_k = (k+d-1)/(2k+d-1), c_k = k/(2k+d-1) and a_0 = 1, so the moments
+    m_{j,k} = E[t^j P_k] obey
+
+        m_{0,k} = [k = 0],   m_{j+1,k} = a_k m_{j,k+1} + c_k m_{j,k-1},
+
+    and vanish for k > j. One moment vector over degrees 0..max(k_max,
+    len(coef) - 1) is updated once per coefficient. Every a_k, c_k and
+    m_{j,k} is nonnegative, so for nonnegative coef each projection is a
+    sum of nonnegative terms: no cancellation, full relative precision,
+    never negative, at any d.
+    """
+    coef = np.asarray(coef, dtype=float)
+    k = np.arange(max(k_max + 1, coef.size), dtype=float)
+    den = np.maximum(2 * k + d - 1, 1.0)   # 0 only at d = 1, k = 0, where a_0 = 1
+    up, down = (k + d - 1) / den, k / den
+    up[0] = 1.0
+    m = np.zeros(k.size + 2)        # m[1 + k] = m_{j,k}; both ends stay 0
+    m[1] = 1.0
+    out = coef[0] * m[1:-1]
+    for a_j in coef[1:]:
+        m[1:-1] = up * m[2:] + down * m[:-2]
+        out += a_j * m[1:-1]
+    return out[: k_max + 1]
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Probability quadrature for the density rho_d on [-1, 1]."""
@@ -171,6 +201,10 @@ def quadrature(d: int, points: int) -> QuadratureRule:
         raise UsageError(f"dimension must be >= 1, got {d}")
     if points < 1:
         raise UsageError(f"quadrature size must be >= 1, got {points}")
+    # imported here: only verify and the tests use the rule, so
+    # `import kilab` does not load scipy.special
+    from scipy.special import roots_jacobi
+
     alpha = (d - 2) / 2.0
     try:
         nodes, weights = roots_jacobi(points, alpha, alpha)

@@ -60,7 +60,7 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("sigma2", -1.0), ("mc_test_points", 50), ("kernel", "foo"),
     ("replicates", 2.5), ("master_seed", 4.5), ("coefficients", (0.5, -0.1)),
-    ("coefficients", (0.5, 0.4)), ("d_list", (6.7, 8.2)),
+    ("coefficients", (0.9, 0.2)), ("d_list", (6.7, 8.2)),
     ("mc_test_points", 150.5), ("s", math.nan), ("sigma2", math.nan),
     ("gamma", math.inf), ("n_coefficient", math.inf), ("s", math.inf)])
 def test_config_rejects_bad_values(tmp_path, field, value):

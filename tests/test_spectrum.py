@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from kilab import (NumericalError, SeedPath, SpherePoints, UsageError,
-                   ZonalBasis, assemble_kernel_matrix, compute_spectrum,
-                   eval_phi, kernel_by_id, kernel_from_coefficients,
-                   multiplicity, quadrature, sample_sphere, tail_sums,
-                   zonal_series)
-from kilab import verify
-from kilab.spectrum import spectrum_rule
+from kilab import (KernelSpec, NumericalError, SeedPath, SpherePoints,
+                   UsageError, ZonalBasis, assemble_kernel_matrix,
+                   compute_spectrum, eval_phi, kernel_by_id,
+                   kernel_from_coefficients, multiplicity, quadrature,
+                   sample_sphere, tail_sums, zonal_series)
 
 
 def _squared_coef(sp):
@@ -113,6 +111,19 @@ def test_mercer_reconstruction(kernel_id, d):
     assert abs(coef.sum() + sp.trace_residual - eval_phi(spec, 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("kernel_id", ["exp", "geometric"])
+def test_mercer_reconstruction_at_every_d(kernel_id):
+    spec = kernel_by_id(kernel_id)
+    t = np.linspace(-1, 1, 201)
+    phi = eval_phi(spec, t)
+    worst = {}
+    for d in [*range(2, 129), 700, 2000]:
+        sp = compute_spectrum(spec, d)
+        assert sp.trace_residual < 1e-10
+        worst[d] = float(np.max(np.abs(phi - zonal_series(d, sp.mu * sp.multiplicities, t))))
+    assert {d: r for d, r in worst.items() if r > 2e-10} == {}
+
+
 def _projections(spec, d, points, k_top):
     """E[Phi P_k] for k <= k_top on a points-node Gauss-Jacobi rule."""
     rule = quadrature(d, points)
@@ -124,33 +135,29 @@ def _projections(spec, d, points, k_top):
 @pytest.mark.parametrize("d", [8, 16, 45])
 def test_spectrum_rule_matches_a_520_node_rule(kernel_id, d):
     spec = kernel_by_id(kernel_id)
-    assert len(spectrum_rule(spec, d).nodes) == 130
     mu = compute_spectrum(spec, d).mu[:4]
     ref = _projections(spec, d, 520, 3)
     assert np.all(np.abs(mu - ref) <= 1e-12 * ref)
 
 
-def test_spectrum_rule_grows_with_custom_coefficients():
-    # Phi * P_k has degree 199 + k: the rule must outgrow the built-ins' 130
-    spec = kernel_from_coefficients([0.03 * 0.97**j for j in range(200)])
-    d = 45
-    assert len(spectrum_rule(spec, d).nodes) == 132
+@pytest.mark.parametrize("d", [2, 45, 700, 2000])
+def test_long_custom_kernel_reconstructs_at_any_d(d):
+    spec = kernel_from_coefficients([0.5 ** (j + 1) for j in range(400)])
     sp = compute_spectrum(spec, d)
-    ref = _projections(spec, d, 520, sp.k_max)
-    assert np.max(np.abs(sp.mu - ref)) <= 1e-13
+    t = np.linspace(-1, 1, 201)
+    recon = zonal_series(d, sp.mu * sp.multiplicities, t)
+    assert np.max(np.abs(eval_phi(spec, t) - recon)) <= 2e-10
 
 
-def test_verify_checks_the_spectrum_rule(monkeypatch):
-    # a 60-node rule is not exact for P_64^2: the check must see it
-    assert "orthonormality" in verify.check_quadrature()
-    monkeypatch.setattr(verify, "spectrum_rule",
-                        lambda spec, d: quadrature(d, 60))
-    with pytest.raises(AssertionError, match="orthonormality residual"):
-        verify.check_quadrature()
+def test_slowly_decaying_kernel_hits_the_k_max_cap():
+    # about 0.011 of this kernel's trace lies above degree 62
+    spec = kernel_from_coefficients([0.03 * 0.97**j for j in range(200)])
+    with pytest.raises(NumericalError, match="k_max cap 64 binds"):
+        compute_spectrum(spec, 45)
 
 
 # k_max of exp at every d of the benchmark workloads and criteria 05-08; a
-# quadrature change that moves the truncation must fail here
+# spectrum change that moves the truncation must fail here
 EXP_K_MAX = {**{d: 10 for d in range(2, 5)}, **{d: 11 for d in range(5, 22)},
              **{d: 12 for d in range(22, 33)}, 45: 12}
 
@@ -300,11 +307,10 @@ def test_low_degree_matrix_rank_bound():
 
 
 def test_negative_coefficient_kernel_raises():
-    # a non-PSD zonal function must be rejected as materially negative
+    # a closed form that is not the coefficient series (here a non-PSD
+    # zonal function) must be rejected when the spec is built
     def bad_phi(t, out):
         np.subtract(0.5, 0.4 * t, out=out)
 
-    spec = kernel_from_coefficients([0.5, 0.4])
-    object.__setattr__(spec, "phi", bad_phi)
-    with pytest.raises(NumericalError):
-        compute_spectrum(spec, 4)
+    with pytest.raises(UsageError, match="closed-form phi differs"):
+        KernelSpec(family_id="custom", coefficients=(0.5, 0.4), phi=bad_phi)

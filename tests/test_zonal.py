@@ -6,7 +6,8 @@ import pytest
 from kilab import (SeedPath, UsageError, ZonalBasis, multiplicity, quadrature,
                    sample_sphere, zonal_series)
 from kilab.spectrum import K_MAX_CAP
-from kilab.zonal import BLOCK_DOUBLES, clip_unit, multiplicities
+from kilab.zonal import (BLOCK_DOUBLES, clip_unit, multiplicities,
+                         zonal_projections)
 
 
 def _harmonic_gram(d, k, G):
@@ -110,6 +111,21 @@ def test_orthonormality_with_multiplicity():
         for k in range(k_max + 1):
             val = multiplicity(d, k) * rule.integrate(p[k] ** 2)
             assert abs(val - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 45, 700])
+def test_zonal_projections_match_quadrature_and_the_trace(d):
+    # a degree-29 polynomial: a 40-node rule integrates f P_k exactly for
+    # k <= 50, and its projections stop at degree 29
+    coef = 0.5 * 0.8 ** np.arange(30)
+    proj = zonal_projections(d, coef, 40)
+    rule = quadrature(d, 40)
+    f = np.polynomial.polynomial.polyval(rule.nodes, coef)
+    ref = ZonalBasis(d, 40).eval_all(rule.nodes) @ (rule.weights * f)
+    assert np.all(proj >= 0) and np.all(proj[30:] == 0)
+    assert np.max(np.abs(proj - ref)) <= 1e-14
+    mults = np.array(multiplicities(d, 40), dtype=float)
+    assert float(mults @ proj) == pytest.approx(coef.sum(), rel=1e-14)
 
 
 def test_gram_zonal_degree_zero_is_ones():
