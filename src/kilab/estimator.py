@@ -18,18 +18,14 @@ and the degree-k component of the bias
 where a = K^-1 f*(X) and p_k(w)_i = P_kd(<x_i, w>). Monte Carlo versions
 of both quantities serve as independent cross-checks, never as truth.
 
-fit builds G once and keeps it on the fitted model in place of K: K = Phi(G)
-lives only inside fit (and the on-demand concentration_report, which
-evaluate_cell never runs). One O(k_max n^2) recurrence pass over row blocks
-of G's lower triangle (FittedInterpolant.degree_sums) yields both per-degree
-sums, <S, P_k(G)> for the variance and a^T P_k(G) a for the bias. K^-1 is
-formed once per fit, on first use (FittedInterpolant.K_inv), for
-S = K^-1 K^-T and the Monte Carlo variance; a cell with sigma^2 = 0 and Monte
-Carlo off never forms it.
-
-A cell holds at most three n x n arrays at once: G, the Cholesky factor and
-K^-1. S and the m x n Monte Carlo cross-kernel k(x, X) exist only as row
-panels of at most PANEL_ROWS rows, each in one reused buffer.
+fit holds one n x n buffer: G = X X^T, then K = Phi(G), then K's Cholesky
+factor, each in place, then K^-1 over the factor (LAPACK potri) when
+sigma^2 > 0; with sigma^2 = 0 it is freed on return. One O(k_max n^2)
+recurrence pass over row panels of G's lower triangle, rebuilt from the
+points (FittedInterpolant.degree_sums), yields <S, P_k(G)> for the variance
+and a^T P_k(G) a for the bias. G, S = K^-1 K^-T and the Monte Carlo
+cross-kernel k(x, X) exist only as row panels of at most PANEL_ROWS rows,
+each in one reused buffer.
 """
 
 from __future__ import annotations
@@ -40,8 +36,9 @@ from functools import cached_property
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigvalsh, LinAlgError
-from scipy.linalg.lapack import dpotri
+from scipy.linalg import cho_solve, eigvalsh
+from scipy.linalg.blas import dsymv
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import NumericalError, UsageError
 from .seeding import SeedPath, SpherePoints, sample_sphere
@@ -51,7 +48,7 @@ from .zonal import ZonalBasis, multiplicities, zonal_series
 
 RESIDUAL_TOL = 1e-10
 MIRROR_BLOCK = 32    # columns per block when K^-1's triangle is mirrored
-# rows per panel of S = K^-1 K^-T and of the cross-kernel k(x, X), so each
+# rows per panel of G, S = K^-1 K^-T and the cross-kernel k(x, X), so each
 # holds at most PANEL_ROWS x n doubles; at n = 2025 this runs level with 512
 # rows (256 made the Monte Carlo check 15 % slower). 576 = 24 * 24 keeps the
 # panels on OpenBLAS's AVX-512 dgemm packing boundaries: at one BLAS thread
@@ -62,29 +59,17 @@ PANEL_ROWS = 576
 
 @dataclass(frozen=True)
 class FittedInterpolant:
-    """A Cholesky-factorized kernel matrix with dual weights for Y and f*(X)."""
+    """Dual weights for Y and f*(X), and K^-1 when sigma^2 > 0."""
 
     dataset: Dataset
     spectrum: Spectrum
-    G: np.ndarray              # Gram matrix X X^T of the training points
-    cho: tuple                 # scipy (c, lower) Cholesky factor of K
     alpha: np.ndarray          # K^-1 Y
     alpha_clean: np.ndarray    # K^-1 f*(X)
+    K_inv: np.ndarray | None   # exactly symmetric; None when sigma^2 = 0
 
     @property
     def n(self) -> int:
         return self.dataset.n
-
-    @cached_property
-    def K_inv(self) -> np.ndarray:
-        """K^-1 from a copy of the factor by LAPACK potri (2n^3/3 flops, a
-        third of n solves against I), formed on first use; exactly symmetric."""
-        c, lower = self.cho
-        inv, info = dpotri(c, lower=lower)
-        if info != 0:
-            raise NumericalError(f"LAPACK dpotri failed (info={info})")
-        _mirror_lower(inv if lower else inv.T)
-        return inv
 
     @cached_property
     def degree_sums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -92,21 +77,20 @@ class FittedInterpolant:
         pass over the lower triangle of G, with S = K^-1 K^-T and
         a = alpha_clean.
 
-        Row panel [p0, p1) covers G[p0:p1, :p1]: its strictly lower columns
-        [0, p0) stand for both triangles and get weight 2 (an exact doubling
-        of S's panel and of a), its diagonal block weight 1. S exists one
-        panel K^-1[p0:p1] K^-1[:p1]^T at a time, and only when sigma^2 > 0;
-        otherwise the first array stays zero. With n <= PANEL_ROWS this is
-        one dense pass over G with S = K^-1 K^-T.
+        Row panel [p0, p1) is G[p0:p1, :p1], rebuilt from the points: its
+        strictly lower columns [0, p0) stand for both triangles and get
+        weight 2 (an exact doubling of S's panel and of a), its diagonal block
+        weight 1. S exists one panel K^-1[p0:p1] K^-1[:p1]^T at a time, and
+        only when sigma^2 > 0; otherwise the first array stays zero.
         """
         sp = self.spectrum
-        K_inv = self.K_inv if self.dataset.sigma2 > 0 else None
-        a = self.alpha_clean
-        inner = np.zeros(sp.k_max + 1)
-        quad = np.zeros(sp.k_max + 1)
+        K_inv, a = self.K_inv, self.alpha_clean
+        X = self.dataset.points.coordinates
+        inner, quad = np.zeros((2, sp.k_max + 1))
         basis = sp.basis()
+        G_buf = np.empty((min(PANEL_ROWS, self.n), self.n))
         if K_inv is not None:
-            S_buf = np.empty((min(PANEL_ROWS, self.n), self.n))
+            S_buf = np.empty_like(G_buf)
         for p0 in range(0, self.n, PANEL_ROWS):
             p1 = min(p0 + PANEL_ROWS, self.n)
             a_w = a[:p1].copy()
@@ -114,13 +98,20 @@ class FittedInterpolant:
             if K_inv is not None:
                 S_p = np.matmul(K_inv[p0:p1], K_inv[:p1].T, out=S_buf[: p1 - p0, :p1])
                 S_p[:, :p0] *= 2.0
-            for rows, values in basis.iter_blocks(self.G[p0:p1, :p1]):
+            G_p = _gram_panel(X[p0:p1], X[:p1], G_buf)
+            for rows, values in basis.iter_blocks(G_p):
                 a_rows = a[p0:p1][rows]
                 for k, p_k in enumerate(values):
                     if K_inv is not None:
                         inner[k] += np.vdot(S_p[rows], p_k)
                     quad[k] += a_rows @ (p_k @ a_w)
         return inner, quad
+
+
+def _gram_panel(rows: np.ndarray, cols: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """rows @ cols^T in buf's leading block, clipped as SpherePoints.gram clips."""
+    panel = np.matmul(rows, cols.T, out=buf[: len(rows), : len(cols)])
+    return np.clip(panel, -1.0, 1.0, out=panel)
 
 
 def _mirror_lower(a: np.ndarray) -> None:
@@ -135,41 +126,57 @@ def _mirror_lower(a: np.ndarray) -> None:
         np.copyto(diag, diag.T, where=upper[: c1 - c0, : c1 - c0])
 
 
-def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
-    """Factorize K by Cholesky and solve for the dual weights.
+def _lambda_min(spectrum: Spectrum, points: SpherePoints) -> float:
+    """Smallest eigenvalue of K = Phi(G), assembled afresh from the points in
+    one n x n array (K.T is a Fortran-order view LAPACK overwrites)."""
+    K = points.gram()
+    assemble_kernel_matrix(spectrum.spec, K, out=K)
+    return float(eigvalsh(K.T, subset_by_index=(0, 0), overwrite_a=True)[0])
 
-    Raises NumericalError when K is not positive definite.
-    """
+
+def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
+    """Factorize K by Cholesky and solve for the dual weights, in one n x n
+    buffer that ends as K^-1 when sigma^2 > 0 (see the module docstring).
+    Raises NumericalError when K is not positive definite."""
     if dataset.points.d != spectrum.d:
         raise UsageError("dataset and spectrum dimensions differ")
 
-    G = dataset.points.gram()
-    K = assemble_kernel_matrix(spectrum.spec, G)
-    try:
-        # Fortran order: LAPACK factors the copy in place
-        factor = cho_factor(K.copy(order="F"), lower=True, overwrite_a=True)
-    except LinAlgError:
-        lam_min = float(eigvalsh(K, subset_by_index=(0, 0))[0])
+    K = dataset.points.gram()
+    assemble_kernel_matrix(spectrum.spec, K, out=K)
+    # K.T is a Fortran-order view of the symmetric K, so LAPACK factors it in
+    # place: L goes over its lower triangle, and with clean=0 the strict upper
+    # one, which potrf never references, still holds K
+    c, info = dpotrf(K.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        del K, c    # half-factored: lambda_min comes from a fresh K
+        lam_min = _lambda_min(spectrum, dataset.points)
         raise NumericalError(
-            f"kernel matrix not positive definite (lambda_min ~ {lam_min:.3e})"
-        ) from None
+            f"kernel matrix not positive definite (lambda_min = {lam_min!r})")
+    diag_fix = float(eval_phi(spectrum.spec, 1.0)) - np.diagonal(c)
 
     def solve_refined(rhs: np.ndarray) -> np.ndarray:
-        # cho_factor checked K; the residual test below catches a
-        # non-finite solution, so the solves skip re-scanning the factor
-        x = cho_solve(factor, rhs, check_finite=False)
-        # one iterative-refinement sweep keeps the 1e-10 residual contract
-        x = x + cho_solve(factor, rhs - K @ x, check_finite=False)
-        scale = max(float(np.linalg.norm(rhs)), 1e-300)
-        rel = float(np.linalg.norm(rhs - K @ x)) / scale
+        # a solve and one refinement sweep keep the 1e-10 residual contract;
+        # K x is K's stored triangle times x, its diagonal put back. A NaN
+        # residual fails the test, so the solves skip re-scanning the factor
+        x, r = np.zeros_like(rhs), rhs
+        for _ in range(2):
+            x += cho_solve((c, True), r, check_finite=False)
+            r = rhs - dsymv(1.0, c, x) - diag_fix * x
+        rel = float(np.linalg.norm(r)) / max(float(np.linalg.norm(rhs)), 1e-300)
         if not rel <= RESIDUAL_TOL:
             raise NumericalError(f"linear solve residual {rel:.3e} exceeds {RESIDUAL_TOL}")
         return x
 
     alpha = solve_refined(dataset.y)
     alpha_clean = solve_refined(dataset.clean)
-    return FittedInterpolant(dataset=dataset, spectrum=spectrum, G=G,
-                             cho=factor, alpha=alpha, alpha_clean=alpha_clean)
+    if dataset.sigma2 > 0:    # K^-1 over the factor, both triangles
+        c, info = dpotri(c, lower=1, overwrite_c=1)
+        if info != 0:
+            raise NumericalError(f"LAPACK dpotri failed (info={info})")
+        _mirror_lower(c)
+    return FittedInterpolant(dataset=dataset, spectrum=spectrum, alpha=alpha,
+                             alpha_clean=alpha_clean,
+                             K_inv=c if dataset.sigma2 > 0 else None)
 
 
 def _cross_kernel_panels(model: FittedInterpolant, points: SpherePoints
@@ -184,10 +191,7 @@ def _cross_kernel_panels(model: FittedInterpolant, points: SpherePoints
     buf = np.empty((min(PANEL_ROWS, points.n), X.n))
     for p0 in range(0, points.n, PANEL_ROWS):
         rows = slice(p0, min(p0 + PANEL_ROWS, points.n))
-        # the rows of points.gram(X), clipped into [-1, 1] as it does
-        panel = np.matmul(points.coordinates[rows], X.coordinates.T,
-                          out=buf[: rows.stop - p0])
-        np.clip(panel, -1.0, 1.0, out=panel)
+        panel = _gram_panel(points.coordinates[rows], X.coordinates, buf)
         yield rows, eval_phi(model.spectrum.spec, panel, out=panel)
 
 
@@ -291,16 +295,13 @@ def mc_errors(model: FittedInterpolant, target: Target, m_test: int,
             s = np.matmul(model.K_inv, kx.T, out=s_buf[:, : len(kx)])
             norms[rows] = np.sum(np.square(s, out=s), axis=0)
 
-    bias_samples = (fitted - eval_target(target, test)) ** 2
-    bias_sq = float(bias_samples.mean())
-    bias_se = float(bias_samples.std(ddof=1) / math.sqrt(m_test))
+    def mean_se(samples: np.ndarray) -> tuple[float, float]:
+        return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(m_test))
 
+    bias_sq, bias_se = mean_se((fitted - eval_target(target, test)) ** 2)
     if sigma2 == 0.0:
         return McErrors(bias_sq, bias_se, 0.0, 0.0)
-    var_samples = sigma2 * norms
-    var = float(var_samples.mean())
-    var_se = float(var_samples.std(ddof=1) / math.sqrt(m_test))
-    return McErrors(bias_sq, bias_se, var, var_se)
+    return McErrors(bias_sq, bias_se, *mean_se(sigma2 * norms))
 
 
 @dataclass(frozen=True)
@@ -315,33 +316,32 @@ class ConcentrationReport:
 
 
 def concentration_report(model: FittedInterpolant, l: int) -> ConcentrationReport:
-    """On-demand diagnostics, never run by evaluate_cell: forms K from model.G
-    and makes three dense O(n^3) eigensolves (lambda_min(K), the degree > l
-    part of K, and the low-degree harmonic Gram matrix / n)."""
+    """On-demand diagnostics, never run by evaluate_cell: rebuilds G from the
+    points and makes three dense O(n^3) eigensolves (lambda_min(K), the
+    degree > l part of K, and the low-degree harmonic Gram matrix / n),
+    holding at most two n x n arrays of its own at once."""
     sp = model.spectrum
     if l >= sp.k_max:
         raise UsageError(f"l={l} must be below k_max={sp.k_max}")
     n = model.n
-    G = model.G
     kappa1 = tail_sums(sp, l).kappa1
+    B_l = sum(multiplicities(sp.d, l))
+    lam_min_K = _lambda_min(sp, model.dataset.points)
 
     # every matrix here is exactly symmetric and owned, so its transpose is
     # a Fortran-order view that LAPACK overwrites without a copy
-    K = assemble_kernel_matrix(sp.spec, G)
-    K_high = zonal_series(sp.d, (sp.mu * sp.multiplicities)[: l + 1], G)
-    np.subtract(K, K_high, out=K_high)
-    lam_min_K = float(eigvalsh(K.T, subset_by_index=(0, 0), overwrite_a=True)[0])
-    del K
-    ev = eigvalsh(K_high.T, overwrite_a=True)
-    del K_high
-    delta1 = float(max(abs(ev[0] / kappa1 - 1.0), abs(ev[-1] / kappa1 - 1.0)))
-
-    B_l = sum(multiplicities(sp.d, l))
+    G = model.dataset.points.gram()
     A = zonal_series(sp.d, sp.multiplicities[: l + 1], G)
     A /= n
     ev_a = eigvalsh(A.T, overwrite_a=True)
-    top = ev_a[-min(B_l, n):]
-    psi_dev = float(np.max(np.abs(top - 1.0)))
+    del A
+    psi_dev = float(np.max(np.abs(ev_a[-min(B_l, n):] - 1.0)))
+
+    K_high = zonal_series(sp.d, (sp.mu * sp.multiplicities)[: l + 1], G)
+    np.subtract(assemble_kernel_matrix(sp.spec, G, out=G), K_high, out=K_high)
+    del G
+    ev = eigvalsh(K_high.T, overwrite_a=True)
+    delta1 = float(max(abs(ev[0] / kappa1 - 1.0), abs(ev[-1] / kappa1 - 1.0)))
     return ConcentrationReport(lambda_min_K=lam_min_K, delta1_opnorm=delta1,
                                psi_gram_deviation=psi_dev, B_l=B_l,
                                meaningful=n >= B_l)

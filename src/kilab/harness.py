@@ -37,7 +37,7 @@ CSV_COLUMNS = [
     "runtime_ms", "error",
 ]
 
-N_CAP = 8000   # largest n a cell may have: K and its inverse must fit in memory
+N_CAP = 8000   # largest n a cell may have: its one n x n buffer must fit in memory
 
 
 def _is_int(value) -> bool:

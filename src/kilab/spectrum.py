@@ -182,10 +182,10 @@ def tail_sums(spectrum: Spectrum, l: int) -> TailSums:
     return TailSums(kappa1=kappa1, kappa2=kappa2)
 
 
-def assemble_kernel_matrix(spec: KernelSpec, G: np.ndarray) -> np.ndarray:
-    """K = Phi(G) for a Gram matrix G = X X^T, with Phi(1) on the diagonal;
-    exactly symmetric when G is (SpherePoints.gram forms X X^T as one
-    symmetric product, so no symmetrizing copy). G is left unchanged."""
-    K = eval_phi(spec, G)
+def assemble_kernel_matrix(spec: KernelSpec, G: np.ndarray, out=None) -> np.ndarray:
+    """K = Phi(G) for a Gram matrix G = X X^T, with Phi(1) on the diagonal, in
+    `out` when given (out may be G); exactly symmetric when G is, with no
+    symmetrizing copy (SpherePoints.gram forms X X^T as one product)."""
+    K = eval_phi(spec, G, out=out)
     np.fill_diagonal(K, float(eval_phi(spec, 1.0)))
     return K

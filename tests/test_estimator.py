@@ -1,6 +1,9 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, cho_solve, eigvalsh
+from scipy.linalg import eigvalsh
 
 from kilab import (Dataset, NumericalError, SeedPath, SpherePoints, UsageError,
                    assemble_kernel_matrix, build_target, compute_spectrum,
@@ -13,6 +16,11 @@ from kilab.seeding import TAG_AXIS, TAG_MC
 from kilab.zonal import BLOCK_DOUBLES
 
 SEED = SeedPath(31337)
+
+
+def _kernel_matrix(model):
+    """Test-only oracle: K assembled afresh from the training points."""
+    return assemble_kernel_matrix(model.spectrum.spec, model.dataset.points.gram())
 
 
 def _cell(d=8, gamma=1.5, s=0.5, sigma2=1.0, n=None, seed_label=0):
@@ -89,7 +97,7 @@ def _trace_variance_split(model, l):
     """Independent oracle: sigma^2 tr(K^-1 M K^-1), split at degree l.
 
     M and M_{<=l} are assembled as explicit n x n matrices and each trace
-    takes two solves against the factor, the route variance_split replaces.
+    takes two dense LU solves against a freshly assembled K.
     """
     sp = model.spectrum
     G = model.dataset.points.gram()
@@ -97,9 +105,11 @@ def _trace_variance_split(model, l):
     M = zonal_series(sp.d, coef, G)
     M_low = zonal_series(sp.d, coef[: l + 1], G)
 
+    K = _kernel_matrix(model)
+
     def trace_quad(mat):
-        w = cho_solve(model.cho, mat)
-        return float(np.trace(cho_solve(model.cho, w.T)))
+        w = np.linalg.solve(K, mat)
+        return float(np.trace(np.linalg.solve(K, w.T)))
 
     sigma2 = model.dataset.sigma2
     return sigma2 * trace_quad(M_low), sigma2 * trace_quad(M - M_low)
@@ -165,17 +175,17 @@ def test_blocked_degree_sums_match_full_matrix_oracle(d, n):
     noiseless = fit(Dataset(points=ds.points, y=ds.clean, clean=ds.clean,
                             sigma2=0.0), sp)
     inner, quad_noiseless = noiseless.degree_sums
-    assert not inner.any() and "K_inv" not in noiseless.__dict__
+    assert not inner.any() and noiseless.K_inv is None
     assert np.array_equal(quad_noiseless, model.degree_sums[1])
 
 
 def test_mc_variance_matches_two_solve_oracle():
     model, target, seed = _cell(d=12, gamma=1.75)
     mc = mc_errors(model, target, 500, seed.child(TAG_MC))
-    # the route K_inv replaced: two triangular solves with m right-hand sides
+    # a dense LU solve with m right-hand sides against a freshly assembled K
     test = sample_sphere(target.d, 500, seed.child(TAG_MC))
     kx = eval_phi(model.spectrum.spec, test.gram(model.dataset.points))
-    s = cho_solve(model.cho, kx.T)
+    s = np.linalg.solve(_kernel_matrix(model), kx.T)
     samples = model.dataset.sigma2 * np.sum(s * s, axis=0)
     assert mc.var == pytest.approx(samples.mean(), rel=1e-10)
     assert mc.var_se == pytest.approx(samples.std(ddof=1) / np.sqrt(500), rel=1e-10)
@@ -194,8 +204,8 @@ def test_panelled_mc_and_predict_match_dense_formulas(sigma2):
     test = sample_sphere(target.d, m, seed.child(TAG_MC))
     kx = eval_phi(model.spectrum.spec, test.gram(model.dataset.points))
     bias = (kx @ model.alpha_clean - eval_target(target, test)) ** 2
-    s = model.K_inv @ kx.T
-    var = sigma2 * np.sum(np.square(s, out=s), axis=0)
+    var = (sigma2 * np.sum(np.square(model.K_inv @ kx.T), axis=0) if sigma2
+           else np.zeros(m))
     dense = (bias.mean(), bias.std(ddof=1) / np.sqrt(m),
              var.mean(), var.std(ddof=1) / np.sqrt(m))
     got = (mc.bias_sq, mc.bias_sq_se, mc.var, mc.var_se)
@@ -206,44 +216,43 @@ def test_panelled_mc_and_predict_match_dense_formulas(sigma2):
 
 
 def test_k_inv_formed_only_when_used():
+    # only the variance oracles read K^-1, so a noiseless fit never forms it
     model, target, _ = _cell(d=12, sigma2=0.0)
-    evaluate_cell(model, target, mc_test_points=0)
-    assert "K_inv" not in model.__dict__
+    assert model.K_inv is None
+    evaluate_cell(model, target, mc_test_points=500, mc_seed=SEED.child(8))
     noisy, _, _ = _cell(d=12)
-    variance_split(noisy, 1)
-    assert "K_inv" in noisy.__dict__
+    assert noisy.K_inv is not None
 
 
 @pytest.mark.parametrize("n", [40, estimator.MIRROR_BLOCK + 45])
 def test_k_inv_matches_two_solve_route_and_is_symmetric(n):
-    # potri on the factor, then the lower triangle mirrored block by block
+    # potri on the factor, then the lower triangle mirrored block by block;
+    # the reference is a dense LU solve against a freshly assembled K
     model, _, _ = _cell(d=12, n=n)
-    ref = cho_solve(model.cho, np.eye(n))
+    ref = np.linalg.solve(_kernel_matrix(model), np.eye(n))
     K_inv = model.K_inv
     assert np.linalg.norm(K_inv - ref) <= 1e-12 * np.linalg.norm(ref)
     assert np.array_equal(K_inv, K_inv.T)
 
 
 def test_k_inv_potri_failure_raises(monkeypatch):
-    model, _, _ = _cell(d=12)
-    monkeypatch.setattr(estimator, "dpotri",
-                        lambda c, lower: (np.empty_like(c), 3))
+    ds, sp = _forced_fit(monkeypatch, 0)
+    monkeypatch.setattr(estimator, "dpotri", lambda c, **kwargs: (c, 3))
     with pytest.raises(NumericalError, match="info=3"):
-        model.K_inv
+        fit(ds, sp)
 
 
 def _forced_fit(monkeypatch, failures):
-    """A d = 12 cell whose first `failures` factorizations raise."""
-    real = estimator.cho_factor
+    """A d = 12 cell whose first `failures` factorizations report failure."""
+    real = estimator.dpotrf
     calls = []
 
-    def cho_factor_failing(*args, **kwargs):
+    def dpotrf_failing(*args, **kwargs):
         calls.append(1)
-        if len(calls) <= failures:
-            raise LinAlgError("forced")
-        return real(*args, **kwargs)
+        c, info = real(*args, **kwargs)
+        return c, ((info or 5) if len(calls) <= failures else info)
 
-    monkeypatch.setattr(estimator, "cho_factor", cho_factor_failing)
+    monkeypatch.setattr(estimator, "dpotrf", dpotrf_failing)
     sp = compute_spectrum(kernel_by_id("exp"), 12)
     seed = SeedPath(31337, (12, 0))
     ds = make_dataset(build_target(sp, 0.5, 1.5, seed.child(TAG_AXIS)), 42, 1.0, seed)
@@ -263,6 +272,40 @@ def test_fit_factorization_failure_messages(monkeypatch):
     ds, sp = _forced_fit(monkeypatch, 1)
     with pytest.raises(NumericalError, match="not positive definite"):
         fit(ds, sp)
+
+
+def test_fit_failure_reports_lambda_min_of_the_assembled_k(monkeypatch):
+    # the buffer is half-factored when potrf fails, so lambda_min must come
+    # from a K assembled afresh, not from what is left in the buffer
+    ds, sp = _forced_fit(monkeypatch, 1)
+    with pytest.raises(NumericalError) as err:
+        fit(ds, sp)
+    reported = float(str(err.value).split("lambda_min = ")[1].rstrip(")"))
+    K = assemble_kernel_matrix(sp.spec, ds.points.gram())
+    assert reported == pytest.approx(eigvalsh(K, subset_by_index=(0, 0))[0],
+                                     rel=1e-12)
+
+
+def _arrays(obj):
+    """Every ndarray reachable through obj's dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, field.name))
+
+
+@pytest.mark.parametrize("sigma2, count", [(1.0, 1), (0.0, 0)])
+def test_fitted_model_holds_one_n_by_n_array_only_when_noisy(sigma2, count):
+    # K^-1 is the buffer that held G, K and the factor; a noiseless fit keeps
+    # no array of n^2 doubles at all
+    model, _, _ = _cell(d=12, sigma2=sigma2)
+    n = model.n
+    big = [a for a in _arrays(model) if a.size >= n * n]
+    assert len(big) == count
+    if count:
+        assert big[0] is model.K_inv and big[0].shape == (n, n)
+        assert np.array_equal(model.K_inv, model.K_inv.T)
 
 
 def test_fit_rejects_a_non_finite_solve(monkeypatch):
@@ -352,9 +395,10 @@ def test_concentration_report_matches_dense_oracle(gamma):
     # test-only oracle: K rebuilt from the points, eigensolves on copies
     model, target, _ = _cell(d=12, gamma=gamma)
     sp, l, n = model.spectrum, target.l, model.n
-    G_before = model.G.copy()
+    K_inv_before, alpha_before = model.K_inv.copy(), model.alpha.copy()
     rep = concentration_report(model, l)
-    assert np.array_equal(model.G, G_before)
+    assert np.array_equal(model.K_inv, K_inv_before)
+    assert np.array_equal(model.alpha, alpha_before)
 
     G = model.dataset.points.gram()
     K = assemble_kernel_matrix(sp.spec, G)
@@ -367,6 +411,22 @@ def test_concentration_report_matches_dense_oracle(gamma):
     assert rep.lambda_min_K == pytest.approx(lam_min, rel=1e-12)
     assert rep.delta1_opnorm == pytest.approx(delta1, rel=1e-12)
     assert rep.psi_gram_deviation == pytest.approx(psi_dev, rel=1e-12)
+
+
+def test_concentration_report_peak_memory_beside_k_inv():
+    # K^-1 plus at most two n x n arrays of the report's own (G, then K
+    # beside K's degree > l part), everything else below one panel of
+    # PANEL_ROWS x n doubles (measured 3.15 n^2 here)
+    tracemalloc.start()
+    try:
+        model, target, _ = _cell(d=16, gamma=2.0, n=800)
+        rep = concentration_report(model, target.l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = model.n
+    assert model.K_inv is not None and rep.lambda_min_K > 0
+    assert peak <= 8 * (3 * n * n + estimator.PANEL_ROWS * n)
 
 
 def test_concentration_flags_small_n():

@@ -214,11 +214,12 @@ def test_run_cell_makes_one_degree_pass_over_g(monkeypatch, sigma2,
     assert shapes.count((n, n)) == 1
 
 
-def test_run_cell_peak_memory_is_three_n_squared_plus_panels():
-    # G, the Cholesky factor and K^-1 are the only n x n arrays; everything
-    # else is at most c row panels of PANEL_ROWS x n doubles. c = 3 covers the
-    # cross-kernel and K^-1 k(X, x) panels of the Monte Carlo check with one
-    # panel to spare (measured 4.25 n^2 here, 3 n^2 + 2.2 panels).
+def test_run_cell_peak_memory_is_one_n_squared_plus_panels():
+    # one n x n buffer holds G, K, the Cholesky factor and then K^-1;
+    # everything else is at most c row panels of PANEL_ROWS x n doubles.
+    # c = 3 covers the degree pass's G and S panels and the Monte Carlo
+    # check's cross-kernel and K^-1 k(X, x) panels with room to spare
+    # (measured 2.24 n^2 here, n^2 + 2.2 panels)
     cfg = ExperimentConfig(kernel="exp", gamma=2.0, s=0.5, d_list=(32,),
                            sigma2=1.0, mc_test_points=2000)
     spectrum = compute_spectrum(cfg.kernel_spec(), 32)
@@ -232,7 +233,7 @@ def test_run_cell_peak_memory_is_three_n_squared_plus_panels():
         tracemalloc.stop()
     assert row["error"] == ""
     c = 3
-    assert peak <= 8 * (3 * n * n + c * estimator.PANEL_ROWS * n)
+    assert peak <= 8 * (n * n + c * estimator.PANEL_ROWS * n)
 
 
 def test_spectra_and_cells_run_at_d_from_512():
