@@ -14,11 +14,11 @@ from .estimator import (BiasReport, ErrorReport, FittedInterpolant, McErrors,
                         ConcentrationReport, concentration_report,
                         evaluate_cell, exact_bias_by_degree, fit, mc_errors,
                         predict, variance_split)
-from .rates import (PhasePoint, SlopeFit, bias_exponent, classify, fit_slope,
-                    gamma_threshold, minimax_exponent, total_exponent,
-                    var_exponent)
+from .rates import (PhasePoint, SlopeFit, band, bias_exponent, classify,
+                    fit_slope, gamma_threshold, minimax_exponent,
+                    total_exponent, var_exponent)
 from .harness import (ExperimentConfig, analyze, phase_grid, read_rows,
-                      run_cell, run_sweep, write_phase_grid, write_rows)
+                      run_cell, run_sweep, write_rows)
 from .verify import run_verify
 
 __version__ = "0.1.0"

@@ -14,8 +14,8 @@ import statistics
 import sys
 
 from .errors import NumericalError, UsageError
-from .harness import (ExperimentConfig, analyze, phase_grid, run_sweep,
-                      write_phase_grid, write_rows)
+from .harness import (PHASE_COLUMNS, ExperimentConfig, analyze, phase_grid,
+                      run_sweep, write_rows)
 from .spectrum import compute_spectrum, kernel_by_id
 from .verify import report_to_json, run_verify
 
@@ -47,7 +47,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_phase(args) -> int:
-    count = write_phase_grid(phase_grid(args.gamma, args.s), args.output)
+    count, _ = write_rows(phase_grid(args.gamma, args.s), args.output,
+                          columns=PHASE_COLUMNS)
     print(f"wrote {count} phase rows to {args.output}", file=sys.stderr)
     return EXIT_OK
 

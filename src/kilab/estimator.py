@@ -208,13 +208,10 @@ def variance_split(model: FittedInterpolant, l: int) -> tuple[float, float]:
 
     var_k = sigma^2 mu_k^2 N_k <S, P_k(G)> with S = K^-1 K^-T = K^-2, read
     from model.degree_sums; every var_k is nonnegative, so the split has no
-    cancellation. l = -1 puts everything in 'high'.
+    cancellation. l = -1 puts everything in 'high'; at sigma^2 = 0 both are 0.
     """
-    sigma2 = model.dataset.sigma2
-    if sigma2 == 0.0:
-        return 0.0, 0.0
     sp = model.spectrum
-    var_k = sigma2 * sp.mu**2 * sp.multiplicities * model.degree_sums[0]
+    var_k = model.dataset.sigma2 * sp.mu**2 * sp.multiplicities * model.degree_sums[0]
     return float(var_k[: l + 1].sum()), float(var_k[l + 1:].sum())
 
 
@@ -284,13 +281,13 @@ def mc_errors(model: FittedInterpolant, target: Target, m_test: int,
     if m_test < 100:
         raise UsageError(f"mc test points must be >= 100, got {m_test}")
     test = sample_sphere(target.d, m_test, seed)
-    sigma2 = model.dataset.sigma2
     fitted = np.empty(m_test)
-    norms = np.empty(m_test)           # ||K^-1 k(X, x)||^2 when sigma^2 > 0
-    s_buf = np.empty((model.n, min(PANEL_ROWS, m_test))) if sigma2 != 0.0 else None
+    norms = np.zeros(m_test)   # ||K^-1 k(X, x)||^2; stays 0 when sigma^2 = 0
+    if model.K_inv is not None:
+        s_buf = np.empty((model.n, min(PANEL_ROWS, m_test)))
     for rows, kx in _cross_kernel_panels(model, test):
         fitted[rows] = kx @ model.alpha_clean
-        if s_buf is not None:
+        if model.K_inv is not None:
             # K^-1 k(X, x) for the panel's points, one column each
             s = np.matmul(model.K_inv, kx.T, out=s_buf[:, : len(kx)])
             norms[rows] = np.sum(np.square(s, out=s), axis=0)
@@ -298,10 +295,8 @@ def mc_errors(model: FittedInterpolant, target: Target, m_test: int,
     def mean_se(samples: np.ndarray) -> tuple[float, float]:
         return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(m_test))
 
-    bias_sq, bias_se = mean_se((fitted - eval_target(target, test)) ** 2)
-    if sigma2 == 0.0:
-        return McErrors(bias_sq, bias_se, 0.0, 0.0)
-    return McErrors(bias_sq, bias_se, *mean_se(sigma2 * norms))
+    return McErrors(*mean_se((fitted - eval_target(target, test)) ** 2),
+                    *mean_se(model.dataset.sigma2 * norms))
 
 
 @dataclass(frozen=True)
@@ -385,8 +380,7 @@ def evaluate_cell(model: FittedInterpolant, target: Target,
         mc = mc_errors(model, target, mc_test_points, mc_seed)
         bias_mc, bias_se, var_mc, var_se = mc.bias_sq, mc.bias_sq_se, mc.var, mc.var_se
         bias_ok = abs(bias.total - bias_mc) <= 4.0 * bias_se + 1e-12
-        var_ok = (model.dataset.sigma2 == 0.0
-                  or abs(var_exact - var_mc) <= 4.0 * var_se + 1e-12)
+        var_ok = abs(var_exact - var_mc) <= 4.0 * var_se + 1e-12
         mc_ok = bool(bias_ok and var_ok)
 
     return ErrorReport(

@@ -208,24 +208,27 @@ def _pool_map(args: list, workers: int) -> Iterator[dict]:
 
 
 def _format_cell(value) -> str:
+    """The one CSV encoding: None is empty, bools are true/false and every
+    float (numpy scalars too) is repr(float(value)), so inf is "inf"."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 
-def write_rows(rows: Iterator[dict], path: str) -> tuple[int, int]:
+def write_rows(rows: Iterator[dict], path: str,
+               columns: list[str] = CSV_COLUMNS) -> tuple[int, int]:
     """Stream rows to CSV, flushing incrementally; returns (rows, failures)."""
     total = failed = 0
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(columns)
         f.flush()
         for row in rows:
-            writer.writerow([_format_cell(row.get(c)) for c in CSV_COLUMNS])
+            writer.writerow([_format_cell(row.get(c)) for c in columns])
             f.flush()
             total += 1
             if row.get("error"):
@@ -287,8 +290,13 @@ def _parse_range(text: str) -> np.ndarray:
     return start + step * np.arange(count)
 
 
+PHASE_COLUMNS = ["gamma", "s", "l", "Gamma_gamma", "var_exp", "bias_exp",
+                 "total_exp", "minimax_exp", "classification"]
+
+
 def phase_grid(gamma_range: str, s_range: str) -> Iterator[dict]:
-    """Classified (gamma, s) grid rows; integer-gamma lines always included."""
+    """Classified (gamma, s) grid rows keyed by PHASE_COLUMNS, for
+    write_rows; integer-gamma lines always included."""
     gammas = [g for g in _parse_range(gamma_range) if g > 0]
     if not gammas:
         raise UsageError("gamma range contains no positive values")
@@ -302,25 +310,8 @@ def phase_grid(gamma_range: str, s_range: str) -> Iterator[dict]:
             p = classify(s, g)
             yield {
                 "gamma": p.gamma, "s": p.s, "l": p.l,
-                "Gamma_gamma": "inf" if math.isinf(p.Gamma_gamma) else p.Gamma_gamma,
-                "var_exp": p.var_exponent,
-                "bias_exp": "" if p.bias_exponent is None else p.bias_exponent,
-                "total_exp": p.total_exponent,
-                "minimax_exp": "" if p.minimax_exponent is None else p.minimax_exponent,
+                "Gamma_gamma": p.Gamma_gamma, "var_exp": p.var_exponent,
+                "bias_exp": p.bias_exponent, "total_exp": p.total_exponent,
+                "minimax_exp": p.minimax_exponent,
                 "classification": p.classification,
             }
-
-
-PHASE_COLUMNS = ["gamma", "s", "l", "Gamma_gamma", "var_exp", "bias_exp",
-                 "total_exp", "minimax_exp", "classification"]
-
-
-def write_phase_grid(rows: Iterator[dict], path: str) -> int:
-    count = 0
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(PHASE_COLUMNS)
-        for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in PHASE_COLUMNS])
-            count += 1
-    return count

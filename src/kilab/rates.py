@@ -1,7 +1,7 @@
 """Closed-form convergence-rate exponents and the (s, gamma) phase diagram.
 
-With n ~ d^gamma and l = floor(gamma), the interpolant's error exponents
-in d are
+With n ~ d^gamma and l = band(gamma) (floor(gamma), or gamma itself when
+it is an integer), the interpolant's error exponents in d are
 
     variance: max(l - gamma, gamma - l - 1)            (0 at integer gamma)
     bias^2:   max(-(l+1) s, (2 - min(s,2)) l - 2 gamma)  (non-integer gamma)
@@ -22,58 +22,51 @@ import numpy as np
 
 from .errors import UsageError
 
-_INT_EPS = 1e-12
 
-
-def _is_integer(gamma: float) -> bool:
-    return abs(gamma - round(gamma)) < _INT_EPS and round(gamma) >= 1
+def band(gamma: float) -> tuple[int, bool]:
+    """The band l of gamma and whether gamma counts as an integer: within
+    1e-12 of an integer >= 1, l is that integer, otherwise floor(gamma)."""
+    if not 0 < gamma < math.inf:
+        raise UsageError(f"gamma must be positive and finite, got {gamma}")
+    nearest = round(gamma)
+    if nearest >= 1 and abs(gamma - nearest) < 1e-12:
+        return nearest, True
+    return math.floor(gamma), False
 
 
 def var_exponent(gamma: float) -> float:
     """Exponent of the variance in d: max(l - gamma, gamma - l - 1)."""
-    if gamma <= 0:
-        raise UsageError(f"gamma must be positive, got {gamma}")
-    if _is_integer(gamma):
-        return 0.0
-    l = math.floor(gamma)
-    return max(l - gamma, gamma - l - 1.0)
+    l, integer = band(gamma)
+    return 0.0 if integer else max(l - gamma, gamma - l - 1.0)
 
 
 def bias_exponent(s: float, gamma: float) -> float | None:
     """Exponent of the squared bias; None at integer gamma (excluded case)."""
-    if gamma <= 0:
-        raise UsageError(f"gamma must be positive, got {gamma}")
+    l, integer = band(gamma)
     if s < 0:
         raise UsageError(f"s must be >= 0, got {s}")
-    if _is_integer(gamma):
+    if integer:
         return None
-    l = math.floor(gamma)
-    s_tilde = min(s, 2.0)
-    return max(-(l + 1) * s, (2.0 - s_tilde) * l - 2.0 * gamma)
+    return max(-(l + 1) * s, (2.0 - min(s, 2.0)) * l - 2.0 * gamma)
 
 
 def total_exponent(s: float, gamma: float) -> float:
     """Exponent of the generalization error: variance terms plus -(l+1)s."""
-    if gamma <= 0:
-        raise UsageError(f"gamma must be positive, got {gamma}")
+    l, _ = band(gamma)
     if s < 0:
         raise UsageError(f"s must be >= 0, got {s}")
-    l = math.floor(gamma) if not _is_integer(gamma) else round(gamma)
     return max(l - gamma, gamma - l - 1.0, -(l + 1) * s)
 
 
 def gamma_threshold(gamma: float) -> float:
     """The optimality threshold Gamma(gamma); +inf on (0, 0.5]."""
-    if gamma <= 0:
-        raise UsageError(f"gamma must be positive, got {gamma}")
+    l, integer = band(gamma)
     if gamma <= 0.5:
         return math.inf
     if gamma <= 1.0:
         return 1.0 - gamma
-    l = math.floor(gamma)
-    if _is_integer(gamma):
-        l = round(gamma) - 1   # gamma = l+1 lands in the (l+0.5, l+1] branch
-        return (l + 1 - gamma) / (l + 1)
+    if integer:
+        l -= 1   # gamma = l+1 lands in the (l+0.5, l+1] branch
     if gamma <= l + 0.5:
         return (gamma - l) / l
     return (l + 1 - gamma) / (l + 1)
@@ -87,9 +80,7 @@ def minimax_exponent(s: float, gamma: float) -> float:
     """
     if s <= 0:
         raise UsageError("minimax exponent requires s > 0")
-    if gamma <= 0:
-        raise UsageError(f"gamma must be positive, got {gamma}")
-    if _is_integer(gamma):
+    if band(gamma)[1]:
         raise UsageError("minimax exponent is not defined at integer gamma")
     p = math.ceil(gamma / (1.0 + s)) - 1
     if gamma <= p * (1.0 + s) + s:
@@ -114,30 +105,23 @@ class PhasePoint:
 
 
 def classify(s: float, gamma: float) -> PhasePoint:
-    """Classification precedence: inconsistent > optimal (s <= Gamma) > sub-optimal."""
-    if gamma <= 0:
-        raise UsageError(f"gamma must be positive, got {gamma}")
-    if s < 0:
-        raise UsageError(f"s must be >= 0, got {s}")
-    integer_gamma = _is_integer(gamma)
-    l = round(gamma) if integer_gamma else math.floor(gamma)
+    """Classification precedence: inconsistent > optimal (s <= Gamma) > sub-optimal.
+    A bad gamma or s raises UsageError from band or bias_exponent."""
+    l, integer = band(gamma)
     thr = gamma_threshold(gamma)
-    if s == 0 or integer_gamma:
+    if s == 0 or integer:
         label = "inconsistent"
     elif s <= thr:
         label = "optimal"
     else:
         label = "sub-optimal"
-    mm = None
-    if s > 0 and not integer_gamma:
-        mm = minimax_exponent(s, gamma)
     return PhasePoint(
         gamma=float(gamma), s=float(s), l=l, s_tilde=min(s, 2.0),
         var_exponent=var_exponent(gamma),
         bias_exponent=bias_exponent(s, gamma),
         total_exponent=total_exponent(s, gamma),
         Gamma_gamma=thr,
-        minimax_exponent=mm,
+        minimax_exponent=minimax_exponent(s, gamma) if s > 0 and not integer else None,
         classification=label,
     )
 

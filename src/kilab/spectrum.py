@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .zonal import ZonalBasis, clip_unit, multiplicities, zonal_projections
+from .zonal import (ZonalBasis, clip_unit, multiplicities, row_blocks,
+                    zonal_projections)
 
 K_MAX_CAP = 64
 TRACE_TOL = 1e-10   # k_max is the first degree whose trace residual is below this
@@ -73,13 +74,16 @@ def eval_phi(spec: KernelSpec, t, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty_like(t_arr)
     if spec.phi is not None:
         spec.phi(t_arr, out)
-    else:
-        if np.may_share_memory(out, t_arr):
-            t_arr = t_arr.copy()
-        out[...] = 0.0
-        for a_j in reversed(spec.coefficients):
-            out *= t_arr
-            out += a_j
+    else:   # Horner by row blocks: out may be t, so each block of t is
+            # copied, and freed before the next block is copied
+        t_rows, out_rows = np.atleast_1d(t_arr), np.atleast_1d(out)
+        for rows in row_blocks(t_rows):
+            t_b, out_b = t_rows[rows].copy(), out_rows[rows]
+            out_b[...] = 0.0
+            for a_j in reversed(spec.coefficients):
+                out_b *= t_b
+                out_b += a_j
+            del t_b
     return out if np.ndim(t) else float(out)
 
 

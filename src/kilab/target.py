@@ -1,6 +1,6 @@
 """Band-limited zonal targets satisfying the source condition, and datasets.
 
-A target with smoothness exponent s and scale gamma (l = floor(gamma))
+A target with smoothness exponent s and scale gamma (l = rates.band(gamma))
 places all its energy on degrees 0..l+1 along a single random axis w:
 
     f*(x) = sum_{k<=l+1} beta_k sqrt(N(d,k)) P_kd(<x, w>),
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
+from .rates import band
 from .seeding import SeedPath, SpherePoints, sample_noise, sample_sphere, TAG_POINTS, TAG_NOISE
 from .spectrum import Spectrum
 from .zonal import zonal_series
@@ -66,9 +67,7 @@ def build_target(spectrum: Spectrum, s: float, gamma: float, seed: SeedPath) -> 
     """Construct the equal-energy band-limited target for (s, gamma)."""
     if s < 0:
         raise UsageError(f"source exponent must be >= 0, got {s}")
-    if gamma <= 0:
-        raise UsageError(f"gamma must be positive, got {gamma}")
-    l = math.floor(gamma)
+    l, _ = band(gamma)
     if l + 1 > spectrum.k_max:
         raise UsageError(
             f"target band l+1={l + 1} exceeds spectrum k_max={spectrum.k_max}: "

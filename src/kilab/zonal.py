@@ -33,19 +33,26 @@ import numpy as np
 
 from .errors import NumericalError, UsageError
 
-# A recurrence row block holds at most this many doubles (128 KiB), so it and
-# its three buffers stay in L2 cache; the split depends only on t's shape.
+# A recurrence (or Horner) row block holds at most this many doubles
+# (128 KiB), so it and its three buffers stay in L2 cache.
 BLOCK_DOUBLES = 16384
 
 
 def clip_unit(t, what: str) -> np.ndarray:
     """t as floats in [-1, 1]: overshoot up to 1e-12 is clipped, on a copy
-    made only then; anything further out raises UsageError."""
+    made only then; anything further out, or NaN, raises UsageError."""
     t = np.asarray(t, dtype=float)
     lo, hi = (t.min(), t.max()) if t.size else (0.0, 0.0)
-    if lo < -1 - 1e-12 or hi > 1 + 1e-12:
+    if not (lo >= -1 - 1e-12 and hi <= 1 + 1e-12):   # NaN fails both
         raise UsageError(f"{what} argument outside [-1, 1]")
     return np.clip(t, -1.0, 1.0) if lo < -1.0 or hi > 1.0 else t
+
+
+def row_blocks(t: np.ndarray) -> Iterator[slice]:
+    """Slices of t's leading axis, each at most BLOCK_DOUBLES values (but at
+    least one row); the split depends only on t's shape."""
+    step = max(1, BLOCK_DOUBLES * len(t) // max(t.size, 1))
+    return (slice(start, start + step) for start in range(0, len(t), step))
 
 
 def multiplicity(d: int, k: int) -> int:
@@ -110,9 +117,7 @@ class ZonalBasis:
         """Yield (rows, iter_values(t[rows])) over blocks of leading-axis rows
         of t, each at most BLOCK_DOUBLES values (but at least one row)."""
         t = clip_unit(t, "zonal")
-        step = max(1, BLOCK_DOUBLES * len(t) // max(t.size, 1))
-        for start in range(0, len(t), step):
-            rows = slice(start, start + step)
+        for rows in row_blocks(t):
             yield rows, self._recurrence(t[rows])
 
     def _recurrence(self, t: np.ndarray) -> Iterator[np.ndarray]:

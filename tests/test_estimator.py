@@ -9,9 +9,9 @@ from kilab import (Dataset, NumericalError, SeedPath, SpherePoints, UsageError,
                    assemble_kernel_matrix, build_target, compute_spectrum,
                    concentration_report, estimator, evaluate_cell,
                    eval_target, exact_bias_by_degree, eval_phi, fit,
-                   kernel_by_id, make_dataset, mc_errors, multiplicity,
-                   predict, sample_sphere, tail_sums, variance_split,
-                   zonal_series)
+                   kernel_by_id, kernel_from_coefficients, make_dataset,
+                   mc_errors, multiplicity, predict, sample_sphere, tail_sums,
+                   variance_split, zonal_series)
 from kilab.seeding import TAG_AXIS, TAG_MC
 from kilab.zonal import BLOCK_DOUBLES
 
@@ -306,6 +306,26 @@ def test_fitted_model_holds_one_n_by_n_array_only_when_noisy(sigma2, count):
     if count:
         assert big[0] is model.K_inv and big[0].shape == (n, n)
         assert np.array_equal(model.K_inv, model.K_inv.T)
+
+
+def test_custom_kernel_fit_holds_one_n_by_n_buffer():
+    # Horner's rule evaluates Phi over G in place by row blocks, copying one
+    # block of G at a time, so a custom kernel fits in the one buffer as exp
+    # does (a whole copy of G would read 2.0 n^2)
+    spec = kernel_from_coefficients([0.5 ** (j + 1) for j in range(30)])
+    sp = compute_spectrum(spec, 24)
+    seed = SeedPath(31337, (24, 0))
+    target = build_target(sp, 1.0, 2.0, seed.child(TAG_AXIS))
+    ds = make_dataset(target, 576, 0.0, seed)
+    tracemalloc.start()
+    try:
+        model = fit(ds, sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = model.n
+    assert model.K_inv is None
+    assert peak <= 1.1 * 8 * n * n
 
 
 def test_fit_rejects_a_non_finite_solve(monkeypatch):

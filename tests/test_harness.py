@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from kilab import (ExperimentConfig, SpherePoints, UsageError, analyze,
-                   compute_spectrum, phase_grid, read_rows, run_cell, run_sweep,
-                   write_rows)
+                   classify, compute_spectrum, phase_grid, read_rows, run_cell,
+                   run_sweep, write_rows)
 from kilab import estimator, evaluate_cell, harness
 from kilab.cli import main as cli_main
 from kilab.errors import NumericalError
-from kilab.harness import CSV_COLUMNS, _parse_range
+from kilab.harness import CSV_COLUMNS, PHASE_COLUMNS, _parse_range
 from kilab.seeding import TAG_MC
 from kilab.zonal import ZonalBasis
 
@@ -354,9 +354,11 @@ def test_parse_range():
         _parse_range("0.5:nan:0.25")
 
 
-def test_phase_grid_spot_checks():
-    rows = {(r["gamma"], r["s"]): r
-            for r in phase_grid("0.4:2.4:0.1", "0.0:2.0:0.5")}
+def test_phase_grid_spot_checks(tmp_path):
+    path = str(tmp_path / "phase.csv")
+    write_rows(phase_grid("0.4:2.4:0.1", "0.0:2.0:0.5"), path,
+               columns=PHASE_COLUMNS)
+    rows = {(float(r["gamma"]), float(r["s"])): r for r in read_rows(path)}
     def lookup(g, s):
         for (gg, ss), r in rows.items():
             if abs(gg - g) < 1e-9 and abs(ss - s) < 1e-9:
@@ -476,6 +478,31 @@ def test_cli_phase(tmp_path):
         "optimal", "sub-optimal", "inconsistent"}
     assert cli_main(["phase", "--gamma", "bad", "--s", "1:1:1",
                      "-o", out]) == 1
+
+
+def test_cli_phase_cells_are_plain_numbers(tmp_path):
+    # gamma and s come from numpy ranges, so every exponent is a numpy
+    # scalar until the CSV encoder writes it
+    out = str(tmp_path / "phase.csv")
+    assert cli_main(["phase", "--gamma", "0.05:4:0.05",
+                     "--s", "0:3:0.25", "-o", out]) == 0
+    with open(out) as f:
+        assert f.readline().strip() == ",".join(PHASE_COLUMNS)
+    rows = read_rows(out)
+    assert len(rows) == 80 * 13
+    for row in rows:
+        p = classify(float(row["s"]), float(row["gamma"]))
+        assert int(row["l"]) == p.l
+        assert row["classification"] == p.classification
+        for column, value in [("Gamma_gamma", p.Gamma_gamma),
+                              ("var_exp", p.var_exponent),
+                              ("bias_exp", p.bias_exponent),
+                              ("total_exp", p.total_exponent),
+                              ("minimax_exp", p.minimax_exponent)]:
+            if value is None:
+                assert row[column] == ""
+            else:
+                assert float(row[column]) == value, (column, row[column])
 
 
 def test_cli_run_and_fit(tmp_path, capsys):

@@ -3,9 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from kilab import (SeedPath, UsageError, bias_exponent, classify, fit_slope,
-                   gamma_threshold, minimax_exponent, total_exponent,
+from kilab import (SeedPath, UsageError, band, bias_exponent, classify,
+                   fit_slope, gamma_threshold, minimax_exponent, total_exponent,
                    var_exponent)
+
+
+def test_band():
+    assert band(1.5) == (1, False)
+    assert band(0.7) == (0, False)
+    assert band(2.0) == (2, True)
+    assert band(2 - 1e-13) == (2, True) and band(3 + 1e-13) == (3, True)
+    assert band(2 - 1e-11) == (1, False) and band(3 + 1e-11) == (3, False)
+    assert band(1e-13) == (0, False)   # 0 is not an integer gamma
+    assert band(np.float64(2.5)) == (2, False)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(UsageError):
+            band(bad)
 
 
 def test_var_exponent_values():

@@ -58,7 +58,8 @@ def _former_phi(spec, t):
                                   kernel_from_coefficients([0.3, 0.2, 0.1, 0.05])],
                          ids=lambda spec: spec.family_id)
 def test_eval_phi_matches_former_expressions(spec):
-    t = np.linspace(-1.0, 1.0, 301).reshape(7, 43)
+    # 300 x 100 spans two row blocks (163 and 137 rows) of Horner's rule
+    t = np.linspace(-1.0, 1.0, 30000).reshape(300, 100)
     expected = _former_phi(spec, t)
     assert np.array_equal(eval_phi(spec, t), expected)
     out = np.empty_like(t)
@@ -265,6 +266,11 @@ def test_eval_phi_clips_rounding_and_rejects_the_rest():
     assert eval_phi(spec, np.array([-1 - 1e-13]))[0] == eval_phi(spec, -1.0)
     with pytest.raises(UsageError):
         eval_phi(spec, 1 + 1e-11)
+    for spec in (spec, kernel_from_coefficients([0.3, 0.2])):   # NaN too
+        with pytest.raises(UsageError):
+            eval_phi(spec, np.nan)
+        with pytest.raises(UsageError):
+            eval_phi(spec, np.array([0.5, np.nan]))
 
 
 def test_kernel_matrix_min_eigenvalue_near_kappa1():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kilab import (SeedPath, SpherePoints, UsageError, build_target,
+from kilab import (SeedPath, SpherePoints, UsageError, build_target, classify,
                    compute_spectrum, eval_target, kernel_by_id, make_dataset,
                    multiplicity, quadrature, sample_sphere)
 from kilab.zonal import ZonalBasis
@@ -64,6 +64,14 @@ def test_band_exceeding_kmax_rejected():
     sp = _spectrum(8)
     with pytest.raises(UsageError):
         build_target(sp, 1.0, float(sp.k_max + 2), SEED.child(5))
+
+
+@pytest.mark.parametrize("gamma", [0.7, 1.5, 2.0, 2 - 1e-13, 2 + 1e-13,
+                                   3 - 1e-13, 3 + 1e-13, 3 - 1e-11])
+def test_target_band_is_the_theory_band(gamma):
+    # the target's band and classify's come from one rule (rates.band)
+    t = build_target(_spectrum(8), 1.0, gamma, SEED.child(6))
+    assert t.l == classify(1.0, gamma).l
 
 
 def test_eval_at_axis():

@@ -225,3 +225,9 @@ def test_clip_unit_copies_only_out_of_range_input():
     assert basis.eval_all(1 + 1e-13)[3] == basis.eval_all(1.0)[3]
     with pytest.raises(UsageError):
         basis.eval_all(1 + 1e-11)
+    # NaN compares False against both ends of [-1, 1]; it is rejected too
+    with pytest.raises(UsageError):
+        zonal_series(3, [1, 1], [np.nan])
+    with pytest.raises(UsageError):
+        clip_unit(np.array([0.0, np.nan, 0.5]), "zonal")
+
