@@ -2,6 +2,10 @@
 exact spectral bias/variance oracles and large-d convergence-rate checks.
 """
 
+# the bare package maps no BLAS; sweepbench/child.py reports its version
+# from sys.modules["scipy"]
+import scipy  # noqa: F401
+
 from .errors import KilabError, NumericalError, UsageError
 from .seeding import SeedPath, SpherePoints, sample_noise, sample_sphere
 from .zonal import (ZonalBasis, QuadratureRule, multiplicity, quadrature,

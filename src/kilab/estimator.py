@@ -20,7 +20,9 @@ of both quantities serve as independent cross-checks, never as truth.
 
 fit holds one n x n buffer: G = X X^T, then K = Phi(G), then K's Cholesky
 factor, each in place, then K^-1 over the factor (LAPACK potri) when
-sigma^2 > 0; with sigma^2 = 0 it is freed on return. One O(k_max n^2)
+sigma^2 > 0; with sigma^2 = 0 it is freed on return. Its LAPACK and BLAS
+calls run on numpy's own OpenBLAS (kilab._lapack); scipy.linalg is imported
+only by the lambda_min and concentration diagnostics. One O(k_max n^2)
 recurrence pass over row panels of G's lower triangle, rebuilt from the
 points (FittedInterpolant.degree_sums), yields <S, P_k(G)> for the variance
 and a^T P_k(G) a for the bias. G, S = K^-1 K^-T and the Monte Carlo
@@ -36,10 +38,8 @@ from functools import cached_property
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import cho_solve, eigvalsh
-from scipy.linalg.blas import dsymv
-from scipy.linalg.lapack import dpotrf, dpotri
 
+from ._lapack import cho_solve, dpotrf, dpotri, dsymv
 from .errors import NumericalError, UsageError
 from .seeding import SeedPath, SpherePoints, sample_sphere
 from .spectrum import Spectrum, assemble_kernel_matrix, eval_phi, tail_sums
@@ -129,6 +129,8 @@ def _mirror_lower(a: np.ndarray) -> None:
 def _lambda_min(spectrum: Spectrum, points: SpherePoints) -> float:
     """Smallest eigenvalue of K = Phi(G), assembled afresh from the points in
     one n x n array (K.T is a Fortran-order view LAPACK overwrites)."""
+    from scipy.linalg import eigvalsh    # error and diagnostic paths only
+
     K = points.gram()
     assemble_kernel_matrix(spectrum.spec, K, out=K)
     return float(eigvalsh(K.T, subset_by_index=(0, 0), overwrite_a=True)[0])
@@ -315,6 +317,8 @@ def concentration_report(model: FittedInterpolant, l: int) -> ConcentrationRepor
     points and makes three dense O(n^3) eigensolves (lambda_min(K), the
     degree > l part of K, and the low-degree harmonic Gram matrix / n),
     holding at most two n x n arrays of its own at once."""
+    from scipy.linalg import eigvalsh
+
     sp = model.spectrum
     if l >= sp.k_max:
         raise UsageError(f"l={l} must be below k_max={sp.k_max}")

@@ -12,6 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy >= 2 imports numpy.random on first use; every cell draws from it, so
+# load it with kilab rather than inside the first cell
+from numpy.random import Generator, SeedSequence, default_rng
 
 from .errors import UsageError
 
@@ -32,9 +35,9 @@ class SeedPath:
     def child(self, *labels: int) -> "SeedPath":
         return SeedPath(self.master_seed, self.path + tuple(int(x) for x in labels))
 
-    def rng(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
-        return np.random.default_rng(ss)
+    def rng(self) -> Generator:
+        ss = SeedSequence(self.master_seed, spawn_key=self.path)
+        return default_rng(ss)
 
 
 @dataclass(frozen=True)

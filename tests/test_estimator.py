@@ -12,7 +12,8 @@ from kilab import (Dataset, NumericalError, SeedPath, SpherePoints, UsageError,
                    kernel_by_id, kernel_from_coefficients, make_dataset,
                    mc_errors, multiplicity, predict, sample_sphere, tail_sums,
                    variance_split, zonal_series)
-from kilab.seeding import TAG_AXIS, TAG_MC
+from kilab.harness import ExperimentConfig, fit_cell
+from kilab.seeding import TAG_AXIS, TAG_MC, TAG_POINTS
 from kilab.zonal import BLOCK_DOUBLES
 
 SEED = SeedPath(31337)
@@ -24,11 +25,20 @@ def _kernel_matrix(model):
 
 
 def _cell(d=8, gamma=1.5, s=0.5, sigma2=1.0, n=None, seed_label=0):
-    sp = compute_spectrum(kernel_by_id("exp"), d)
-    seed = SeedPath(31337, (d, seed_label))
-    target = build_target(sp, s, gamma, seed.child(TAG_AXIS))
-    ds = make_dataset(target, n or round(d**gamma), sigma2, seed)
-    return fit(ds, sp), target, seed
+    """Cell (d, seed_label) of an exp-kernel sweep with master seed 31337,
+    built by the harness's cell recipe; n overrides round(d^gamma) through
+    n_coefficient. A sweep refuses cells below 4 points, so a smaller n
+    refits the first n points of the 4-point cell."""
+    config = ExperimentConfig(gamma=gamma, s=s, d_list=(d,), sigma2=sigma2,
+                              n_coefficient=1.0 if n is None else max(n, 4) / d**gamma,
+                              replicates=seed_label + 1, master_seed=31337)
+    sp = compute_spectrum(config.kernel_spec(), d)
+    target, model, seed = fit_cell(config, sp, d, seed_label)
+    if n is not None and n < 4:
+        ds = model.dataset
+        model = fit(Dataset(points=SpherePoints(d, ds.points.coordinates[:n]), y=ds.y[:n],
+                            clean=ds.clean[:n], sigma2=sigma2), sp)
+    return model, target, seed
 
 
 def test_single_point_dual_weight():
@@ -177,6 +187,23 @@ def test_blocked_degree_sums_match_full_matrix_oracle(d, n):
     inner, quad_noiseless = noiseless.degree_sums
     assert not inner.any() and noiseless.K_inv is None
     assert np.array_equal(quad_noiseless, model.degree_sums[1])
+
+
+def test_degree_pass_panels_match_the_gram_within_two_ulps():
+    # The degree pass rebuilds G by row panels. numpy sends X @ X.T to syrk
+    # but a panel X[p0:p1] @ X[:p1].T (p0 > 0) to gemm, so the two need not
+    # agree bit for bit: on the large-cell sweep's points (n = 2025, d = 45)
+    # 1400 entries of the last of four panels differ. Entries are inner
+    # products of unit vectors, so the gap is counted in ulps of 1.0: at most
+    # 1.25 was measured over 12 point sets at d = 40..46, at one and two BLAS
+    # threads.
+    points = sample_sphere(45, 2025, SeedPath(20240901, (45, 0)).child(TAG_POINTS))
+    X, G = points.coordinates, points.gram()
+    buf = np.empty((estimator.PANEL_ROWS, points.n))
+    for p0 in range(0, points.n, estimator.PANEL_ROWS):
+        p1 = min(p0 + estimator.PANEL_ROWS, points.n)
+        panel = estimator._gram_panel(X[p0:p1], X[:p1], buf)
+        assert np.max(np.abs(panel - G[p0:p1, :p1])) <= 2 * np.spacing(1.0)
 
 
 def test_mc_variance_matches_two_solve_oracle():

@@ -1,6 +1,11 @@
+import ctypes
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +217,29 @@ def test_run_cell_makes_one_degree_pass_over_g(monkeypatch, sigma2,
     assert row["error"] == ""
     n = cfg.n_for(6)
     assert shapes.count((n, n)) == 1
+
+
+def test_sweep_cells_reuse_freed_buffers():
+    # Each cell frees an n x n buffer and a G panel (256 KiB each at n = 181).
+    # With glibc's default thresholds, and nothing larger freed earlier,
+    # malloc returns them to the system and every cell faults them in again:
+    # 128 minor faults a cell. A fresh interpreter starts at those defaults.
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("needs glibc's mallopt")
+    code = """
+import resource
+from kilab import ExperimentConfig, run_sweep
+rows = run_sweep(ExperimentConfig(gamma=1.5, s=2.0, d_list=(32,), replicates=12,
+                                  sigma2=0.0, mc_test_points=0))
+next(rows)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+later = list(rows)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(later))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert float(out.stdout) < 10
 
 
 def test_run_cell_peak_memory_is_one_n_squared_plus_panels():

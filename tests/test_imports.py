@@ -1,6 +1,7 @@
-"""`import kilab` loads numpy and scipy.linalg only; every
-kilab process pays for its imports before the first cell runs. The BLAS
-those imports load runs at the thread count tests/conftest.py sets."""
+"""`import kilab` loads numpy and the bare scipy package only, and maps one
+OpenBLAS library, numpy's: every kilab process pays for its imports before
+the first cell runs. That BLAS runs at the thread count tests/conftest.py
+sets."""
 
 import ctypes
 import os
@@ -12,22 +13,42 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-HEAVY = ("scipy.stats", "scipy.optimize", "scipy.sparse", "scipy.spatial",
-         "scipy.interpolate", "scipy.ndimage", "scipy.integrate", "scipy.special")
+HEAVY = ("scipy.linalg", "scipy.stats", "scipy.optimize", "scipy.sparse",
+         "scipy.spatial", "scipy.interpolate", "scipy.ndimage", "scipy.integrate",
+         "scipy.special")
+
+
+def _fresh(code: str) -> str:
+    """Standard output of code run in a fresh interpreter after
+    `import kilab, kilab.cli`: other tests import scipy modules into this one."""
+    out = subprocess.run([sys.executable, "-c", "import kilab, kilab.cli, sys; " + code],
+                         env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, check=True)
+    return out.stdout
 
 
 def test_import_kilab_skips_heavy_scipy_modules():
-    # a fresh interpreter: other tests import scipy.stats into this one
-    code = ("import kilab, kilab.cli, sys; "
-            f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == []
+    assert _fresh(f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))").split() == []
+
+
+def test_import_kilab_loads_numpy_random():
+    # numpy >= 2 loads numpy.random on first use: without this the first
+    # cell of every sweep pays about 20 ms of imports
+    assert _fresh("print('numpy.random' in sys.modules)").split() == ["True"]
+
+
+def test_import_kilab_maps_one_openblas():
+    # fit's LAPACK calls run on numpy's OpenBLAS; scipy.linalg would map its own
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("needs /proc/self/maps")
+    libs = _fresh("print(*{line.split()[-1] for line in open('/proc/self/maps') "
+                  "if 'openblas' in line.split()[-1].lower()})").split()
+    assert len(libs) == 1, libs
 
 
 def _openblas_threads() -> dict:
     """Thread count of every OpenBLAS loaded into this process (numpy and
-    scipy each bundle one), read through its own C API."""
+    scipy.linalg each bundle one), read through its own C API."""
     maps = Path("/proc/self/maps")
     if not maps.exists():
         pytest.skip("needs /proc/self/maps")
@@ -46,7 +67,7 @@ def _openblas_threads() -> dict:
 
 
 def test_blas_runs_at_the_conftest_thread_count():
-    import kilab  # noqa: F401  (loads numpy's and scipy.linalg's OpenBLAS)
+    import kilab  # noqa: F401  (loads numpy's OpenBLAS)
 
     threads = _openblas_threads()
     if not threads:
