@@ -8,7 +8,6 @@ Exit codes: 0 ok, 1 usage/config error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import statistics
 import sys
@@ -24,23 +23,15 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
 
+SPECTRUM_COLUMNS = ["k", "mu_k", "N_dk", "mu_k_times_N"]
+
 
 def _cmd_spectrum(args) -> int:
-    spec = kernel_by_id(args.kernel)
-    sp = compute_spectrum(spec, args.d)
-    rows = [
-        (k, repr(float(sp.mu[k])), int(sp.multiplicities[k]),
-         repr(float(sp.mu[k] * sp.multiplicities[k])))
-        for k in range(sp.k_max + 1)
-    ]
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["k", "mu_k", "N_dk", "mu_k_times_N"])
-        writer.writerows(rows)
-    finally:
-        if args.output:
-            out.close()
+    sp = compute_spectrum(kernel_by_id(args.kernel), args.d)
+    rows = ({"k": k, "mu_k": sp.mu[k], "N_dk": int(sp.multiplicities[k]),
+             "mu_k_times_N": sp.mu[k] * sp.multiplicities[k]}
+            for k in range(sp.k_max + 1))
+    write_rows(rows, args.output, columns=SPECTRUM_COLUMNS)
     print(f"# kernel={args.kernel} d={args.d} k_max={sp.k_max} "
           f"trace_residual={sp.trace_residual:.3e}", file=sys.stderr)
     return EXIT_OK
@@ -144,7 +135,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:    # OSError: an unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

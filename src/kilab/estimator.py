@@ -19,15 +19,15 @@ where a = K^-1 f*(X) and p_k(w)_i = P_kd(<x_i, w>). Monte Carlo versions
 of both quantities serve as independent cross-checks, never as truth.
 
 fit holds one n x n buffer: G = X X^T, then K = Phi(G), then K's Cholesky
-factor, each in place, then K^-1 over the factor (LAPACK potri) when
-sigma^2 > 0; with sigma^2 = 0 it is freed on return. Its LAPACK and BLAS
-calls run on numpy's own OpenBLAS (kilab._lapack); scipy.linalg is imported
-only by the lambda_min and concentration diagnostics. One O(k_max n^2)
-recurrence pass over row panels of G's lower triangle, rebuilt from the
-points (FittedInterpolant.degree_sums), yields <S, P_k(G)> for the variance
-and a^T P_k(G) a for the bias. G, S = K^-1 K^-T and the Monte Carlo
-cross-kernel k(x, X) exist only as row panels of at most PANEL_ROWS rows,
-each in one reused buffer.
+factor, each in place, then K^-1 over the factor when sigma^2 > 0; with
+sigma^2 = 0 it is freed on return. kilab._lapack's potrf, potrs, symv and
+potri work on the buffer's Fortran-order view K.T, on numpy's own OpenBLAS;
+scipy.linalg is imported only by the lambda_min and concentration
+diagnostics. One O(k_max n^2) recurrence pass over row panels of G's lower
+triangle, rebuilt from the points (FittedInterpolant.degree_sums), yields
+<S, P_k(G)> for the variance and a^T P_k(G) a for the bias. G, S = K^-1 K^-T
+and the Monte Carlo cross-kernel k(x, X) exist only as row panels of at
+most PANEL_ROWS rows, each in one reused buffer.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._lapack import cho_solve, dpotrf, dpotri, dsymv
+from ._lapack import potrf, potri, potrs, symv
 from .errors import NumericalError, UsageError
 from .seeding import SeedPath, SpherePoints, sample_sphere
 from .spectrum import Spectrum, assemble_kernel_matrix, eval_phi, tail_sums
@@ -146,10 +146,10 @@ def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
     K = dataset.points.gram()
     assemble_kernel_matrix(spectrum.spec, K, out=K)
     # K.T is a Fortran-order view of the symmetric K, so LAPACK factors it in
-    # place: L goes over its lower triangle, and with clean=0 the strict upper
-    # one, which potrf never references, still holds K
-    c, info = dpotrf(K.T, lower=1, clean=0, overwrite_a=1)
-    if info != 0:
+    # place: L goes over its lower triangle, and the strict upper one, which
+    # potrf never references, still holds K
+    c = K.T
+    if potrf(c) != 0:
         del K, c    # half-factored: lambda_min comes from a fresh K
         lam_min = _lambda_min(spectrum, dataset.points)
         raise NumericalError(
@@ -159,11 +159,11 @@ def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
     def solve_refined(rhs: np.ndarray) -> np.ndarray:
         # a solve and one refinement sweep keep the 1e-10 residual contract;
         # K x is K's stored triangle times x, its diagonal put back. A NaN
-        # residual fails the test, so the solves skip re-scanning the factor
+        # residual fails the test, so potrs never scans the factor for NaN
         x, r = np.zeros_like(rhs), rhs
         for _ in range(2):
-            x += cho_solve((c, True), r, check_finite=False)
-            r = rhs - dsymv(1.0, c, x) - diag_fix * x
+            x += potrs(c, r)
+            r = rhs - symv(c, x) - diag_fix * x
         rel = float(np.linalg.norm(r)) / max(float(np.linalg.norm(rhs)), 1e-300)
         if not rel <= RESIDUAL_TOL:
             raise NumericalError(f"linear solve residual {rel:.3e} exceeds {RESIDUAL_TOL}")
@@ -172,7 +172,7 @@ def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
     alpha = solve_refined(dataset.y)
     alpha_clean = solve_refined(dataset.clean)
     if dataset.sigma2 > 0:    # K^-1 over the factor, both triangles
-        c, info = dpotri(c, lower=1, overwrite_c=1)
+        info = potri(c)
         if info != 0:
             raise NumericalError(f"LAPACK dpotri failed (info={info})")
         _mirror_lower(c)

@@ -8,13 +8,14 @@ count never change the output.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
 import json
 import math
+import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator
 
@@ -137,8 +138,6 @@ class ExperimentConfig:
         try:
             with open(path) as f:
                 data = json.load(f)
-        except OSError as exc:
-            raise UsageError(f"cannot read config {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise UsageError(f"config {path} is not valid JSON: {exc}") from None
         return cls.from_dict(data)
@@ -218,17 +217,23 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> Iterator[dict]:
 
     Every spectrum is computed by the call itself, before the first row is
     requested: a d whose spectrum fails raises here, before a CSV is opened.
+    Only a parallel sweep imports the process pool (about 15 ms), before its
+    spectra, so what a forked worker holds beyond set-up is its cells' alone.
     """
     _keep_freed_buffers()
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
     spec = config.kernel_spec()
     spectra = {d: compute_spectrum(spec, d) for d in config.d_list}
     args = [(config, spectra[d], d, r)
             for d in config.d_list for r in range(config.replicates)]
-    return map(_cell_worker, args) if workers <= 1 else _pool_map(args, workers)
+    if workers <= 1:
+        return map(_cell_worker, args)
+    return _pool_map(ProcessPoolExecutor, args, workers)
 
 
-def _pool_map(args: list, workers: int) -> Iterator[dict]:
-    with ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_buffers) as pool:
+def _pool_map(executor: type, args: list, workers: int) -> Iterator[dict]:
+    with executor(max_workers=workers, initializer=_keep_freed_buffers) as pool:
         yield from pool.map(_cell_worker, args, chunksize=4)
 
 
@@ -244,11 +249,13 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_rows(rows: Iterator[dict], path: str,
+def write_rows(rows: Iterator[dict], path: str | None,
                columns: list[str] = CSV_COLUMNS) -> tuple[int, int]:
-    """Stream rows to CSV, flushing incrementally; returns (rows, failures)."""
+    """Stream rows to CSV at path, or to standard output when path is None,
+    flushing incrementally; returns (rows, failures)."""
     total = failed = 0
-    with open(path, "w", newline="") as f:
+    with (contextlib.nullcontext(sys.stdout) if path is None else
+          open(path, "w", newline="")) as f:
         writer = csv.writer(f)
         writer.writerow(columns)
         f.flush()
@@ -321,14 +328,15 @@ PHASE_COLUMNS = ["gamma", "s", "l", "Gamma_gamma", "var_exp", "bias_exp",
 
 def phase_grid(gamma_range: str, s_range: str) -> Iterator[dict]:
     """Classified (gamma, s) grid rows keyed by PHASE_COLUMNS, for
-    write_rows; integer-gamma lines always included."""
+    write_rows; every integer gamma within the gamma range is included."""
     gammas = [g for g in _parse_range(gamma_range) if g > 0]
     if not gammas:
         raise UsageError("gamma range contains no positive values")
     s_values = [s for s in _parse_range(s_range) if s >= 0]
     if not s_values:
         raise UsageError("s range contains no admissible values")
-    extra = [float(g) for g in range(1, int(math.floor(max(gammas))) + 1)
+    lo, hi = math.ceil(min(gammas)), math.floor(max(gammas))
+    extra = [float(g) for g in range(lo, hi + 1)
              if not any(abs(g - x) < 1e-12 for x in gammas)]
     for g in sorted(list(gammas) + extra):
         for s in s_values:

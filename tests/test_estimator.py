@@ -264,22 +264,22 @@ def test_k_inv_matches_two_solve_route_and_is_symmetric(n):
 
 def test_k_inv_potri_failure_raises(monkeypatch):
     ds, sp = _forced_fit(monkeypatch, 0)
-    monkeypatch.setattr(estimator, "dpotri", lambda c, **kwargs: (c, 3))
+    monkeypatch.setattr(estimator, "potri", lambda c: 3)
     with pytest.raises(NumericalError, match="info=3"):
         fit(ds, sp)
 
 
 def _forced_fit(monkeypatch, failures):
     """A d = 12 cell whose first `failures` factorizations report failure."""
-    real = estimator.dpotrf
+    real = estimator.potrf
     calls = []
 
-    def dpotrf_failing(*args, **kwargs):
+    def potrf_failing(a):
         calls.append(1)
-        c, info = real(*args, **kwargs)
-        return c, ((info or 5) if len(calls) <= failures else info)
+        info = real(a)
+        return (info or 5) if len(calls) <= failures else info
 
-    monkeypatch.setattr(estimator, "dpotrf", dpotrf_failing)
+    monkeypatch.setattr(estimator, "potrf", potrf_failing)
     sp = compute_spectrum(kernel_by_id("exp"), 12)
     seed = SeedPath(31337, (12, 0))
     ds = make_dataset(build_target(sp, 0.5, 1.5, seed.child(TAG_AXIS)), 42, 1.0, seed)
@@ -358,8 +358,8 @@ def test_custom_kernel_fit_holds_one_n_by_n_buffer():
 def test_fit_rejects_a_non_finite_solve(monkeypatch):
     # a NaN residual compares False against any tolerance
     ds, sp = _forced_fit(monkeypatch, 0)
-    monkeypatch.setattr(estimator, "cho_solve",
-                        lambda factor, rhs, **kwargs: np.full_like(rhs, np.nan))
+    monkeypatch.setattr(estimator, "potrs",
+                        lambda factor, rhs: np.full_like(rhs, np.nan))
     with pytest.raises(NumericalError, match="residual nan"):
         fit(ds, sp)
 

@@ -405,6 +405,14 @@ def test_phase_grid_injects_integer_gamma_lines():
     assert 1.0 in gammas and 2.0 in gammas
 
 
+def test_phase_grid_injects_only_integers_within_the_range():
+    gammas = [r["gamma"] for r in phase_grid("2.5:3.5:0.5", "1:1:1")]
+    assert gammas == [2.5, 3.0, 3.5]
+    gammas = [r["gamma"] for r in phase_grid("1.2:2.8:0.8", "1:1:1")]
+    assert gammas == [1.2, 2.0, 2.8]
+    assert [r["gamma"] for r in phase_grid("2.25:2.75:0.25", "1:1:1")] == [2.25, 2.5, 2.75]
+
+
 def _synthetic_csv(path, gamma, s):
     """Three replicates per d with var ~ d^-0.5 and bias^2 ~ d^-1, recorded
     as a sweep at (gamma, s)."""
@@ -483,6 +491,10 @@ def test_cli_spectrum(tmp_path, capsys):
     out = str(tmp_path / "spec.csv")
     assert cli_main(["spectrum", "--kernel", "exp", "--d", "16",
                      "-o", out]) == 0
+    capsys.readouterr()
+    assert cli_main(["spectrum", "--kernel", "exp", "--d", "16"]) == 0
+    with open(out, newline="") as f:
+        assert capsys.readouterr().out == f.read()    # stdout: the same bytes
     rows = read_rows(out)
     assert rows[0]["k"] == "0"
     # mu_0 = E[phi(t)] sits a little above the degree-0 series coefficient
@@ -561,6 +573,20 @@ def test_cli_run_failure_exit_code(tmp_path):
     cfg_path.write_text(json.dumps(cfg.to_dict()))
     out = str(tmp_path / "rows.csv")
     assert cli_main(["run", "--config", str(cfg_path), "-o", out]) == 2
+
+
+@pytest.mark.parametrize("command", ["spectrum", "phase", "run", "fit"])
+def test_cli_file_errors_exit_cleanly(tmp_path, capsys, command):
+    # an -o into a missing directory, or a missing --input, is a usage error
+    out = str(tmp_path / "missing" / "out.csv")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config().to_dict()))
+    argv = {"spectrum": ["spectrum", "--d", "8", "-o", out],
+            "phase": ["phase", "--gamma", "1:2:1", "--s", "1:1:1", "-o", out],
+            "run": ["run", "--config", str(cfg_path), "-o", out],
+            "fit": ["fit", "--input", out, "--quantity", "var_exact"]}[command]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
 
 
 def test_cli_run_missing_config(tmp_path):

@@ -31,6 +31,11 @@ def test_import_kilab_skips_heavy_scipy_modules():
     assert _fresh(f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))").split() == []
 
 
+def test_import_kilab_skips_the_process_pool():
+    # only a sweep with workers > 1 starts one
+    assert _fresh("print('concurrent.futures.process' in sys.modules)").split() == ["False"]
+
+
 def test_import_kilab_loads_numpy_random():
     # numpy >= 2 loads numpy.random on first use: without this the first
     # cell of every sweep pays about 20 ms of imports
