@@ -20,14 +20,17 @@ of both quantities serve as independent cross-checks, never as truth.
 
 fit holds one n x n buffer: G = X X^T, then K = Phi(G), then K's Cholesky
 factor, each in place, then K^-1 over the factor when sigma^2 > 0; with
-sigma^2 = 0 it is freed on return. kilab._lapack's potrf, potrs, symv and
-potri work on the buffer's Fortran-order view K.T, on numpy's own OpenBLAS;
-scipy.linalg is imported only by the lambda_min and concentration
-diagnostics. One O(k_max n^2) recurrence pass over row panels of G's lower
-triangle, rebuilt from the points (FittedInterpolant.degree_sums), yields
-<S, P_k(G)> for the variance and a^T P_k(G) a for the bias. G, S = K^-1 K^-T
-and the Monte Carlo cross-kernel k(x, X) exist only as row panels of at
-most PANEL_ROWS rows, each in one reused buffer.
+sigma^2 = 0 it is freed on return. It makes one refined solve for Y and one
+for f*(X), or one for both when the dataset's y is its clean array, as
+make_dataset gives at sigma^2 = 0: then alpha is alpha_clean.
+kilab._lapack's potrf, potrs, symv and potri work on the buffer's
+Fortran-order view K.T, on numpy's own OpenBLAS; scipy.linalg is imported
+only by the lambda_min and concentration diagnostics. One O(k_max n^2)
+recurrence pass over row panels of G's lower triangle, rebuilt from the
+points (FittedInterpolant.degree_sums), yields <S, P_k(G)> for the variance
+and a^T P_k(G) a for the bias. G, S = K^-1 K^-T and the Monte Carlo
+cross-kernel k(x, X) exist only as row panels of at most PANEL_ROWS rows,
+each in one reused buffer.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ PANEL_ROWS = 576
 
 @dataclass(frozen=True)
 class FittedInterpolant:
-    """Dual weights for Y and f*(X), and K^-1 when sigma^2 > 0."""
+    """Dual weights for Y and f*(X) (one array when y is clean), K^-1 if sigma^2 > 0."""
 
     dataset: Dataset
     spectrum: Spectrum
@@ -170,7 +173,7 @@ def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
         return x
 
     alpha = solve_refined(dataset.y)
-    alpha_clean = solve_refined(dataset.clean)
+    alpha_clean = alpha if dataset.y is dataset.clean else solve_refined(dataset.clean)
     if dataset.sigma2 > 0:    # K^-1 over the factor, both triangles
         info = potri(c)
         if info != 0:
@@ -314,8 +317,8 @@ class ConcentrationReport:
 
 def concentration_report(model: FittedInterpolant, l: int) -> ConcentrationReport:
     """On-demand diagnostics, never run by evaluate_cell: rebuilds G from the
-    points and makes three dense O(n^3) eigensolves (lambda_min(K), the
-    degree > l part of K, and the low-degree harmonic Gram matrix / n),
+    points once and makes three dense O(n^3) eigensolves (the low-degree
+    harmonic Gram matrix / n, lambda_min(K), and the degree > l part of K),
     holding at most two n x n arrays of its own at once."""
     from scipy.linalg import eigvalsh
 
@@ -325,7 +328,6 @@ def concentration_report(model: FittedInterpolant, l: int) -> ConcentrationRepor
     n = model.n
     kappa1 = tail_sums(sp, l).kappa1
     B_l = sum(multiplicities(sp.d, l))
-    lam_min_K = _lambda_min(sp, model.dataset.points)
 
     # every matrix here is exactly symmetric and owned, so its transpose is
     # a Fortran-order view that LAPACK overwrites without a copy
@@ -337,8 +339,10 @@ def concentration_report(model: FittedInterpolant, l: int) -> ConcentrationRepor
     psi_dev = float(np.max(np.abs(ev_a[-min(B_l, n):] - 1.0)))
 
     K_high = zonal_series(sp.d, (sp.mu * sp.multiplicities)[: l + 1], G)
-    np.subtract(assemble_kernel_matrix(sp.spec, G, out=G), K_high, out=K_high)
-    del G
+    K = assemble_kernel_matrix(sp.spec, G, out=G)    # over G's buffer
+    np.subtract(K, K_high, out=K_high)
+    lam_min_K = float(eigvalsh(K.T, subset_by_index=(0, 0), overwrite_a=True)[0])
+    del G, K
     ev = eigvalsh(K_high.T, overwrite_a=True)
     delta1 = float(max(abs(ev[0] / kappa1 - 1.0), abs(ev[-1] / kappa1 - 1.0)))
     return ConcentrationReport(lambda_min_K=lam_min_K, delta1_opnorm=delta1,

@@ -47,6 +47,11 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """Python or numpy integer or float; bools and strings are not."""
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: a kernel, a (gamma, s) setting, a d-list and replicates."""
@@ -70,8 +75,11 @@ class ExperimentConfig:
         if not all(_is_int(d) for d in self.d_list):
             raise UsageError(f"every d must be an integer, got {list(self.d_list)}")
         for name in ("gamma", "s", "sigma2", "n_coefficient"):
-            if not math.isfinite(getattr(self, name)):
-                raise UsageError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (_is_real(value) and math.isfinite(value)):
+                raise UsageError(f"{name} must be a finite number, got {value!r}")
+        if not all(map(_is_real, self.coefficients or ())):
+            raise UsageError(f"coefficients must be numbers, got {self.coefficients!r}")
         if self.gamma <= 0:
             raise UsageError(f"gamma must be positive, got {self.gamma}")
         if self.s < 0:
@@ -118,20 +126,15 @@ class ExperimentConfig:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
         try:
-            if "d_list" in data:
-                data["d_list"] = tuple(data["d_list"])
-            if data.get("coefficients") is not None:
-                data["coefficients"] = tuple(float(c) for c in data["coefficients"])
+            for key in ("d_list", "coefficients"):    # JSON arrays
+                if isinstance(data.get(key), list):
+                    data[key] = tuple(data[key])
             return cls(**data)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad config: {exc}") from None
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["d_list"] = list(out["d_list"])
-        if out["coefficients"] is not None:
-            out["coefficients"] = list(out["coefficients"])
-        return out
+        return asdict(self)    # json writes its tuples as lists
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -176,17 +179,10 @@ def run_cell(config: ExperimentConfig, spectrum: Spectrum, d: int,
             traceback.print_exc()
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
-    row.update({
-        "l": target.l, "beta_norm_sq": target.l2_norm_sq,
-        "hs_norm_sq": target.hs_norm_sq, "c0": target.c0,
-    })
-    row.update(asdict(report))
+    row.update(l=target.l, beta_norm_sq=target.l2_norm_sq,
+               hs_norm_sq=target.hs_norm_sq, c0=target.c0, **vars(report))
     row["runtime_ms"] = (time.perf_counter() - t0) * 1e3
     return row
-
-
-def _cell_worker(args) -> dict:
-    return run_cell(*args)
 
 
 def _keep_freed_buffers() -> None:
@@ -225,16 +221,16 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> Iterator[dict]:
         from concurrent.futures import ProcessPoolExecutor
     spec = config.kernel_spec()
     spectra = {d: compute_spectrum(spec, d) for d in config.d_list}
-    args = [(config, spectra[d], d, r)
-            for d in config.d_list for r in range(config.replicates)]
+    cells = [(config, spectra[d], d, r)
+             for d in config.d_list for r in range(config.replicates)]
     if workers <= 1:
-        return map(_cell_worker, args)
-    return _pool_map(ProcessPoolExecutor, args, workers)
+        return map(run_cell, *zip(*cells))
+    return _pool_map(ProcessPoolExecutor, cells, workers)
 
 
-def _pool_map(executor: type, args: list, workers: int) -> Iterator[dict]:
+def _pool_map(executor: type, cells: list, workers: int) -> Iterator[dict]:
     with executor(max_workers=workers, initializer=_keep_freed_buffers) as pool:
-        yield from pool.map(_cell_worker, args, chunksize=4)
+        yield from pool.map(run_cell, *zip(*cells), chunksize=4)
 
 
 def _format_cell(value) -> str:
@@ -319,7 +315,8 @@ def _parse_range(text: str) -> np.ndarray:
             or step <= 0 or stop < start):
         raise UsageError(f"bad range {text!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    # to 12 decimals, band's integer tolerance: 0.3, not 0.30000000000000004
+    return np.round(start + step * np.arange(count), 12)
 
 
 PHASE_COLUMNS = ["gamma", "s", "l", "Gamma_gamma", "var_exp", "bias_exp",

@@ -95,7 +95,6 @@ class PhasePoint:
     gamma: float
     s: float
     l: int
-    s_tilde: float
     var_exponent: float
     bias_exponent: float | None
     total_exponent: float
@@ -116,7 +115,7 @@ def classify(s: float, gamma: float) -> PhasePoint:
     else:
         label = "sub-optimal"
     return PhasePoint(
-        gamma=float(gamma), s=float(s), l=l, s_tilde=min(s, 2.0),
+        gamma=float(gamma), s=float(s), l=l,
         var_exponent=var_exponent(gamma),
         bias_exponent=bias_exponent(s, gamma),
         total_exponent=total_exponent(s, gamma),

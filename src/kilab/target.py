@@ -51,7 +51,8 @@ class Target:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled sample from y = f*(x) + eps with x uniform on S^d."""
+    """Labeled sample from y = f*(x) + eps with x uniform on S^d. fit solves
+    once when y is clean itself, twice when they are separate arrays."""
 
     points: SpherePoints
     y: np.ndarray
@@ -95,11 +96,10 @@ def eval_target(target: Target, points: SpherePoints) -> np.ndarray:
 
 
 def make_dataset(target: Target, n: int, sigma2: float, seed: SeedPath) -> Dataset:
-    """X uniform on S^d, y = f*(X) + N(0, sigma2) noise, clean values retained."""
+    """X uniform on S^d and y = f*(X) + N(0, sigma2) noise; y is clean at sigma2 = 0."""
     if n < 1:
         raise UsageError(f"sample size must be >= 1, got {n}")
     points = sample_sphere(target.d, n, seed.child(TAG_POINTS))
     clean = eval_target(target, points)
-    noise = sample_noise(n, sigma2, seed.child(TAG_NOISE))
-    return Dataset(points=points, y=clean + noise, clean=clean,
-                   sigma2=float(sigma2))
+    y = clean if sigma2 == 0 else clean + sample_noise(n, sigma2, seed.child(TAG_NOISE))
+    return Dataset(points=points, y=y, clean=clean, sigma2=float(sigma2))

@@ -191,7 +191,6 @@ def zonal_projections(d: int, coef, k_max: int) -> np.ndarray:
 class QuadratureRule:
     """Probability quadrature for the density rho_d on [-1, 1]."""
 
-    d: int
     nodes: np.ndarray
     weights: np.ndarray  # positive, sum to 1
 
@@ -218,5 +217,5 @@ def quadrature(d: int, points: int) -> QuadratureRule:
     total = weights.sum()
     if not np.isfinite(total) or total <= 0:
         raise NumericalError(f"degenerate Gauss-Jacobi weights for d={d}, m={points}")
-    return QuadratureRule(d=d, nodes=nodes, weights=weights / total)
+    return QuadratureRule(nodes=nodes, weights=weights / total)
 

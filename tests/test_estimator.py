@@ -295,6 +295,42 @@ def test_fit_matches_dense_solve(monkeypatch):
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
+def _count_potrs(monkeypatch):
+    real, calls = estimator.potrs, []
+
+    def potrs_counted(c, b):
+        calls.append(1)
+        return real(c, b)
+
+    monkeypatch.setattr(estimator, "potrs", potrs_counted)
+    return calls
+
+
+def test_noiseless_fit_solves_once(monkeypatch):
+    # make_dataset hands fit y as the clean array itself at sigma2 = 0, so
+    # one refined solve (a solve and one refinement sweep) serves both
+    calls = _count_potrs(monkeypatch)
+    sp = compute_spectrum(kernel_by_id("exp"), 12)
+    ds = make_dataset(build_target(sp, 0.5, 1.5, SEED.child(1)), 42, 0.0, SEED)
+    model = fit(ds, sp)
+    assert len(calls) == 2
+    assert ds.y is ds.clean and model.alpha is model.alpha_clean
+
+
+def test_equal_but_separate_labels_get_two_solves(monkeypatch):
+    # the rule is identity, not sigma2: equal copies are solved for apart
+    calls = _count_potrs(monkeypatch)
+    sp = compute_spectrum(kernel_by_id("exp"), 12)
+    noiseless = make_dataset(build_target(sp, 0.5, 1.5, SEED.child(1)), 42, 0.0, SEED)
+    ds = Dataset(points=noiseless.points, y=noiseless.clean.copy(),
+                 clean=noiseless.clean.copy(), sigma2=0.0)
+    model = fit(ds, sp)
+    assert len(calls) == 4 and model.alpha is not model.alpha_clean
+    ref = np.linalg.solve(assemble_kernel_matrix(sp.spec, ds.points.gram()), ds.clean)
+    for x in (model.alpha, model.alpha_clean):
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 def test_fit_factorization_failure_messages(monkeypatch):
     ds, sp = _forced_fit(monkeypatch, 1)
     with pytest.raises(NumericalError, match="not positive definite"):
@@ -458,6 +494,20 @@ def test_concentration_report_matches_dense_oracle(gamma):
     assert rep.lambda_min_K == pytest.approx(lam_min, rel=1e-12)
     assert rep.delta1_opnorm == pytest.approx(delta1, rel=1e-12)
     assert rep.psi_gram_deviation == pytest.approx(psi_dev, rel=1e-12)
+
+
+def test_concentration_report_builds_g_once(monkeypatch):
+    # lambda_min(K) comes from the K the report assembles over its own G
+    model, target, _ = _cell(d=12)
+    gram, grams = SpherePoints.gram, []
+
+    def gram_counted(points, other=None):
+        grams.append(other)
+        return gram(points, other)
+
+    monkeypatch.setattr(SpherePoints, "gram", gram_counted)
+    concentration_report(model, target.l)
+    assert grams == [None]
 
 
 def test_concentration_report_peak_memory_beside_k_inv():

@@ -18,6 +18,7 @@ from kilab.cli import main as cli_main
 from kilab.errors import NumericalError
 from kilab.harness import CSV_COLUMNS, PHASE_COLUMNS, _parse_range
 from kilab.seeding import TAG_MC
+from kilab.verify import report_to_json, run_verify
 from kilab.zonal import ZonalBasis
 
 
@@ -67,12 +68,16 @@ def test_config_validation():
     ("replicates", 2.5), ("master_seed", 4.5), ("coefficients", (0.5, -0.1)),
     ("coefficients", (0.9, 0.2)), ("d_list", (6.7, 8.2)),
     ("mc_test_points", 150.5), ("s", math.nan), ("sigma2", math.nan),
-    ("gamma", math.inf), ("n_coefficient", math.inf), ("s", math.inf)])
+    ("gamma", math.inf), ("n_coefficient", math.inf), ("s", math.inf),
+    ("gamma", True), ("s", True), ("sigma2", True), ("n_coefficient", True),
+    ("coefficients", "1"), ("coefficients", {"0.5": 1}),
+    ("coefficients", (True,))])
 def test_config_rejects_bad_values(tmp_path, field, value):
+    # coefficients are tried with "kernel": "custom", so only the value is at fault
+    overrides = {field: value, **({"kernel": "custom"} if field == "coefficients" else {})}
     with pytest.raises(UsageError):
-        small_config(**{field: value})
-    data = small_config().to_dict()
-    data[field] = value
+        small_config(**overrides)
+    data = {**small_config().to_dict(), **overrides}
     assert _cli_run(tmp_path, data) == (1, False)
 
 
@@ -372,6 +377,7 @@ def test_write_and_read_rows(tmp_path):
 def test_parse_range():
     assert list(_parse_range("0.5:2.5:0.5")) == [0.5, 1.0, 1.5, 2.0, 2.5]
     assert list(_parse_range("1:1:1")) == [1.0]
+    assert list(_parse_range("0.1:0.7:0.1")) == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
     with pytest.raises(UsageError):
         _parse_range("1:2")
     with pytest.raises(UsageError):
@@ -380,6 +386,16 @@ def test_parse_range():
         _parse_range("1:2:0")
     with pytest.raises(UsageError):
         _parse_range("0.5:nan:0.25")
+
+
+def test_cli_phase_writes_grid_values_to_12_decimals(tmp_path):
+    # start + step * k alone gives 0.30000000000000004 and 0.7000000000000001
+    out = tmp_path / "phase.csv"
+    assert cli_main(["phase", "--gamma", "0.1:0.7:0.1", "--s", "0.1:0.3:0.1",
+                     "-o", str(out)]) == 0
+    rows = read_rows(str(out))
+    assert sorted({r["gamma"] for r in rows}) == ["0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7"]
+    assert sorted({r["s"] for r in rows}) == ["0.1", "0.2", "0.3"]
 
 
 def test_phase_grid_spot_checks(tmp_path):
@@ -565,6 +581,43 @@ def test_cli_run_and_fit(tmp_path, capsys):
                      "--tolerance", "2.0"]) == 0
     assert cli_main(["fit", "--input", out, "--quantity", "var_exact",
                      "--tolerance", "1e-6"]) == 2
+
+
+def _csv_bytes_without_runtime(path):
+    """The CSV's lines as bytes with the runtime_ms field cut out."""
+    data = path.read_bytes()
+    assert b'"' not in data    # nothing quoted, so every comma ends a field
+    lines = data.splitlines(keepends=True)
+    i = lines[0].split(b",").index(b"runtime_ms")
+    return [b",".join(f for j, f in enumerate(line.split(b",")) if j != i)
+            for line in lines]
+
+
+def test_cli_run_csv_bytes_match_across_worker_counts(tmp_path):
+    # the determinism promise: one config, one CSV, runtime_ms aside
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(sigma2=0.5, mc_test_points=500).to_dict()))
+    written = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"rows{workers}.csv"
+        assert cli_main(["run", "--config", str(cfg_path), "-o", str(out),
+                         "--workers", workers]) == 0
+        written.append(_csv_bytes_without_runtime(out))
+    assert len(written[0]) == 5 and written[0] == written[1]
+
+
+def test_cli_run_writes_mc_consistent_as_true_or_false(tmp_path):
+    assert _cli_run(tmp_path, small_config(mc_test_points=500).to_dict()) == (0, True)
+    values = [r["mc_consistent"] for r in read_rows(str(tmp_path / "rows.csv"))]
+    assert len(values) == 4 and set(values) <= {"true", "false"}
+
+
+def test_cli_verify_quick(capsys):
+    assert cli_main(["verify", "--quick"]) == 0
+    out, err = capsys.readouterr()
+    results, report = run_verify(quick=True)
+    assert out == report_to_json(report) + "\n"
+    assert err.splitlines() == [f"[PASS] {r.name}: {r.detail}" for r in results]
 
 
 def test_cli_run_failure_exit_code(tmp_path):

@@ -91,7 +91,7 @@ def test_classify_spot_checks():
 
 def test_classify_populates_phase_point():
     p = classify(1.0, 1.5)
-    assert p.l == 1 and p.s_tilde == 1.0
+    assert p.l == 1
     assert p.var_exponent == pytest.approx(-0.5)
     assert p.bias_exponent == pytest.approx(-2.0)
     assert p.total_exponent == pytest.approx(-0.5)
