@@ -26,11 +26,15 @@ make_dataset gives at sigma^2 = 0: then alpha is alpha_clean.
 kilab._lapack's potrf, potrs, symv and potri work on the buffer's
 Fortran-order view K.T, on numpy's own OpenBLAS; scipy.linalg is imported
 only by the lambda_min and concentration diagnostics. One O(k_max n^2)
-recurrence pass over row panels of G's lower triangle, rebuilt from the
-points (FittedInterpolant.degree_sums), yields <S, P_k(G)> for the variance
-and a^T P_k(G) a for the bias. G, S = K^-1 K^-T and the Monte Carlo
-cross-kernel k(x, X) exist only as row panels of at most PANEL_ROWS rows,
-each in one reused buffer.
+recurrence pass over G's lower triangle (FittedInterpolant.degree_sums)
+yields <S, P_k(G)> for the variance and a^T P_k(G) a for the bias.
+
+Beside that buffer a cell holds one panel of at most PANEL_ROWS x n
+doubles: S = K^-1 K^-T by row panels in the degree pass, or K^-1 k(X, x)
+for a panel of test points in the Monte Carlo check, which _lapack.gemm
+accumulates over column blocks of K^-1. G and the cross-kernel k(x, X)
+are rebuilt from the points in cache-sized blocks, each in one reused
+buffer.
 """
 
 from __future__ import annotations
@@ -42,22 +46,23 @@ from typing import Iterator
 
 import numpy as np
 
-from ._lapack import potrf, potri, potrs, symv
+from ._lapack import gemm, potrf, potri, potrs, symv
 from .errors import NumericalError, UsageError
 from .seeding import SeedPath, SpherePoints, sample_sphere
 from .spectrum import Spectrum, assemble_kernel_matrix, eval_phi, tail_sums
 from .target import Dataset, Target, eval_target
-from .zonal import ZonalBasis, multiplicities, zonal_series
+from .zonal import BLOCK_DOUBLES, ZonalBasis, multiplicities, zonal_series
 
 RESIDUAL_TOL = 1e-10
 MIRROR_BLOCK = 32    # columns per block when K^-1's triangle is mirrored
-# rows per panel of G, S = K^-1 K^-T and the cross-kernel k(x, X), so each
-# holds at most PANEL_ROWS x n doubles; at n = 2025 this runs level with 512
-# rows (256 made the Monte Carlo check 15 % slower). 576 = 24 * 24 keeps the
-# panels on OpenBLAS's AVX-512 dgemm packing boundaries: at one BLAS thread
-# they reproduced the m = 2000 cross-Gram of one dense product bit for bit,
-# where 512-row panels moved a few of its entries by an ulp.
-PANEL_ROWS = 576
+# rows per panel of S = K^-1 K^-T and of test points in the Monte Carlo
+# check, so each panel holds at most PANEL_ROWS x n doubles; a multiple of
+# 24 keeps the panels on OpenBLAS's AVX-512 dgemm packing boundaries
+PANEL_ROWS = 288
+# training points per column block of the cross-kernel k(x, X): a block of
+# PANEL_ROWS x CROSS_COLS doubles (576 KiB) fits a 1 MiB L2 cache and is a
+# full inner dimension for the K^-1 k(X, x) product it feeds
+CROSS_COLS = 256
 
 
 @dataclass(frozen=True)
@@ -80,41 +85,64 @@ class FittedInterpolant:
         pass over the lower triangle of G, with S = K^-1 K^-T and
         a = alpha_clean.
 
-        Row panel [p0, p1) is G[p0:p1, :p1], rebuilt from the points: its
-        strictly lower columns [0, p0) stand for both triangles and get
-        weight 2 (an exact doubling of S's panel and of a), its diagonal block
-        weight 1. S exists one panel K^-1[p0:p1] K^-1[:p1]^T at a time, and
-        only when sigma^2 > 0; otherwise the first array stays zero.
+        Block [r0, r1) x [0, r1) of G is rebuilt from the points
+        (_gram_blocks): its columns [0, r0) stand for both triangles and get
+        weight 2 (an exact doubling), its diagonal square weight 1. Each
+        P_k block is reduced against the probes, the weighted blocks of a a^T
+        and of S, with one dot product each. S exists one panel
+        K^-1[p0:p1] K^-1[:p1]^T at a time, and only when sigma^2 > 0;
+        otherwise a a^T is the one probe and the first array stays zero.
         """
-        sp = self.spectrum
         K_inv, a = self.K_inv, self.alpha_clean
+        n, k_max = self.n, self.spectrum.k_max
         X = self.dataset.points.coordinates
-        inner, quad = np.zeros((2, sp.k_max + 1))
-        basis = sp.basis()
-        G_buf = np.empty((min(PANEL_ROWS, self.n), self.n))
+        inner, quad = np.zeros((2, k_max + 1))
+        basis = self.spectrum.basis()
+        g_buf = np.empty(min(BLOCK_DOUBLES, n * n))
+        aa_buf = np.empty_like(g_buf)
         if K_inv is not None:
-            S_buf = np.empty_like(G_buf)
-        for p0 in range(0, self.n, PANEL_ROWS):
-            p1 = min(p0 + PANEL_ROWS, self.n)
-            a_w = a[:p1].copy()
-            a_w[:p0] *= 2.0
+            s_buf = np.empty((min(PANEL_ROWS, n), n))
+            sb_buf = np.empty_like(g_buf)
+        for p0 in range(0, n, PANEL_ROWS):
+            p1 = min(p0 + PANEL_ROWS, n)
             if K_inv is not None:
-                S_p = np.matmul(K_inv[p0:p1], K_inv[:p1].T, out=S_buf[: p1 - p0, :p1])
-                S_p[:, :p0] *= 2.0
-            G_p = _gram_panel(X[p0:p1], X[:p1], G_buf)
-            for rows, values in basis.iter_blocks(G_p):
-                a_rows = a[p0:p1][rows]
-                for k, p_k in enumerate(values):
+                S_p = np.matmul(K_inv[p0:p1], K_inv[:p1].T, out=s_buf[: p1 - p0, :p1])
+            for r0, r1, G_b in _gram_blocks(X, p0, p1, g_buf):
+                aa = aa_buf[: G_b.size].reshape(G_b.shape)
+                np.multiply.outer(a[r0:r1], a[:r1], out=aa)
+                aa[:, :r0] *= 2.0
+                if K_inv is not None:
+                    S_b = sb_buf[: G_b.size].reshape(G_b.shape)
+                    np.copyto(S_b, S_p[r0 - p0: r1 - p0, :r1])
+                    S_b[:, :r0] *= 2.0
+                for k, p_k in enumerate(basis.iter_values(G_b)):
+                    quad[k] += np.vdot(aa, p_k)
                     if K_inv is not None:
-                        inner[k] += np.vdot(S_p[rows], p_k)
-                    quad[k] += a_rows @ (p_k @ a_w)
+                        inner[k] += np.vdot(S_b, p_k)
         return inner, quad
 
 
-def _gram_panel(rows: np.ndarray, cols: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """rows @ cols^T in buf's leading block, clipped as SpherePoints.gram clips."""
-    panel = np.matmul(rows, cols.T, out=buf[: len(rows), : len(cols)])
-    return np.clip(panel, -1.0, 1.0, out=panel)
+def _gram_blocks(X: np.ndarray, p0: int, p1: int, buf: np.ndarray
+                 ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (r0, r1, G[r0:r1, :r1]) over row blocks covering [p0, p1) of
+    G = X X^T's lower triangle, each at most BLOCK_DOUBLES values (but at
+    least one row), rebuilt in the flat buffer buf; a yielded block is valid
+    only until the next is requested."""
+    r0 = p0
+    while r0 < p1:
+        # the most rows h with h (r0 + h) <= BLOCK_DOUBLES
+        h = max(1, (math.isqrt(r0 * r0 + 4 * BLOCK_DOUBLES) - r0) // 2)
+        r1 = min(r0 + h, p1)
+        yield r0, r1, _gram_block(X[r0:r1], X[:r1], buf)
+        r0 = r1
+
+
+def _gram_block(rows: np.ndarray, cols: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """rows @ cols^T as a C-contiguous view of the flat buffer buf, clipped
+    as SpherePoints.gram clips."""
+    block = buf[: len(rows) * len(cols)].reshape(len(rows), len(cols))
+    np.matmul(rows, cols.T, out=block)
+    return np.clip(block, -1.0, 1.0, out=block)
 
 
 def _mirror_lower(a: np.ndarray) -> None:
@@ -185,26 +213,35 @@ def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
 
 
 def _cross_kernel_panels(model: FittedInterpolant, points: SpherePoints
-                         ) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield (rows, k(x_rows, X)) over panels of at most PANEL_ROWS query
-    points: each panel's Gram matrix against the training points X, with
-    Phi applied in place. Every panel reuses one buffer, so a yielded panel
-    is valid only until the next is requested and no m x n array exists."""
+                         ) -> Iterator[tuple[slice, Iterator[tuple[slice, np.ndarray]]]]:
+    """Yield (rows, blocks) over panels of at most PANEL_ROWS query points,
+    where blocks yields (cols, k(x_rows, X[cols])) over column blocks of at
+    most CROSS_COLS training points X, Phi applied in place. Every block
+    reuses one buffer, so a yielded block is valid only until the next is
+    requested and no m x n or panel-sized kernel array exists."""
     X = model.dataset.points
     if points.d != X.d:
         raise UsageError("query dimension does not match training dimension")
-    buf = np.empty((min(PANEL_ROWS, points.n), X.n))
+    spec = model.spectrum.spec
+    buf = np.empty(min(PANEL_ROWS, points.n) * min(CROSS_COLS, X.n))
+
+    def blocks(rows: slice) -> Iterator[tuple[slice, np.ndarray]]:
+        for c0 in range(0, X.n, CROSS_COLS):
+            cols = slice(c0, min(c0 + CROSS_COLS, X.n))
+            block = _gram_block(points.coordinates[rows], X.coordinates[cols], buf)
+            yield cols, eval_phi(spec, block, out=block)
+
     for p0 in range(0, points.n, PANEL_ROWS):
         rows = slice(p0, min(p0 + PANEL_ROWS, points.n))
-        panel = _gram_panel(points.coordinates[rows], X.coordinates, buf)
-        yield rows, eval_phi(model.spectrum.spec, panel, out=panel)
+        yield rows, blocks(rows)
 
 
 def predict(model: FittedInterpolant, points: SpherePoints) -> np.ndarray:
     """k(x, X) alpha for each query point x."""
-    out = np.empty(points.n)
-    for rows, kx in _cross_kernel_panels(model, points):
-        out[rows] = kx @ model.alpha
+    out = np.zeros(points.n)
+    for rows, blocks in _cross_kernel_panels(model, points):
+        for cols, kb in blocks:
+            out[rows] += kb @ model.alpha[cols]
     return out
 
 
@@ -286,16 +323,24 @@ def mc_errors(model: FittedInterpolant, target: Target, m_test: int,
     if m_test < 100:
         raise UsageError(f"mc test points must be >= 100, got {m_test}")
     test = sample_sphere(target.d, m_test, seed)
-    fitted = np.empty(m_test)
+    K_inv, a, n = model.K_inv, model.alpha_clean, model.n
+    fitted = np.zeros(m_test)
     norms = np.zeros(m_test)   # ||K^-1 k(X, x)||^2; stays 0 when sigma^2 = 0
-    if model.K_inv is not None:
-        s_buf = np.empty((model.n, min(PANEL_ROWS, m_test)))
-    for rows, kx in _cross_kernel_panels(model, test):
-        fitted[rows] = kx @ model.alpha_clean
-        if model.K_inv is not None:
-            # K^-1 k(X, x) for the panel's points, one column each
-            s = np.matmul(model.K_inv, kx.T, out=s_buf[:, : len(kx)])
-            norms[rows] = np.sum(np.square(s, out=s), axis=0)
+    if K_inv is not None:
+        s_buf = np.empty(n * min(PANEL_ROWS, m_test))
+    for rows, blocks in _cross_kernel_panels(model, test):
+        if K_inv is not None:
+            # K^-1 k(X, x) for the panel's points, one Fortran-order column
+            # each, summed over column blocks of K^-1 (K_inv is K.T, so its
+            # column slices are Fortran-contiguous)
+            s_t = s_buf[: (rows.stop - rows.start) * n].reshape(-1, n)
+            s_t.fill(0.0)
+        for cols, kb in blocks:
+            fitted[rows] += kb @ a[cols]
+            if K_inv is not None:
+                gemm(K_inv[:, cols], kb.T, s_t.T)
+        if K_inv is not None:
+            norms[rows] = np.einsum("ij,ij->i", s_t, s_t)
 
     def mean_se(samples: np.ndarray) -> tuple[float, float]:
         return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(m_test))

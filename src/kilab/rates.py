@@ -22,14 +22,19 @@ import numpy as np
 
 from .errors import UsageError
 
+# gamma within TOL of an integer counts as that integer, and s within TOL
+# above Gamma(gamma) as on the threshold, so a boundary does not turn on
+# the last bit of a grid value or of Gamma
+TOL = 1e-12
+
 
 def band(gamma: float) -> tuple[int, bool]:
     """The band l of gamma and whether gamma counts as an integer: within
-    1e-12 of an integer >= 1, l is that integer, otherwise floor(gamma)."""
+    TOL of an integer >= 1, l is that integer, otherwise floor(gamma)."""
     if not 0 < gamma < math.inf:
         raise UsageError(f"gamma must be positive and finite, got {gamma}")
     nearest = round(gamma)
-    if nearest >= 1 and abs(gamma - nearest) < 1e-12:
+    if nearest >= 1 and abs(gamma - nearest) < TOL:
         return nearest, True
     return math.floor(gamma), False
 
@@ -104,13 +109,14 @@ class PhasePoint:
 
 
 def classify(s: float, gamma: float) -> PhasePoint:
-    """Classification precedence: inconsistent > optimal (s <= Gamma) > sub-optimal.
-    A bad gamma or s raises UsageError from band or bias_exponent."""
+    """Classification precedence: inconsistent > optimal (s <= Gamma, within
+    TOL) > sub-optimal. A bad gamma or s raises UsageError from band or
+    bias_exponent."""
     l, integer = band(gamma)
     thr = gamma_threshold(gamma)
     if s == 0 or integer:
         label = "inconsistent"
-    elif s <= thr:
+    elif s - thr <= TOL:
         label = "optimal"
     else:
         label = "sub-optimal"

@@ -144,11 +144,11 @@ def _full_pk(d, k_max, G):
 
 
 @pytest.mark.parametrize("d, n", [(8, 1), (8, 100), (12, 200),
-                                  (12, estimator.PANEL_ROWS + 200)])
+                                  (12, 2 * estimator.PANEL_ROWS + 200)])
 def test_blocked_degree_sums_match_full_matrix_oracle(d, n):
-    # n = 1; n = 100 is below one row block; n = 200 is not a multiple of
-    # its block rows (81, 81, 38); n = PANEL_ROWS + 200 runs the lower-
-    # triangle pass over two row panels, the second one ragged
+    # n = 1; n = 100 is one block; n = 200 is two lower-triangle blocks,
+    # 128 x 128 and 72 x 200; n = 2 PANEL_ROWS + 200 runs the pass over
+    # three S panels, the last one ragged
     assert n == 1 or n < BLOCK_DOUBLES // n or n % (BLOCK_DOUBLES // n)
     model, target, _ = _cell(d=d, gamma=1.5, n=n)
     sp = model.spectrum
@@ -157,7 +157,7 @@ def test_blocked_degree_sums_match_full_matrix_oracle(d, n):
     G = model.dataset.points.gram()
     # The k = 0 term 1^T S 1 is badly conditioned, so each degree's
     # tolerance scales with sum_ij |W_ij P_k(G_ij)| for its weight W. The
-    # panelled pass measured at most 2.7e-15 of that scale (n <= 1229).
+    # blocked pass measured at most 2.4e-15 of that scale (n <= 1229).
     var_k, var_tol, quad, quad_tol = [], [], [], []
     for p_k in _full_pk(sp.d, sp.k_max, G):
         var_k.append(np.vdot(S, p_k))
@@ -189,21 +189,42 @@ def test_blocked_degree_sums_match_full_matrix_oracle(d, n):
     assert np.array_equal(quad_noiseless, model.degree_sums[1])
 
 
+@pytest.mark.parametrize("sigma2, panels", [(1.0, 1), (0.0, 0)])
+def test_degree_pass_holds_one_s_panel_and_a_few_blocks(sigma2, panels):
+    # beyond the model the pass holds at most one PANEL_ROWS x n panel of S,
+    # none at sigma^2 = 0, and a few cache blocks (G, the probes and the
+    # recurrence's three buffers); n = 800 makes a panel larger than the
+    # blocks' allowance
+    model, _, _ = _cell(d=16, gamma=2.0, n=800, sigma2=sigma2)
+    n = model.n
+    assert estimator.PANEL_ROWS * n > 8 * BLOCK_DOUBLES
+    tracemalloc.start()
+    try:
+        model.degree_sums
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (panels * estimator.PANEL_ROWS * n + 8 * BLOCK_DOUBLES)
+
+
 def test_degree_pass_panels_match_the_gram_within_two_ulps():
-    # The degree pass rebuilds G by row panels. numpy sends X @ X.T to syrk
-    # but a panel X[p0:p1] @ X[:p1].T (p0 > 0) to gemm, so the two need not
-    # agree bit for bit: on the large-cell sweep's points (n = 2025, d = 45)
-    # 1400 entries of the last of four panels differ. Entries are inner
-    # products of unit vectors, so the gap is counted in ulps of 1.0: at most
-    # 1.25 was measured over 12 point sets at d = 40..46, at one and two BLAS
-    # threads.
+    # The degree pass rebuilds G block by block. numpy sends X @ X.T to syrk
+    # but a block X[r0:r1] @ X[:r1].T (r0 > 0) to gemm, so the two need not
+    # agree bit for bit. Entries are inner products of unit vectors, so the
+    # gap is counted in ulps of 1.0 on the large-cell sweep's points
+    # (n = 2025, d = 45); the blocks must cover G's lower triangle.
     points = sample_sphere(45, 2025, SeedPath(20240901, (45, 0)).child(TAG_POINTS))
     X, G = points.coordinates, points.gram()
-    buf = np.empty((estimator.PANEL_ROWS, points.n))
+    buf = np.empty(BLOCK_DOUBLES)
+    covered = 0
     for p0 in range(0, points.n, estimator.PANEL_ROWS):
         p1 = min(p0 + estimator.PANEL_ROWS, points.n)
-        panel = estimator._gram_panel(X[p0:p1], X[:p1], buf)
-        assert np.max(np.abs(panel - G[p0:p1, :p1])) <= 2 * np.spacing(1.0)
+        for r0, r1, block in estimator._gram_blocks(X, p0, p1, buf):
+            assert r0 == covered < r1 <= p1
+            assert block.shape == (r1 - r0, r1) and block.size <= BLOCK_DOUBLES
+            assert np.max(np.abs(block - G[r0:r1, :r1])) <= 2 * np.spacing(1.0)
+            covered = r1
+    assert covered == points.n
 
 
 def test_mc_variance_matches_two_solve_oracle():
@@ -221,11 +242,13 @@ def test_mc_variance_matches_two_solve_oracle():
 @pytest.mark.parametrize("sigma2", [1.0, 0.0])
 def test_panelled_mc_and_predict_match_dense_formulas(sigma2):
     # n = PANEL_ROWS + 88 and m = 2 PANEL_ROWS + 37: three test-point panels,
-    # the last ragged. A panel's BLAS products need not equal the same rows
-    # of the full m x n products bit for bit (OpenBLAS blocks by the operand
-    # sizes), so the tolerances cover a few ulps: measured at most 3.1e-15
-    # relative on McErrors and 2.2e-13 of max |prediction|.
+    # the last ragged, each over two column blocks of training points (the
+    # second ragged). Blocked BLAS products need not equal the full m x n
+    # products bit for bit (OpenBLAS blocks by the operand sizes, and the
+    # blocks are summed), so the tolerances cover a few ulps: measured at
+    # most 6.3e-15 relative on McErrors and 3.9e-14 of max |prediction|.
     n, m = estimator.PANEL_ROWS + 88, 2 * estimator.PANEL_ROWS + 37
+    assert estimator.CROSS_COLS < n < 2 * estimator.CROSS_COLS
     model, target, seed = _cell(d=12, n=n, sigma2=sigma2)
     mc = mc_errors(model, target, m, seed.child(TAG_MC))
     test = sample_sphere(target.d, m, seed.child(TAG_MC))

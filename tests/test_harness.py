@@ -208,27 +208,35 @@ def test_run_cell_builds_the_gram_matrix_once(monkeypatch):
 @pytest.mark.parametrize("sigma2, mc_test_points", [(1.0, 500), (0.0, 0)])
 def test_run_cell_makes_one_degree_pass_over_g(monkeypatch, sigma2,
                                                mc_test_points):
-    # variance and bias read one set of per-degree sums over G
-    iter_blocks = ZonalBasis.iter_blocks
+    # variance and bias read one set of per-degree sums over G: the blocks
+    # of G's lower triangle fed to the recurrence hold n (n + 1) / 2 values
+    # plus at most half a block height per row (n^2 in one dense pass).
+    # n = 308 takes several blocks, so a second pass would exceed the bound
+    iter_values = ZonalBasis.iter_values
     shapes = []
 
-    def iter_blocks_counted(basis, t):
+    def iter_values_counted(basis, t):
         shapes.append(np.shape(t))
-        return iter_blocks(basis, t)
+        return iter_values(basis, t)
 
-    monkeypatch.setattr(ZonalBasis, "iter_blocks", iter_blocks_counted)
-    cfg = small_config(sigma2=sigma2, mc_test_points=mc_test_points)
+    monkeypatch.setattr(ZonalBasis, "iter_values", iter_values_counted)
+    cfg = small_config(sigma2=sigma2, mc_test_points=mc_test_points, n_coefficient=30.0)
     row = run_cell(cfg, compute_spectrum(cfg.kernel_spec(), 6), 6, 0)
     assert row["error"] == ""
     n = cfg.n_for(6)
-    assert shapes.count((n, n)) == 1
+    assert n == 308
+    blocks = [shape for shape in shapes if len(shape) == 2]
+    fed = sum(rows * cols for rows, cols in blocks)
+    largest = max(rows for rows, _ in blocks)
+    assert len(blocks) > 1 and largest < n
+    assert n * (n + 1) // 2 <= fed <= n * (n + 1) // 2 + n * largest // 2
 
 
 def test_sweep_cells_reuse_freed_buffers():
-    # Each cell frees an n x n buffer and a G panel (256 KiB each at n = 181).
-    # With glibc's default thresholds, and nothing larger freed earlier,
-    # malloc returns them to the system and every cell faults them in again:
-    # 128 minor faults a cell. A fresh interpreter starts at those defaults.
+    # Each cell frees an n x n buffer (256 KiB at n = 181) and the degree
+    # pass's blocks of 128 KiB. With glibc's default thresholds, and nothing
+    # larger freed earlier, malloc returns them to the system and every cell
+    # faults them in again. A fresh interpreter starts at those defaults.
     if not hasattr(ctypes.CDLL(None), "mallopt"):
         pytest.skip("needs glibc's mallopt")
     code = """
@@ -249,15 +257,15 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(later)
 
 def test_run_cell_peak_memory_is_one_n_squared_plus_panels():
     # one n x n buffer holds G, K, the Cholesky factor and then K^-1;
-    # everything else is at most c row panels of PANEL_ROWS x n doubles.
-    # c = 3 covers the degree pass's G and S panels and the Monte Carlo
-    # check's cross-kernel and K^-1 k(X, x) panels with room to spare
-    # (measured 2.24 n^2 here, n^2 + 2.2 panels)
+    # beside it the degree pass holds one S panel of PANEL_ROWS x n doubles
+    # and the Monte Carlo check one K^-1 k(X, x) panel, with G and the
+    # cross-kernel built in cache-sized blocks. The bound is n^2 + 576 n
+    # doubles, two panels' worth (measured 1.47 n^2 here)
     cfg = ExperimentConfig(kernel="exp", gamma=2.0, s=0.5, d_list=(32,),
                            sigma2=1.0, mc_test_points=2000)
     spectrum = compute_spectrum(cfg.kernel_spec(), 32)
     n = cfg.n_for(32)
-    assert n == 1024 > estimator.PANEL_ROWS
+    assert n == 1024 > 2 * estimator.PANEL_ROWS
     tracemalloc.start()
     try:
         row = run_cell(cfg, spectrum, 32, 0)
@@ -265,8 +273,7 @@ def test_run_cell_peak_memory_is_one_n_squared_plus_panels():
     finally:
         tracemalloc.stop()
     assert row["error"] == ""
-    c = 3
-    assert peak <= 8 * (n * n + c * estimator.PANEL_ROWS * n)
+    assert peak <= 8 * (n * n + 576 * n)
 
 
 def test_spectra_and_cells_run_at_d_from_512():

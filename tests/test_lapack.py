@@ -1,5 +1,6 @@
-"""kilab._lapack against scipy.linalg as the reference, its argument checks,
-and the scipy.linalg adapters it returns when the library lacks a symbol."""
+"""kilab._lapack against scipy.linalg (and numpy, for gemm) as the
+reference, its argument checks, and the scipy.linalg adapters it returns
+when the library lacks a symbol."""
 
 import ctypes
 import types
@@ -11,8 +12,9 @@ import scipy.linalg
 from scipy.linalg.blas import dsymv as scipy_dsymv
 from scipy.linalg.lapack import dpotrf as scipy_dpotrf, dpotri as scipy_dpotri
 
-from kilab import _lapack, estimator, fit
+from kilab import _lapack, estimator, fit, mc_errors
 from kilab.harness import ExperimentConfig, fit_cell
+from kilab.seeding import TAG_MC
 from kilab.spectrum import compute_spectrum
 
 RTOL = 1e-12
@@ -84,8 +86,28 @@ def test_dsymv_reads_the_upper_triangle_by_default(n):
     assert _close(y, a @ x)
 
 
+@pytest.mark.parametrize("gemm", [_lapack.gemm, _lapack.bind(object())[4]],
+                         ids=["bound", "scipy adapter"])
+@pytest.mark.parametrize("n", [1, 33, 600])
+def test_gemm_accumulates_like_numpy(n, gemm):
+    # c (n x m) += a (n x k) @ b (k x m) in place, twice, on rectangular
+    # Fortran-order operands; a is a column slice of a square Fortran-order
+    # matrix, as the Monte Carlo check passes K^-1[:, cols]
+    rng = np.random.default_rng(9)
+    k, m = max(n // 3, 1), n + 5
+    square = np.asfortranarray(rng.standard_normal((n, n + k)))
+    a = square[:, n:]
+    b = np.asfortranarray(rng.standard_normal((k, m)))
+    c0 = np.asfortranarray(rng.standard_normal((n, m)))
+    c = c0.copy(order="F")
+    gemm(a, b, c)
+    assert _close(c, c0 + a @ b)
+    gemm(a, b, c)
+    assert _close(c, c0 + 2 * (a @ b))
+
+
 def _recording_lib(calls):
-    """A library object whose four symbols record their calls."""
+    """A library object whose symbols record their calls."""
     def symbol(name):
         return lambda *args: calls.append(name) or 0
     return types.SimpleNamespace(**{name: symbol(name) for name in _lapack._SYMBOLS})
@@ -102,12 +124,19 @@ def _bad_matrices():
 @pytest.mark.parametrize("case", ["C order", "float32", "non-square", "read-only"])
 def test_bad_matrices_raise_before_reaching_the_library(case):
     calls = []
-    potrf, potri, potrs, symv = _lapack.bind(_recording_lib(calls))
-    bad = _bad_matrices()[case]
+    potrf, potri, potrs, symv, gemm = _lapack.bind(_recording_lib(calls))
+    bad, good = _bad_matrices()[case], _spd(4).copy(order="F")
     with pytest.raises(ValueError):
         potrf(bad)
     with pytest.raises(ValueError):
         potri(bad)
+    with pytest.raises(ValueError):
+        gemm(good, good, bad)    # c is written
+    if case not in ("read-only", "non-square"):    # a and b are only read
+        with pytest.raises(ValueError):
+            gemm(bad, good, good.copy(order="F"))
+        with pytest.raises(ValueError):
+            gemm(good, bad, good.copy(order="F"))
     if case != "read-only":    # the factor and A are only read
         with pytest.raises(ValueError):
             potrs(bad, np.ones(4))
@@ -115,13 +144,18 @@ def test_bad_matrices_raise_before_reaching_the_library(case):
             symv(bad, np.ones(4))
     assert calls == []
 
-    good = _spd(4).copy(order="F")
     potrf(good)
     with pytest.raises(ValueError):
         potrs(good, np.ones(3))
     with pytest.raises(ValueError):
         symv(good, np.ones(5))
-    assert calls == ["scipy_LAPACKE_dpotrf_work64_"]
+    wide = np.asfortranarray(np.ones((4, 3)))
+    with pytest.raises(ValueError):
+        gemm(wide, good, good.copy(order="F"))    # 4 x 3 @ 4 x 4
+    with pytest.raises(ValueError):
+        gemm(good, good, wide)                    # into 4 x 3
+    gemm(good, wide, wide.copy(order="F"))
+    assert calls == ["scipy_LAPACKE_dpotrf_work64_", "scipy_cblas_dgemm64_"]
 
 
 def test_a_library_without_the_symbols_falls_back_to_scipy(monkeypatch):
@@ -140,3 +174,19 @@ def test_a_library_without_the_symbols_falls_back_to_scipy(monkeypatch):
     for got, ref in ((other.alpha, model.alpha), (other.alpha_clean, model.alpha_clean),
                      (other.K_inv, model.K_inv)):
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_mc_through_the_scipy_gemm_adapter_matches_the_bound_path(monkeypatch):
+    # n = 376 and m = 613 run two column blocks and three test-point panels
+    config = ExperimentConfig(gamma=1.5, s=0.5, d_list=(12,), master_seed=31337,
+                              n_coefficient=(estimator.PANEL_ROWS + 88) / 12**1.5)
+    sp = compute_spectrum(config.kernel_spec(), 12)
+    target, model, seed = fit_cell(config, sp, 12, 0)
+    assert model.n > estimator.CROSS_COLS
+    m = 2 * estimator.PANEL_ROWS + 37
+    ref = mc_errors(model, target, m, seed.child(TAG_MC))
+    monkeypatch.setattr(estimator, "gemm", _lapack.bind(object())[4])
+    got = mc_errors(model, target, m, seed.child(TAG_MC))
+    assert ref.var > 0
+    for g, r in zip(vars(got).values(), vars(ref).values()):
+        assert g == pytest.approx(r, rel=1e-13, abs=0.0)

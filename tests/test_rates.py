@@ -89,6 +89,15 @@ def test_classify_spot_checks():
     assert classify(0.0, 1.5).classification == "inconsistent"
 
 
+@pytest.mark.parametrize("gamma, s", [(1.4, 0.4), (1.15, 0.15), (1.2, 0.2), (2.4, 0.2),
+                                      (2.7, 0.1), (2.85, 0.05), (3.6, 0.1)])
+def test_classify_counts_s_on_the_threshold_as_optimal(gamma, s):
+    # s = Gamma(gamma) exactly, while the float Gamma lands an ulp below s
+    assert classify(s, gamma).Gamma_gamma < s
+    assert classify(s, gamma).classification == "optimal"
+    assert classify(s + 1e-9, gamma).classification == "sub-optimal"
+
+
 def test_classify_populates_phase_point():
     p = classify(1.0, 1.5)
     assert p.l == 1
