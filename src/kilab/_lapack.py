@@ -1,155 +1,257 @@
-"""The five LAPACK/BLAS routines kilab calls, bound on numpy's own OpenBLAS.
+"""The six LAPACK/BLAS routines kilab calls, bound on numpy's own OpenBLAS.
 
 Importing scipy.linalg for them costs over 200 ms and maps a second OpenBLAS
 library beside numpy's, so when the OpenBLAS that numpy links exports its
 ILP64 LAPACKE/CBLAS symbols (numpy >= 2 wheels) they are called through
 ctypes on the library already loaded. When any symbol is missing (an older
-wheel, an MKL or Accelerate build) they are adapters over scipy.linalg.
+wheel, an MKL or Accelerate build) they are adapters over scipy.linalg,
+which copy any operand that is not a contiguous array.
 
-Each has one call shape on Fortran-order matrices such as the view K.T:
-potrf and potri write its lower triangle in place and leave the strict
-upper one, from which symv reads K, as it was; gemm accumulates c += a @ b,
-which the Monte Carlo check runs on column blocks of K^-1. The LAPACKE
-`_work` variants skip the plain ones' O(n^2) NaN scan, which scipy's
-wrappers do not make either. Every array's dtype, layout, shape and
-writeability is checked before its pointer reaches the library, which would
-otherwise read or write out of bounds silently.
+Each has one call shape. pftrf, pftri and pftrs work on a symmetric n x n
+matrix in rectangular full packed (RFP) storage, LAPACK's layout with
+TRANSR = 'N' and UPLO = 'L': a contiguous 1-D array of n (n + 1) / 2
+doubles (kilab.estimator describes its three blocks). pftrf and pftri
+overwrite it in place, with the Cholesky factor and then the inverse.
+symm and gemm accumulate c += a @ b on 2-D views of such storage, and
+syrk adds a^T a to c's upper triangle: every operand is a column-major
+matrix whose leading dimension is its column stride, or the transpose of
+one where the routine takes a transposed operand, and symm reads only a's
+lower triangle. The LAPACKE `_work` variants skip the plain ones' O(n^2) NaN
+scan, which scipy's wrappers do not make either. Every array's dtype,
+layout, shape and writeability is checked before its pointer reaches the
+library, which would otherwise read or write out of bounds silently.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 
 import numpy as np
 import numpy.linalg._umath_linalg
 
 _COL_MAJOR = 102                  # LAPACK_COL_MAJOR, CblasColMajor
-_CBLAS_UPPER = 121
-_CBLAS_NO_TRANS = 111
-_SYMBOLS = ("scipy_LAPACKE_dpotrf_work64_", "scipy_LAPACKE_dpotri_work64_",
-            "scipy_LAPACKE_dpotrs_work64_", "scipy_cblas_dsymv64_",
-            "scipy_cblas_dgemm64_")
+_NO_TRANS, _TRANS = 111, 112
+_UPPER, _LOWER = 121, 122
+_LEFT = 141
+_SYMBOLS = ("scipy_LAPACKE_dpftrf_work64_", "scipy_LAPACKE_dpftri_work64_",
+            "scipy_LAPACKE_dpftrs_work64_", "scipy_cblas_dsymm64_",
+            "scipy_cblas_dgemm64_", "scipy_cblas_dsyrk64_")
+_F64 = np.dtype(np.float64)
 
 
-def _matrix(a: np.ndarray, written: bool, square: bool = True) -> int:
-    """Leading dimension of a square (or, with square=False, any 2-D),
-    Fortran-contiguous float64 array, writeable when the routine writes
-    to it."""
-    if not isinstance(a, np.ndarray) or a.dtype != np.float64:
+def _array(a: np.ndarray, ndim: int, written: bool) -> None:
+    if not isinstance(a, np.ndarray) or a.dtype is not _F64 and a.dtype != _F64:
         raise ValueError(f"need a float64 ndarray, got {getattr(a, 'dtype', type(a))}")
-    if a.ndim != 2 or (square and a.shape[0] != a.shape[1]):
-        raise ValueError(f"need a {'square ' if square else ''}matrix, got shape {a.shape}")
-    if not a.flags.f_contiguous:
-        raise ValueError("need a Fortran-contiguous matrix")
+    if a.ndim != ndim:
+        raise ValueError(f"need a {ndim}-D array, got shape {a.shape}")
     if written and not a.flags.writeable:
-        raise ValueError("the matrix is read-only")
-    return a.shape[0]
+        raise ValueError("the array is read-only")
 
 
-def _gemm_dims(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[int, int, int]:
-    """(m, n, k) of c (m x n) += a (m x k) @ b (k x n), all three checked
-    as _matrix checks them, c writeable."""
-    m, k = _matrix(a, written=False, square=False), a.shape[1]
-    _matrix(b, written=False, square=False)
-    _matrix(c, written=True, square=False)
-    if b.shape[0] != k or c.shape != (m, b.shape[1]):
+def _packed(a: np.ndarray, written: bool) -> int:
+    """n of a contiguous float64 RFP array of n (n + 1) / 2 values,
+    writeable when the routine writes to it."""
+    _array(a, 1, written)
+    if not a.flags.c_contiguous:
+        raise ValueError("need a contiguous RFP array")
+    n = (math.isqrt(8 * a.size + 1) - 1) // 2
+    if n * (n + 1) // 2 != a.size:
+        raise ValueError(f"RFP storage needs n (n + 1) / 2 values, got {a.size}")
+    return n
+
+
+def _operand(a: np.ndarray, written: bool = False) -> tuple[bool, int]:
+    """(transposed, ld) of a 2-D float64 view: a column-major matrix with
+    leading dimension ld, or (transposed) the transpose of one. A single row
+    or column counts as column-major."""
+    _array(a, 2, written)
+    (rows, cols), (s0, s1) = a.shape, a.strides
+    if s0 == 8 and cols > 1 and s1 >= 8 * rows and not s1 % 8:    # the common case
+        return False, s1 >> 3
+    if (s0 == 8 or rows <= 1) and (cols <= 1 or (s1 >= 8 * rows and not s1 % 8)):
+        return False, max(s1 >> 3 if cols > 1 else rows, 1)
+    if s1 == 8 and rows > 1 and s0 >= 8 * cols and not s0 % 8:
+        return True, s0 >> 3
+    raise ValueError(f"need a column-major matrix or its transpose, got strides {a.strides}")
+
+
+def _symm_dims(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
+    """(a transposed, lda, ldb, ldc, m, n) of c (m x n) += a (m x m) @ b, with
+    b and c column-major and c writeable."""
+    trans_a, lda = _operand(a)
+    trans_b, ldb = _operand(b)
+    trans_c, ldc = _operand(c, written=True)
+    m, n = c.shape
+    if trans_b or trans_c:
+        raise ValueError("symm needs b and c column-major")
+    if a.shape != (m, m) or b.shape != (m, n):
         raise ValueError(f"incompatible dimensions ({a.shape} @ {b.shape} into {c.shape})")
-    return m, b.shape[1], k
+    return trans_a, lda, ldb, ldc, m, n
+
+
+def _gemm_dims(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
+    """(a transposed, lda, b transposed, ldb, ldc, m, n, k) of
+    c (m x n) += a (m x k) @ b (k x n), with c column-major and writeable."""
+    trans_a, lda = _operand(a)
+    trans_b, ldb = _operand(b)
+    trans_c, ldc = _operand(c, written=True)
+    (m, k), n = a.shape, c.shape[1]
+    if trans_c:
+        raise ValueError("gemm needs c column-major")
+    if b.shape != (k, n) or c.shape[0] != m:
+        raise ValueError(f"incompatible dimensions ({a.shape} @ {b.shape} into {c.shape})")
+    return trans_a, lda, trans_b, ldb, ldc, m, n, k
+
+
+def _syrk_dims(a: np.ndarray, c: np.ndarray) -> tuple:
+    """(a transposed, lda, ldc, n, k) of c (n x n) += a^T a with a k x n, c
+    column-major and writeable."""
+    trans_a, lda = _operand(a)
+    trans_c, ldc = _operand(c, written=True)
+    k, n = a.shape
+    if trans_c:
+        raise ValueError("syrk needs c column-major")
+    if c.shape != (n, n):
+        raise ValueError(f"incompatible dimensions ({a.shape}^T {a.shape} into {c.shape})")
+    return trans_a, lda, ldc, n, k
+
+
+def _solve_rhs(n: int, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """A Fortran-order float64 copy of b, one or more columns of length n,
+    and its column count."""
+    x = np.array(b, dtype=np.float64, order="F")
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"incompatible dimensions (n = {n} and {x.shape})")
+    return x, 1 if x.ndim == 1 else x.shape[1]
+
+
+def _pointer_reader():
+    """A function from an ndarray to its data address, as a ctypes pointer.
+    numpy's C struct PyArrayObject_fields starts with PyObject_HEAD and then
+    the data pointer, so on CPython the pointer is read from the array
+    object itself in a fraction of the time of `a.ctypes.data`, which builds
+    a helper object per call. A probe array confirms the layout, else
+    `a.ctypes.data` is used."""
+    at = ctypes.c_void_p.from_address
+    offset = object.__basicsize__
+
+    def read(a: np.ndarray) -> ctypes.c_void_p:
+        return at(id(a) + offset)
+
+    probe = np.zeros((4, 3))[1:, 1:]
+    return read if read(probe).value == probe.ctypes.data else (lambda a: a.ctypes.data)
+
+
+_data = _pointer_reader()
 
 
 def _scipy_adapters() -> tuple:
-    """potrf, potri, potrs, symv and gemm over scipy.linalg, with kilab's
-    flags."""
-    from scipy.linalg import cho_solve
-    from scipy.linalg.blas import dgemm, dsymv
-    from scipy.linalg.lapack import dpotrf, dpotri
+    """pftrf, pftri, pftrs, symm, gemm and syrk over scipy.linalg, with
+    kilab's flags and checks."""
+    from scipy.linalg.blas import dgemm, dsymm, dsyrk
+    from scipy.linalg.lapack import dpftrf, dpftri, dpftrs
 
-    # f2py writes a matrix _matrix accepts in place, so the array it returns
+    # f2py writes an array _packed accepts in place, so the array it returns
     # is the argument itself
-    def potrf(a: np.ndarray) -> int:
-        _matrix(a, written=True)
-        return dpotrf(a, lower=1, clean=0, overwrite_a=1)[1]
+    def pftrf(a: np.ndarray) -> int:
+        return dpftrf(_packed(a, written=True), a, transr="N", uplo="L", overwrite_a=1)[1]
 
-    def potri(c: np.ndarray) -> int:
-        _matrix(c, written=True)
-        return dpotri(c, lower=1, overwrite_c=1)[1]
+    def pftri(a: np.ndarray) -> int:
+        return dpftri(_packed(a, written=True), a, transr="N", uplo="L", overwrite_a=1)[1]
+
+    def pftrs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        n = _packed(a, written=False)
+        x, _ = _solve_rhs(n, b)
+        x2, info = dpftrs(n, a, x.reshape(n, -1), transr="N", uplo="L")
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal pftrs")
+        return x2.reshape(x.shape)
+
+    # f2py copies strided views, so the products are written back into c
+    def symm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+        _symm_dims(a, b, c)
+        c[...] = dsymm(1.0, a, b, beta=1.0, c=c, lower=1)
 
     def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
         _gemm_dims(a, b, c)
-        dgemm(1.0, a, b, beta=1.0, c=c, overwrite_c=1)
+        c[...] = dgemm(1.0, a, b, beta=1.0, c=c)
 
-    return (potrf, potri, lambda c, b: cho_solve((c, True), b, check_finite=False),
-            lambda a, x: dsymv(1.0, a, x), gemm)
+    def syrk(a: np.ndarray, c: np.ndarray) -> None:
+        _syrk_dims(a, c)
+        c[...] = dsyrk(1.0, a, beta=1.0, c=c, trans=1, lower=0)
+
+    return pftrf, pftri, pftrs, symm, gemm, syrk
 
 
 def bind(lib) -> tuple:
-    """(potrf, potri, potrs, symv, gemm) on lib's ILP64 LAPACKE/CBLAS
+    """(pftrf, pftri, pftrs, symm, gemm, syrk) on lib's ILP64 LAPACKE/CBLAS
     symbols, or adapters over scipy.linalg when lib lacks any of them."""
     try:
-        lib_potrf, lib_potri, lib_potrs, lib_symv, lib_gemm = (
+        lib_pftrf, lib_pftri, lib_pftrs, lib_symm, lib_gemm, lib_syrk = (
             getattr(lib, name) for name in _SYMBOLS)
     except AttributeError:
         return _scipy_adapters()
 
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    for f in (lib_potrf, lib_potri):
-        f.argtypes = [ctypes.c_int, ctypes.c_char, i64, ptr, i64]
+    i64, ptr, char, dbl, enum = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_char,
+                                 ctypes.c_double, ctypes.c_int)
+    for f in (lib_pftrf, lib_pftri):
+        f.argtypes = [enum, char, char, i64, ptr]
         f.restype = i64
-    lib_potrs.argtypes = [ctypes.c_int, ctypes.c_char, i64, i64, ptr, i64, ptr, i64]
-    lib_potrs.restype = i64
-    lib_symv.argtypes = [ctypes.c_int, ctypes.c_int, i64, ctypes.c_double, ptr, i64,
-                         ptr, i64, ctypes.c_double, ptr, i64]
-    lib_symv.restype = None
-    lib_gemm.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, i64, i64, i64,
-                         ctypes.c_double, ptr, i64, ptr, i64, ctypes.c_double, ptr, i64]
+    lib_pftrs.argtypes = [enum, char, char, i64, i64, ptr, ptr, i64]
+    lib_pftrs.restype = i64
+    lib_symm.argtypes = [enum, enum, enum, i64, i64, dbl, ptr, i64, ptr, i64, dbl, ptr, i64]
+    lib_symm.restype = None
+    lib_gemm.argtypes = [enum, enum, enum, i64, i64, i64, dbl, ptr, i64, ptr, i64,
+                         dbl, ptr, i64]
     lib_gemm.restype = None
+    lib_syrk.argtypes = [enum, enum, enum, i64, i64, dbl, ptr, i64, dbl, ptr, i64]
+    lib_syrk.restype = None
 
-    def potrf(a: np.ndarray) -> int:
-        """Cholesky factor of a's lower triangle, in place; the strict upper
-        triangle is left as it was. Returns LAPACK's info."""
-        n = _matrix(a, written=True)
-        return int(lib_potrf(_COL_MAJOR, b"L", n, a.ctypes.data, max(n, 1)))
+    def pftrf(a: np.ndarray) -> int:
+        """Cholesky factor of the RFP matrix a, in place. Returns LAPACK's
+        info."""
+        return int(lib_pftrf(_COL_MAJOR, b"N", b"L", _packed(a, written=True), _data(a)))
 
-    def potri(c: np.ndarray) -> int:
-        """Lower triangle of K^-1 over K's lower factor c, in place. Returns
+    def pftri(a: np.ndarray) -> int:
+        """Inverse of K over K's RFP Cholesky factor a, in place. Returns
         LAPACK's info."""
-        n = _matrix(c, written=True)
-        return int(lib_potri(_COL_MAJOR, b"L", n, c.ctypes.data, max(n, 1)))
+        return int(lib_pftri(_COL_MAJOR, b"N", b"L", _packed(a, written=True), _data(a)))
 
-    def potrs(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """x with K x = b, from K's lower factor c (a new array)."""
-        n = _matrix(c, written=False)
-        x = np.array(b, dtype=np.float64, order="F")
-        if x.ndim not in (1, 2) or x.shape[0] != n:
-            raise ValueError(f"incompatible dimensions ({c.shape} and {x.shape})")
-        nrhs = 1 if x.ndim == 1 else x.shape[1]
-        info = lib_potrs(_COL_MAJOR, b"L", n, nrhs, c.ctypes.data, max(n, 1),
-                         x.ctypes.data, max(n, 1))
+    def pftrs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """x with K x = b, from K's RFP Cholesky factor a (a new array)."""
+        n = _packed(a, written=False)
+        x, nrhs = _solve_rhs(n, b)
+        info = lib_pftrs(_COL_MAJOR, b"N", b"L", n, nrhs, _data(a), _data(x), max(n, 1))
         if info != 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+            raise ValueError(f"illegal value in {-info}th argument of internal pftrs")
         return x
 
-    def symv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """A x for the symmetric A stored in a's upper triangle."""
-        n = _matrix(a, written=False)
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.shape != (n,):
-            raise ValueError(f"need a vector of length {n}, got shape {x.shape}")
-        y = np.zeros(n)
-        lib_symv(_COL_MAJOR, _CBLAS_UPPER, n, 1.0, a.ctypes.data, max(n, 1),
-                 x.ctypes.data, 1, 0.0, y.ctypes.data, 1)
-        return y
+    def symm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+        """c += A @ b in place, for the symmetric A held in a's lower
+        triangle."""
+        trans_a, lda, ldb, ldc, m, n = _symm_dims(a, b, c)
+        # the lower triangle of a transposed view is its base's upper one
+        lib_symm(_COL_MAJOR, _LEFT, _UPPER if trans_a else _LOWER, m, n, 1.0,
+                 _data(a), lda, _data(b), ldb, 1.0, _data(c), ldc)
 
     def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
         """c += a @ b in place."""
-        m, n, k = _gemm_dims(a, b, c)
-        lib_gemm(_COL_MAJOR, _CBLAS_NO_TRANS, _CBLAS_NO_TRANS, m, n, k, 1.0,
-                 a.ctypes.data, max(m, 1), b.ctypes.data, max(k, 1), 1.0,
-                 c.ctypes.data, max(m, 1))
+        trans_a, lda, trans_b, ldb, ldc, m, n, k = _gemm_dims(a, b, c)
+        lib_gemm(_COL_MAJOR, _TRANS if trans_a else _NO_TRANS,
+                 _TRANS if trans_b else _NO_TRANS, m, n, k, 1.0,
+                 _data(a), lda, _data(b), ldb, 1.0, _data(c), ldc)
 
-    return potrf, potri, potrs, symv, gemm
+    def syrk(a: np.ndarray, c: np.ndarray) -> None:
+        """c += a^T a in place, on c's upper triangle only."""
+        trans_a, lda, ldc, n, k = _syrk_dims(a, c)
+        # a transposed view is the transpose of a column-major n x k matrix
+        lib_syrk(_COL_MAJOR, _UPPER, _NO_TRANS if trans_a else _TRANS, n, k, 1.0,
+                 _data(a), lda, 1.0, _data(c), ldc)
+
+    return pftrf, pftri, pftrs, symm, gemm, syrk
 
 
 # dlsym on the linalg extension resolves through its dependencies, which
 # hold the OpenBLAS numpy itself calls
-potrf, potri, potrs, symv, gemm = bind(ctypes.CDLL(numpy.linalg._umath_linalg.__file__))
+pftrf, pftri, pftrs, symm, gemm, syrk = bind(ctypes.CDLL(numpy.linalg._umath_linalg.__file__))

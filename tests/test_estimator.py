@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh
+from scipy.linalg.lapack import dtfttr
 
 from kilab import (Dataset, NumericalError, SeedPath, SpherePoints, UsageError,
                    assemble_kernel_matrix, build_target, compute_spectrum,
@@ -14,7 +15,7 @@ from kilab import (Dataset, NumericalError, SeedPath, SpherePoints, UsageError,
                    variance_split, zonal_series)
 from kilab.harness import ExperimentConfig, fit_cell
 from kilab.seeding import TAG_AXIS, TAG_MC, TAG_POINTS
-from kilab.zonal import BLOCK_DOUBLES
+from kilab.zonal import BLOCK_DOUBLES, ZonalBasis
 
 SEED = SeedPath(31337)
 
@@ -22,6 +23,15 @@ SEED = SeedPath(31337)
 def _kernel_matrix(model):
     """Test-only oracle: K assembled afresh from the training points."""
     return assemble_kernel_matrix(model.spectrum.spec, model.dataset.points.gram())
+
+
+def _dense(packed, n):
+    """The symmetric n x n matrix whose lower triangle the RFP array packed
+    holds (TRANSR = 'N', UPLO = 'L'), unpacked by LAPACK's dtfttr."""
+    low, info = dtfttr(n, packed, transr="N", uplo="L")
+    assert info == 0
+    low = np.tril(low)
+    return low + np.tril(low, -1).T
 
 
 def _cell(d=8, gamma=1.5, s=0.5, sigma2=1.0, n=None, seed_label=0):
@@ -152,7 +162,8 @@ def test_blocked_degree_sums_match_full_matrix_oracle(d, n):
     assert n == 1 or n < BLOCK_DOUBLES // n or n % (BLOCK_DOUBLES // n)
     model, target, _ = _cell(d=d, gamma=1.5, n=n)
     sp = model.spectrum
-    S = model.K_inv @ model.K_inv.T
+    K_inv = _dense(model.K_inv, model.n)
+    S = K_inv @ K_inv.T
     a = model.alpha_clean
     G = model.dataset.points.gram()
     # The k = 0 term 1^T S 1 is badly conditioned, so each degree's
@@ -191,8 +202,9 @@ def test_blocked_degree_sums_match_full_matrix_oracle(d, n):
 
 @pytest.mark.parametrize("sigma2, panels", [(1.0, 1), (0.0, 0)])
 def test_degree_pass_holds_one_s_panel_and_a_few_blocks(sigma2, panels):
-    # beyond the model the pass holds at most one PANEL_ROWS x n panel of S,
-    # none at sigma^2 = 0, and a few cache blocks (G, the probes and the
+    # beyond the model the pass holds at most one PANEL_ROWS x n panel of S
+    # and one of PANEL_ROWS x ceil(n / 2) for a half of K^-1's columns, none
+    # at sigma^2 = 0, and a few cache blocks (G, the probes and the
     # recurrence's three buffers); n = 800 makes a panel larger than the
     # blocks' allowance
     model, _, _ = _cell(d=16, gamma=2.0, n=800, sigma2=sigma2)
@@ -204,27 +216,37 @@ def test_degree_pass_holds_one_s_panel_and_a_few_blocks(sigma2, panels):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (panels * estimator.PANEL_ROWS * n + 8 * BLOCK_DOUBLES)
+    panel = estimator.PANEL_ROWS * (n + (n + 1) // 2)
+    assert peak <= 8 * (panels * panel + 8 * BLOCK_DOUBLES)
 
 
-def test_degree_pass_panels_match_the_gram_within_two_ulps():
-    # The degree pass rebuilds G block by block. numpy sends X @ X.T to syrk
-    # but a block X[r0:r1] @ X[:r1].T (r0 > 0) to gemm, so the two need not
-    # agree bit for bit. Entries are inner products of unit vectors, so the
-    # gap is counted in ulps of 1.0 on the large-cell sweep's points
-    # (n = 2025, d = 45); the blocks must cover G's lower triangle.
+def test_fit_factors_phi_of_the_degree_pass_blocks(monkeypatch):
+    # fit and the degree pass build G from the points through the same
+    # blocks, so the K that fit factors is Phi of the G blocks the degree
+    # pass reads, bit for bit, on the large-cell sweep's points (n = 2025,
+    # d = 45); the blocks must cover G's lower triangle
     points = sample_sphere(45, 2025, SeedPath(20240901, (45, 0)).child(TAG_POINTS))
-    X, G = points.coordinates, points.gram()
-    buf = np.empty(BLOCK_DOUBLES)
-    covered = 0
-    for p0 in range(0, points.n, estimator.PANEL_ROWS):
-        p1 = min(p0 + estimator.PANEL_ROWS, points.n)
-        for r0, r1, block in estimator._gram_blocks(X, p0, p1, buf):
-            assert r0 == covered < r1 <= p1
-            assert block.shape == (r1 - r0, r1) and block.size <= BLOCK_DOUBLES
-            assert np.max(np.abs(block - G[r0:r1, :r1])) <= 2 * np.spacing(1.0)
-            covered = r1
-    assert covered == points.n
+    sp = compute_spectrum(kernel_by_id("exp"), 45)
+    y = points.coordinates[:, 0].copy()
+    real, factored = estimator.pftrf, []
+    monkeypatch.setattr(estimator, "pftrf", lambda a: factored.append(a.copy()) or real(a))
+    model = fit(Dataset(points=points, y=y, clean=y, sigma2=0.0), sp)
+    K = np.tril(_dense(factored[0], points.n))
+
+    iter_values, covered = ZonalBasis.iter_values, [0]
+
+    def iter_values_checked(basis, t):
+        if np.ndim(t) == 2:
+            r0, (h, r1) = covered[0], t.shape
+            assert r1 == r0 + h and t.size <= BLOCK_DOUBLES
+            K_b = np.tril(eval_phi(sp.spec, t), r0)
+            assert np.array_equal(K_b, K[r0:r1, :r1])
+            covered[0] = r1
+        return iter_values(basis, t)
+
+    monkeypatch.setattr(ZonalBasis, "iter_values", iter_values_checked)
+    model.degree_sums
+    assert covered == [points.n]
 
 
 def test_mc_variance_matches_two_solve_oracle():
@@ -242,11 +264,12 @@ def test_mc_variance_matches_two_solve_oracle():
 @pytest.mark.parametrize("sigma2", [1.0, 0.0])
 def test_panelled_mc_and_predict_match_dense_formulas(sigma2):
     # n = PANEL_ROWS + 88 and m = 2 PANEL_ROWS + 37: three test-point panels,
-    # the last ragged, each over two column blocks of training points (the
-    # second ragged). Blocked BLAS products need not equal the full m x n
-    # products bit for bit (OpenBLAS blocks by the operand sizes, and the
-    # blocks are summed), so the tolerances cover a few ulps: measured at
-    # most 6.3e-15 relative on McErrors and 3.9e-14 of max |prediction|.
+    # the last ragged, each over two column blocks of training points, one
+    # per half of K^-1's RFP storage. Blocked BLAS products need not equal
+    # the full m x n products bit for bit (OpenBLAS blocks by the operand
+    # sizes, and the blocks are summed), so the tolerances cover a few ulps:
+    # measured at most 6.3e-15 relative on McErrors and 3.9e-14 of max
+    # |prediction|.
     n, m = estimator.PANEL_ROWS + 88, 2 * estimator.PANEL_ROWS + 37
     assert estimator.CROSS_COLS < n < 2 * estimator.CROSS_COLS
     model, target, seed = _cell(d=12, n=n, sigma2=sigma2)
@@ -254,7 +277,7 @@ def test_panelled_mc_and_predict_match_dense_formulas(sigma2):
     test = sample_sphere(target.d, m, seed.child(TAG_MC))
     kx = eval_phi(model.spectrum.spec, test.gram(model.dataset.points))
     bias = (kx @ model.alpha_clean - eval_target(target, test)) ** 2
-    var = (sigma2 * np.sum(np.square(model.K_inv @ kx.T), axis=0) if sigma2
+    var = (sigma2 * np.sum(np.square(_dense(model.K_inv, model.n) @ kx.T), axis=0) if sigma2
            else np.zeros(m))
     dense = (bias.mean(), bias.std(ddof=1) / np.sqrt(m),
              var.mean(), var.std(ddof=1) / np.sqrt(m))
@@ -274,35 +297,37 @@ def test_k_inv_formed_only_when_used():
     assert noisy.K_inv is not None
 
 
-@pytest.mark.parametrize("n", [40, estimator.MIRROR_BLOCK + 45])
+@pytest.mark.parametrize("n", [40, 77])
 def test_k_inv_matches_two_solve_route_and_is_symmetric(n):
-    # potri on the factor, then the lower triangle mirrored block by block;
-    # the reference is a dense LU solve against a freshly assembled K
+    # pftri on the factor, in RFP storage (an even and an odd n lay it out
+    # differently); the reference is a dense LU solve against a freshly
+    # assembled K
     model, _, _ = _cell(d=12, n=n)
     ref = np.linalg.solve(_kernel_matrix(model), np.eye(n))
-    K_inv = model.K_inv
+    assert model.K_inv.shape == (n * (n + 1) // 2,)
+    K_inv = _dense(model.K_inv, n)
     assert np.linalg.norm(K_inv - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert np.array_equal(K_inv, K_inv.T)
 
 
 def test_k_inv_potri_failure_raises(monkeypatch):
+    # pftri is LAPACK's potri on RFP storage
     ds, sp = _forced_fit(monkeypatch, 0)
-    monkeypatch.setattr(estimator, "potri", lambda c: 3)
+    monkeypatch.setattr(estimator, "pftri", lambda a: 3)
     with pytest.raises(NumericalError, match="info=3"):
         fit(ds, sp)
 
 
 def _forced_fit(monkeypatch, failures):
     """A d = 12 cell whose first `failures` factorizations report failure."""
-    real = estimator.potrf
+    real = estimator.pftrf
     calls = []
 
-    def potrf_failing(a):
+    def pftrf_failing(a):
         calls.append(1)
         info = real(a)
         return (info or 5) if len(calls) <= failures else info
 
-    monkeypatch.setattr(estimator, "potrf", potrf_failing)
+    monkeypatch.setattr(estimator, "pftrf", pftrf_failing)
     sp = compute_spectrum(kernel_by_id("exp"), 12)
     seed = SeedPath(31337, (12, 0))
     ds = make_dataset(build_target(sp, 0.5, 1.5, seed.child(TAG_AXIS)), 42, 1.0, seed)
@@ -318,40 +343,61 @@ def test_fit_matches_dense_solve(monkeypatch):
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-def _count_potrs(monkeypatch):
-    real, calls = estimator.potrs, []
+def _count_pftrs(monkeypatch):
+    real, calls = estimator.pftrs, []
 
-    def potrs_counted(c, b):
+    def pftrs_counted(a, b):
         calls.append(1)
-        return real(c, b)
+        return real(a, b)
 
-    monkeypatch.setattr(estimator, "potrs", potrs_counted)
+    monkeypatch.setattr(estimator, "pftrs", pftrs_counted)
     return calls
 
 
 def test_noiseless_fit_solves_once(monkeypatch):
     # make_dataset hands fit y as the clean array itself at sigma2 = 0, so
-    # one refined solve (a solve and one refinement sweep) serves both
-    calls = _count_potrs(monkeypatch)
+    # one solve serves both; its residual meets the contract, so no
+    # refinement sweep runs
+    calls = _count_pftrs(monkeypatch)
     sp = compute_spectrum(kernel_by_id("exp"), 12)
     ds = make_dataset(build_target(sp, 0.5, 1.5, SEED.child(1)), 42, 0.0, SEED)
     model = fit(ds, sp)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert ds.y is ds.clean and model.alpha is model.alpha_clean
 
 
 def test_equal_but_separate_labels_get_two_solves(monkeypatch):
     # the rule is identity, not sigma2: equal copies are solved for apart
-    calls = _count_potrs(monkeypatch)
+    calls = _count_pftrs(monkeypatch)
     sp = compute_spectrum(kernel_by_id("exp"), 12)
     noiseless = make_dataset(build_target(sp, 0.5, 1.5, SEED.child(1)), 42, 0.0, SEED)
     ds = Dataset(points=noiseless.points, y=noiseless.clean.copy(),
                  clean=noiseless.clean.copy(), sigma2=0.0)
     model = fit(ds, sp)
-    assert len(calls) == 4 and model.alpha is not model.alpha_clean
+    assert len(calls) == 2 and model.alpha is not model.alpha_clean
     ref = np.linalg.solve(assemble_kernel_matrix(sp.spec, ds.points.gram()), ds.clean)
     for x in (model.alpha, model.alpha_clean):
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_a_solve_that_misses_the_contract_is_refined_once(monkeypatch):
+    # a first solve 1e-6 off in relative terms gets one refinement sweep,
+    # which brings the residual back inside 1e-10; the other right-hand
+    # side, solved well, is not refined
+    ds, sp = _forced_fit(monkeypatch, 0)
+    real, calls = estimator.pftrs, []
+
+    def pftrs_perturbed(a, b):
+        calls.append(b)
+        x = real(a, b)
+        return x * (1 + 1e-6) if len(calls) == 1 else x
+
+    monkeypatch.setattr(estimator, "pftrs", pftrs_perturbed)
+    model = fit(ds, sp)
+    assert len(calls) == 3 and calls[0] is ds.y and calls[1] is ds.clean
+    K = assemble_kernel_matrix(sp.spec, ds.points.gram())
+    for x, rhs in ((model.alpha, ds.y), (model.alpha_clean, ds.clean)):
+        assert np.linalg.norm(K @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_fit_factorization_failure_messages(monkeypatch):
@@ -361,7 +407,7 @@ def test_fit_factorization_failure_messages(monkeypatch):
 
 
 def test_fit_failure_reports_lambda_min_of_the_assembled_k(monkeypatch):
-    # the buffer is half-factored when potrf fails, so lambda_min must come
+    # the array is half-factored when pftrf fails, so lambda_min must come
     # from a K assembled afresh, not from what is left in the buffer
     ds, sp = _forced_fit(monkeypatch, 1)
     with pytest.raises(NumericalError) as err:
@@ -383,21 +429,20 @@ def _arrays(obj):
 
 @pytest.mark.parametrize("sigma2, count", [(1.0, 1), (0.0, 0)])
 def test_fitted_model_holds_one_n_by_n_array_only_when_noisy(sigma2, count):
-    # K^-1 is the buffer that held G, K and the factor; a noiseless fit keeps
-    # no array of n^2 doubles at all
+    # K^-1 is the RFP array of n (n + 1) / 2 doubles that held K and the
+    # factor; a noiseless fit keeps no array of that size at all
     model, _, _ = _cell(d=12, sigma2=sigma2)
     n = model.n
-    big = [a for a in _arrays(model) if a.size >= n * n]
+    big = [a for a in _arrays(model) if a.size >= n * (n + 1) // 2]
     assert len(big) == count
     if count:
-        assert big[0] is model.K_inv and big[0].shape == (n, n)
-        assert np.array_equal(model.K_inv, model.K_inv.T)
+        assert big[0] is model.K_inv and big[0].shape == (n * (n + 1) // 2,)
 
 
 def test_custom_kernel_fit_holds_one_n_by_n_buffer():
-    # Horner's rule evaluates Phi over G in place by row blocks, copying one
-    # block of G at a time, so a custom kernel fits in the one buffer as exp
-    # does (a whole copy of G would read 2.0 n^2)
+    # Horner's rule evaluates Phi over each G block in place, copying one
+    # row block of it at a time, so a custom kernel fits in the one RFP
+    # array and a few cache blocks as exp does
     spec = kernel_from_coefficients([0.5 ** (j + 1) for j in range(30)])
     sp = compute_spectrum(spec, 24)
     seed = SeedPath(31337, (24, 0))
@@ -411,13 +456,13 @@ def test_custom_kernel_fit_holds_one_n_by_n_buffer():
         tracemalloc.stop()
     n = model.n
     assert model.K_inv is None
-    assert peak <= 1.1 * 8 * n * n
+    assert peak <= 8 * (n * (n + 1) // 2 + 4 * BLOCK_DOUBLES)
 
 
 def test_fit_rejects_a_non_finite_solve(monkeypatch):
     # a NaN residual compares False against any tolerance
     ds, sp = _forced_fit(monkeypatch, 0)
-    monkeypatch.setattr(estimator, "potrs",
+    monkeypatch.setattr(estimator, "pftrs",
                         lambda factor, rhs: np.full_like(rhs, np.nan))
     with pytest.raises(NumericalError, match="residual nan"):
         fit(ds, sp)

@@ -190,19 +190,21 @@ def test_run_cell_never_runs_concentration(monkeypatch):
         assert key not in row
 
 
-def test_run_cell_builds_the_gram_matrix_once(monkeypatch):
+def test_run_cell_builds_no_n_by_n_gram_matrix(monkeypatch):
+    # fit, the degree pass and the Monte Carlo check all rebuild G and the
+    # cross-kernel from the points in cache blocks
     gram = SpherePoints.gram
-    self_grams = []
+    grams = []
 
     def gram_counted(points, other=None):
-        self_grams.append(other is None)
+        grams.append(other is None)
         return gram(points, other)
 
     monkeypatch.setattr(SpherePoints, "gram", gram_counted)
     cfg = small_config(mc_test_points=500)
     row = run_cell(cfg, compute_spectrum(cfg.kernel_spec(), 6), 6, 0)
     assert row["error"] == ""
-    assert self_grams.count(True) == 1
+    assert grams == []
 
 
 @pytest.mark.parametrize("sigma2, mc_test_points", [(1.0, 500), (0.0, 0)])
@@ -256,11 +258,12 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(later)
 
 
 def test_run_cell_peak_memory_is_one_n_squared_plus_panels():
-    # one n x n buffer holds G, K, the Cholesky factor and then K^-1;
-    # beside it the degree pass holds one S panel of PANEL_ROWS x n doubles
-    # and the Monte Carlo check one K^-1 k(X, x) panel, with G and the
-    # cross-kernel built in cache-sized blocks. The bound is n^2 + 576 n
-    # doubles, two panels' worth (measured 1.47 n^2 here)
+    # one RFP array of n (n + 1) / 2 doubles holds K, the Cholesky factor
+    # and then K^-1; beside it the degree pass holds one S panel of
+    # PANEL_ROWS x n doubles and one of PANEL_ROWS x n / 2 for a half of
+    # K^-1's columns, and the Monte Carlo check one K^-1 k(X, x) panel, with
+    # G and the cross-kernel built in cache-sized blocks. The bound is
+    # n (n + 1) / 2 + 576 n doubles
     cfg = ExperimentConfig(kernel="exp", gamma=2.0, s=0.5, d_list=(32,),
                            sigma2=1.0, mc_test_points=2000)
     spectrum = compute_spectrum(cfg.kernel_spec(), 32)
@@ -273,7 +276,7 @@ def test_run_cell_peak_memory_is_one_n_squared_plus_panels():
     finally:
         tracemalloc.stop()
     assert row["error"] == ""
-    assert peak <= 8 * (n * n + 576 * n)
+    assert peak <= 8 * (n * (n + 1) // 2 + 576 * n)
 
 
 def test_spectra_and_cells_run_at_d_from_512():
