@@ -76,20 +76,6 @@ def _operand(a: np.ndarray, written: bool = False) -> tuple[bool, int]:
     raise ValueError(f"need a column-major matrix or its transpose, got strides {a.strides}")
 
 
-def _symm_dims(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
-    """(a transposed, lda, ldb, ldc, m, n) of c (m x n) += a (m x m) @ b, with
-    b and c column-major and c writeable."""
-    trans_a, lda = _operand(a)
-    trans_b, ldb = _operand(b)
-    trans_c, ldc = _operand(c, written=True)
-    m, n = c.shape
-    if trans_b or trans_c:
-        raise ValueError("symm needs b and c column-major")
-    if a.shape != (m, m) or b.shape != (m, n):
-        raise ValueError(f"incompatible dimensions ({a.shape} @ {b.shape} into {c.shape})")
-    return trans_a, lda, ldb, ldc, m, n
-
-
 def _gemm_dims(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
     """(a transposed, lda, b transposed, ldb, ldc, m, n, k) of
     c (m x n) += a (m x k) @ b (k x n), with c column-major and writeable."""
@@ -98,22 +84,25 @@ def _gemm_dims(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
     trans_c, ldc = _operand(c, written=True)
     (m, k), n = a.shape, c.shape[1]
     if trans_c:
-        raise ValueError("gemm needs c column-major")
+        raise ValueError("need c column-major")
     if b.shape != (k, n) or c.shape[0] != m:
         raise ValueError(f"incompatible dimensions ({a.shape} @ {b.shape} into {c.shape})")
     return trans_a, lda, trans_b, ldb, ldc, m, n, k
 
 
+def _symm_dims(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
+    """(a transposed, lda, ldb, ldc, m, n) of c (m x n) += a (m x m) @ b, with
+    b and c column-major and c writeable."""
+    trans_a, lda, trans_b, ldb, ldc, m, n, k = _gemm_dims(a, b, c)
+    if trans_b or k != m:
+        raise ValueError(f"symm needs a square a and a column-major b, got {a.shape}")
+    return trans_a, lda, ldb, ldc, m, n
+
+
 def _syrk_dims(a: np.ndarray, c: np.ndarray) -> tuple:
     """(a transposed, lda, ldc, n, k) of c (n x n) += a^T a with a k x n, c
     column-major and writeable."""
-    trans_a, lda = _operand(a)
-    trans_c, ldc = _operand(c, written=True)
-    k, n = a.shape
-    if trans_c:
-        raise ValueError("syrk needs c column-major")
-    if c.shape != (n, n):
-        raise ValueError(f"incompatible dimensions ({a.shape}^T {a.shape} into {c.shape})")
+    _, _, trans_a, lda, ldc, n, _, k = _gemm_dims(a.T, a, c)
     return trans_a, lda, ldc, n, k
 
 

@@ -27,10 +27,10 @@ three blocks of K: K[:n1, :n1] by its lower triangle, K[n1:, :n1] in full
 and K[n1:, n1:] by its lower triangle transposed (_rfp_blocks). K is built
 from the points in cache blocks (_kernel_blocks), the same blocks the degree
 pass walks, so the K that is factored is Phi of the G the degree pass reads,
-bit for bit. fit solves once for Y and once for f*(X), or once for both
-when the dataset's y is its clean array, as make_dataset gives at
-sigma^2 = 0: then alpha is alpha_clean. Each residual rebuilds K x from
-those blocks, and a solution whose residual misses RESIDUAL_TOL gets one
+bit for bit. fit makes one solve for the columns [Y, f*(X)], or for Y
+alone when the dataset's y is its clean array, as make_dataset gives at
+sigma^2 = 0: then alpha is alpha_clean. The residual rebuilds K x from
+those blocks, and a column whose residual misses RESIDUAL_TOL gets one
 refinement sweep. kilab._lapack's pftrf, pftrs and pftri work on the array,
 and its symm, gemm and syrk read the three blocks where they lie, on
 numpy's own OpenBLAS; scipy.linalg is imported only by the lambda_min and
@@ -38,13 +38,16 @@ concentration diagnostics. One O(k_max n^2) recurrence pass over G's lower
 triangle (FittedInterpolant.degree_sums) yields <S, P_k(G)> for the
 variance and a^T P_k(G) a for the bias.
 
-Beside that array a cell holds one panel of at most PANEL_ROWS x n
-doubles: S = K^-1 K^-T by row panels in the degree pass, or K^-1 k(X, x)
-for a panel of test points in the Monte Carlo check, which accumulates over
-column blocks of K^-1. The degree pass also holds one half of the panel's
-columns of K^-1, PANEL_ROWS x (n - n // 2) doubles, unpacked to multiply by.
-G and the cross-kernel k(x, X) are rebuilt from the points in cache-sized
-blocks, each in one reused buffer.
+One rule cuts [0, n) into tiles of at most PANEL_ROWS indices (_tiles):
+the row panels of the blocks fit packs and the degree pass walks, and the
+column blocks of the cross-kernel. Beside the RFP array a cell holds one
+panel of at most PANEL_ROWS x n doubles: S = K^-1 K^-T by row panels in the
+degree pass, or K^-1 k(X, x) for a panel of test points in the Monte Carlo
+check, which accumulates over the tiles of K^-1's columns. The degree pass
+also holds one half of the panel's columns of K^-1, PANEL_ROWS x
+(n - n // 2) doubles, unpacked to multiply by. G and the cross-kernel
+k(x, X) are rebuilt from the points in cache-sized blocks, each in one
+reused buffer.
 """
 
 from __future__ import annotations
@@ -64,17 +67,32 @@ from .target import Dataset, Target, eval_target
 from .zonal import BLOCK_DOUBLES, ZonalBasis, multiplicities, zonal_series
 
 RESIDUAL_TOL = 1e-10
-# rows per panel of S = K^-1 K^-T and of test points in the Monte Carlo
-# check, so each panel holds at most PANEL_ROWS x n doubles; a multiple of
-# 24 keeps the panels on OpenBLAS's AVX-512 dgemm packing boundaries
+# the widest tile (_tiles) and the most test points per panel in the Monte
+# Carlo check, so a panel of S = K^-1 K^-T or of K^-1 k(X, x) holds at most
+# PANEL_ROWS x n doubles and a cross-kernel block PANEL_ROWS^2 (648 KiB,
+# inside a 1 MiB L2 cache); a multiple of 24 keeps full test-point panels on
+# OpenBLAS's AVX-512 dgemm packing boundaries
 PANEL_ROWS = 288
-# training points per column block of the cross-kernel k(x, X): a block of
-# PANEL_ROWS x CROSS_COLS doubles (576 KiB) fits a 1 MiB L2 cache and is a
-# full inner dimension for the K^-1 k(X, x) product it feeds
-CROSS_COLS = 256
 # _LOWER[:h, :h] masks the lower triangle, diagonal included, of a diagonal
 # square of a G block or an S panel, which is at most PANEL_ROWS wide
 _LOWER = np.tri(PANEL_ROWS, dtype=bool)
+
+
+def _tiles(n: int) -> list[tuple[int, int]]:
+    """Consecutive [t0, t1) covering [0, n), each at most PANEL_ROWS wide:
+    one tile when n <= PANEL_ROWS, else each half of K^-1's RFP storage,
+    [0, n - n // 2) and [n - n // 2, n), cut into the fewest tiles, whose
+    widths differ by at most one. No tile straddles the halves, which would
+    cut a thin slice off the RFP blocks for the products, and none is thin
+    (at n = 2025, 2 BLAS threads, a 149-wide last tile per half made the
+    Monte Carlo check 3-5 % slower than tiles of 253 in most runs)."""
+    if n <= PANEL_ROWS:
+        return [(0, n)]
+    n1, cuts = n - n // 2, []
+    for h0, h1 in ((0, n1), (n1, n)):
+        count = -(-(h1 - h0) // PANEL_ROWS)
+        cuts += [h0 + (h1 - h0) * i // count for i in range(count)]
+    return list(zip(cuts, cuts[1:] + [n]))
 
 
 @dataclass(frozen=True)
@@ -120,8 +138,7 @@ class FittedInterpolant:
             s_buf = np.empty(rows * n)
             half_buf = np.empty(rows * (n - n // 2))
             sb_buf = np.empty_like(g_buf)
-        for p0 in range(0, n, PANEL_ROWS):
-            p1 = min(p0 + PANEL_ROWS, n)
+        for p0, p1 in _tiles(n):
             if K_inv is not None:
                 S_p = _s_panel(blocks, p0, p1, s_buf, half_buf)
             for r0, r1, G_b in _gram_blocks(X, p0, p1, g_buf):
@@ -167,10 +184,10 @@ def _gram_block(rows: np.ndarray, cols: np.ndarray, buf: np.ndarray) -> np.ndarr
 def _kernel_blocks(X: np.ndarray, spectrum: Spectrum, buf: np.ndarray
                    ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (r0, r1, K[r0:r1, :r1]) with K = Phi(G) over the blocks the
-    degree pass walks (_gram_blocks by panels of PANEL_ROWS rows), in the
+    degree pass walks (_gram_blocks by the row panels of _tiles), in the
     flat buffer buf; a yielded block is valid only until the next."""
-    for p0 in range(0, len(X), PANEL_ROWS):
-        for r0, r1, G_b in _gram_blocks(X, p0, min(p0 + PANEL_ROWS, len(X)), buf):
+    for p0, p1 in _tiles(len(X)):
+        for r0, r1, G_b in _gram_blocks(X, p0, p1, buf):
             yield r0, r1, eval_phi(spectrum.spec, G_b, out=G_b)
 
 
@@ -255,21 +272,18 @@ def _pack(blocks: tuple, r0: int, r1: int, K_b: np.ndarray) -> None:
             np.copyto(view, src, where=_LOWER[: i1 - i0, : i1 - i0] if sym else True)
 
 
-def _kernel_products(X: np.ndarray, spectrum: Spectrum, xs: list[np.ndarray]
-                     ) -> list[np.ndarray]:
-    """K x for each x in xs, K rebuilt from the points in the blocks fit
+def _kernel_products(X: np.ndarray, spectrum: Spectrum, x: np.ndarray) -> np.ndarray:
+    """K x for an n x c matrix x, K rebuilt from the points in the blocks fit
     packs, each block's diagonal square mirrored from its lower triangle, so
-    this is the K that was factored. Each vector gets its own products, so
-    K x does not depend on the other vectors."""
-    ys = [np.zeros_like(x) for x in xs]
+    this is the K that was factored."""
+    y = np.zeros_like(x)
     buf = np.empty(min(BLOCK_DOUBLES, len(X) ** 2))
     for r0, r1, K_b in _kernel_blocks(X, spectrum, buf):
         square = K_b[:, r0:r1]
         np.copyto(square, square.T, where=~_LOWER[: r1 - r0, : r1 - r0])
-        for x, y in zip(xs, ys):
-            y[r0:r1] += K_b @ x[:r1]
-            y[:r0] += K_b[:, :r0].T @ x[r0:r1]
-    return ys
+        y[r0:r1] += K_b @ x[:r1]
+        y[:r0] += K_b[:, :r0].T @ x[r0:r1]
+    return y
 
 
 def _s_panel(blocks: tuple, p0: int, p1: int, out: np.ndarray, half_buf: np.ndarray
@@ -302,8 +316,9 @@ def _lambda_min(spectrum: Spectrum, points: SpherePoints) -> float:
     return float(eigvalsh(K.T, subset_by_index=(0, 0), overwrite_a=True)[0])
 
 
-def _relative(r: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(r)) / max(float(np.linalg.norm(b)), 1e-300)
+def _norms(a: np.ndarray) -> np.ndarray:
+    """The 2-norm of each column of a."""
+    return np.sqrt(np.square(a).sum(axis=0))
 
 
 def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
@@ -329,20 +344,20 @@ def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
 
     # Cholesky solves are backward stable, so the first residual is nearly
     # always far inside the 1e-10 contract (at most 1.3e-13 relative on the
-    # benchmark sweeps' cells); one refinement sweep serves a solution that
-    # misses it. The right-hand sides share each K x rebuild. A NaN residual
-    # fails the test, so pftrs never scans the factor for NaN
-    rhs = [dataset.y] if dataset.y is dataset.clean else [dataset.y, dataset.clean]
-    xs = [pftrs(K, b) for b in rhs]
-    rs = [b - kx for b, kx in zip(rhs, _kernel_products(X, spectrum, xs))]
-    redo = [i for i, (b, r) in enumerate(zip(rhs, rs)) if not _relative(r, b) <= RESIDUAL_TOL]
-    if redo:
-        for i in redo:
-            xs[i] = xs[i] + pftrs(K, rs[i])
-        for i, kx in zip(redo, _kernel_products(X, spectrum, [xs[i] for i in redo])):
-            rs[i] = rhs[i] - kx
-    for b, r in zip(rhs, rs):
-        rel = _relative(r, b)
+    # benchmark sweeps' cells); one refinement sweep serves a column that
+    # misses it. B holds Y, then f*(X) unless it is Y itself, and its columns
+    # share one solve and each K x rebuild. A NaN residual fails the test,
+    # so pftrs never scans the factor for NaN
+    y, clean = dataset.y, dataset.clean
+    B = y[:, None] if y is clean else np.stack((y, clean), axis=1)
+    x = pftrs(K, B)
+    r = B - _kernel_products(X, spectrum, x)
+    done = _norms(r) <= RESIDUAL_TOL * _norms(B)
+    if not done.all():
+        redo = ~done
+        x[:, redo] += pftrs(K, r[:, redo])
+        r = B[:, redo] - _kernel_products(X, spectrum, x[:, redo])
+        rel = np.max(_norms(r) / np.maximum(_norms(B[:, redo]), 1e-300))
         if not rel <= RESIDUAL_TOL:
             raise NumericalError(f"linear solve residual {rel:.3e} exceeds {RESIDUAL_TOL}")
 
@@ -350,47 +365,50 @@ def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
         info = pftri(K)
         if info != 0:
             raise NumericalError(f"LAPACK dpftri failed (info={info})")
-    return FittedInterpolant(dataset=dataset, spectrum=spectrum, alpha=xs[0],
-                             alpha_clean=xs[-1], K_inv=K if dataset.sigma2 > 0 else None)
+    alpha = x[:, 0]
+    return FittedInterpolant(dataset=dataset, spectrum=spectrum, alpha=alpha,
+                             alpha_clean=alpha if y is clean else x[:, 1],
+                             K_inv=K if dataset.sigma2 > 0 else None)
 
 
-def _cross_kernel_panels(model: FittedInterpolant, points: SpherePoints
-                         ) -> Iterator[tuple[slice, Iterator[tuple[slice, np.ndarray]]]]:
-    """Yield (rows, blocks) over panels of at most PANEL_ROWS query points,
-    where blocks yields (cols, k(x_rows, X[cols])) over column blocks of at
-    most CROSS_COLS training points X, Phi applied in place. Unless one
-    block holds every training point, no block straddles the halves of
-    K^-1's RFP storage (n - n // 2 columns, then n // 2), which would cut a
-    thin slice off K^-1's blocks for the products. Every block reuses one
-    buffer, so a yielded block is valid only until the next is requested
-    and no m x n or panel-sized kernel array exists."""
+def _cross_products(model: FittedInterpolant, points: SpherePoints, alpha: np.ndarray,
+                    norms: np.ndarray | None) -> np.ndarray:
+    """k(x, X) alpha for each query point x. k(x, X) is built from the points
+    by panels of at most PANEL_ROWS query points and the tiles of X
+    (_tiles), Phi applied in place, in one reused buffer, so no m x n or
+    panel-sized kernel array exists. When norms is given, norms[i] is set
+    to ||K^-1 k(X, x_i)||^2, with K^-1 k(X, x) for a panel (one
+    Fortran-order column per point) summed over the tiles by products with
+    K^-1's RFP blocks."""
     X = model.dataset.points
     if points.d != X.d:
         raise UsageError("query dimension does not match training dimension")
-    spec = model.spectrum.spec
-    buf = np.empty(min(PANEL_ROWS, points.n) * min(CROSS_COLS, X.n))
-    n1 = X.n - X.n // 2
-    cuts = ([0] if X.n <= CROSS_COLS
-            else [*range(0, n1, CROSS_COLS), *range(n1, X.n, CROSS_COLS)]) + [X.n]
-
-    def blocks(rows: slice) -> Iterator[tuple[slice, np.ndarray]]:
-        for c0, c1 in zip(cuts, cuts[1:]):
-            cols = slice(c0, c1)
-            block = _gram_block(points.coordinates[rows], X.coordinates[cols], buf)
-            yield cols, eval_phi(spec, block, out=block)
-
-    for p0 in range(0, points.n, PANEL_ROWS):
-        rows = slice(p0, min(p0 + PANEL_ROWS, points.n))
-        yield rows, blocks(rows)
+    n, m, spec = X.n, points.n, model.spectrum.spec
+    tiles = _tiles(n)
+    buf = np.empty(min(PANEL_ROWS, m) * min(PANEL_ROWS, n))
+    if norms is not None:
+        blocks = _rfp_blocks(model.K_inv, n)
+        s_buf = np.empty(min(PANEL_ROWS, m) * n)
+    out = np.zeros(m)
+    for p0 in range(0, m, PANEL_ROWS):
+        rows = slice(p0, min(p0 + PANEL_ROWS, m))
+        if norms is not None:
+            s_t = s_buf[: (rows.stop - p0) * n].reshape(-1, n)
+            s_t.fill(0.0)
+        for c0, c1 in tiles:
+            kb = _gram_block(points.coordinates[rows], X.coordinates[c0:c1], buf)
+            eval_phi(spec, kb, out=kb)
+            out[rows] += kb @ alpha[c0:c1]
+            if norms is not None:
+                _sym_product(blocks, 0, n, c0, c1, kb.T, s_t.T)
+        if norms is not None:
+            norms[rows] = np.einsum("ij,ij->i", s_t, s_t)
+    return out
 
 
 def predict(model: FittedInterpolant, points: SpherePoints) -> np.ndarray:
     """k(x, X) alpha for each query point x."""
-    out = np.zeros(points.n)
-    for rows, blocks in _cross_kernel_panels(model, points):
-        for cols, kb in blocks:
-            out[rows] += kb @ model.alpha[cols]
-    return out
+    return _cross_products(model, points, model.alpha, None)
 
 
 def variance_split(model: FittedInterpolant, l: int) -> tuple[float, float]:
@@ -471,24 +489,9 @@ def mc_errors(model: FittedInterpolant, target: Target, m_test: int,
     if m_test < 100:
         raise UsageError(f"mc test points must be >= 100, got {m_test}")
     test = sample_sphere(target.d, m_test, seed)
-    K_inv, a, n = model.K_inv, model.alpha_clean, model.n
-    fitted = np.zeros(m_test)
     norms = np.zeros(m_test)   # ||K^-1 k(X, x)||^2; stays 0 when sigma^2 = 0
-    if K_inv is not None:
-        blocks = _rfp_blocks(K_inv, n)
-        s_buf = np.empty(n * min(PANEL_ROWS, m_test))
-    for rows, kernel_blocks in _cross_kernel_panels(model, test):
-        if K_inv is not None:
-            # K^-1 k(X, x) for the panel's points, one Fortran-order column
-            # each, summed over column blocks of K^-1
-            s_t = s_buf[: (rows.stop - rows.start) * n].reshape(-1, n)
-            s_t.fill(0.0)
-        for cols, kb in kernel_blocks:
-            fitted[rows] += kb @ a[cols]
-            if K_inv is not None:
-                _sym_product(blocks, 0, n, cols.start, cols.stop, kb.T, s_t.T)
-        if K_inv is not None:
-            norms[rows] = np.einsum("ij,ij->i", s_t, s_t)
+    fitted = _cross_products(model, test, model.alpha_clean,
+                             None if model.K_inv is None else norms)
 
     def mean_se(samples: np.ndarray) -> tuple[float, float]:
         return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(m_test))

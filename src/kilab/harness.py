@@ -39,7 +39,9 @@ CSV_COLUMNS = [
     "runtime_ms", "error",
 ]
 
-N_CAP = 8000   # largest n a cell may have: its one n x n buffer must fit in memory
+# largest n a cell may have: its RFP array of n (n + 1) / 2 doubles must fit
+# in memory
+N_CAP = 8000
 
 
 def _is_int(value) -> bool:
@@ -86,6 +88,8 @@ class ExperimentConfig:
             raise UsageError(f"s must be >= 0, got {self.s}")
         if self.replicates < 1:
             raise UsageError(f"replicates must be >= 1, got {self.replicates}")
+        if self.master_seed < 0:
+            raise UsageError(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.d_list:
             raise UsageError("d_list must be non-empty")
         if any(d < 2 for d in self.d_list):
@@ -94,7 +98,7 @@ class ExperimentConfig:
             raise UsageError("d_list must be strictly increasing")
         if self.sigma2 < 0:
             raise UsageError(f"sigma2 must be >= 0, got {self.sigma2}")
-        if 0 < self.mc_test_points < 100:
+        if self.mc_test_points != 0 and self.mc_test_points < 100:
             raise UsageError("mc_test_points must be 0 (off) or >= 100, "
                              f"got {self.mc_test_points}")
         self.kernel_spec()   # a bad kernel name or coefficients raise here
@@ -216,6 +220,8 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> Iterator[dict]:
     Only a parallel sweep imports the process pool (about 15 ms), before its
     spectra, so what a forked worker holds beyond set-up is its cells' alone.
     """
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
     _keep_freed_buffers()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -223,7 +229,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> Iterator[dict]:
     spectra = {d: compute_spectrum(spec, d) for d in config.d_list}
     cells = [(config, spectra[d], d, r)
              for d in config.d_list for r in range(config.replicates)]
-    if workers <= 1:
+    if workers == 1:
         return map(run_cell, *zip(*cells))
     return _pool_map(ProcessPoolExecutor, cells, workers)
 
@@ -274,6 +280,8 @@ def analyze(results_path: str, quantity: str, tolerance: float = 0.25) -> dict:
     of the one (gamma, s) setting that the successful rows record."""
     if quantity not in ("var_exact", "bias_sq_exact", "total"):
         raise UsageError(f"unknown quantity {quantity!r}")
+    if not 0 <= tolerance < math.inf:
+        raise UsageError(f"tolerance must be a finite number >= 0, got {tolerance}")
     rows = [r for r in read_rows(results_path) if not r.get("error")]
     if not rows:
         raise UsageError(f"no successful result rows in {results_path}")

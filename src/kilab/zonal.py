@@ -14,8 +14,10 @@ Projections of a power series onto P_kd come exactly from the recurrence
 they are checked against. Explicit spherical harmonics are never
 constructed.
 
-Per-degree sums over an n x n Gram matrix run the recurrence on
-cache-sized row blocks (ZonalBasis.iter_blocks): no n x n P_k(G) exists.
+The recurrence runs on blocks of at most BLOCK_DOUBLES values: zonal_series
+by row blocks of its argument (ZonalBasis.iter_blocks), and the degree
+pass over G by the blocks kilab.estimator rebuilds from the points
+(_gram_blocks), so no n x n P_k(G) exists.
 
 Three-term recurrence (normalized so P_k(1) = 1):
 

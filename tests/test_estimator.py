@@ -271,7 +271,7 @@ def test_panelled_mc_and_predict_match_dense_formulas(sigma2):
     # measured at most 6.3e-15 relative on McErrors and 3.9e-14 of max
     # |prediction|.
     n, m = estimator.PANEL_ROWS + 88, 2 * estimator.PANEL_ROWS + 37
-    assert estimator.CROSS_COLS < n < 2 * estimator.CROSS_COLS
+    assert len(estimator._tiles(n)) == 2
     model, target, seed = _cell(d=12, n=n, sigma2=sigma2)
     mc = mc_errors(model, target, m, seed.child(TAG_MC))
     test = sample_sphere(target.d, m, seed.child(TAG_MC))
@@ -286,6 +286,39 @@ def test_panelled_mc_and_predict_match_dense_formulas(sigma2):
 
     pred, pred_dense = predict(model, test), kx @ model.alpha
     assert np.max(np.abs(pred - pred_dense)) <= 1e-12 * np.max(np.abs(pred_dense))
+
+
+@pytest.mark.parametrize("n", [1, 2, 256, 288, 289, 431, 577, 2025])
+def test_tiles_cover_each_half_of_the_rfp_split(n):
+    # the one rule for row panels and cross-kernel column blocks: consecutive
+    # tiles of at most PANEL_ROWS over [0, n), none straddling K^-1's RFP
+    # halves at n - n // 2 once there is more than one tile
+    tiles = estimator._tiles(n)
+    assert tiles[0][0] == 0 and tiles[-1][1] == n
+    assert all(t1 == u0 for (_, t1), (u0, _) in zip(tiles, tiles[1:]))
+    assert all(0 < t1 - t0 <= estimator.PANEL_ROWS for t0, t1 in tiles)
+    n1 = n - n // 2
+    if n > estimator.PANEL_ROWS:
+        assert not any(t0 < n1 < t1 for t0, t1 in tiles)
+    else:
+        assert tiles == [(0, n)]
+
+
+def test_predict_makes_no_k_inv_product(monkeypatch):
+    # only the Monte Carlo variance needs K^-1 k(X, x); predict on a noisy
+    # model, whose K^-1 exists, must not form it
+    model, _, seed = _cell(d=12, n=estimator.PANEL_ROWS + 88)
+    assert model.K_inv is not None
+
+    def refuse(*args):
+        raise AssertionError("predict reached a K^-1 product")
+
+    monkeypatch.setattr(estimator, "_sym_product", refuse)
+    monkeypatch.setattr(estimator, "gemm", refuse)
+    test = sample_sphere(12, 2 * estimator.PANEL_ROWS + 37, seed.child(TAG_MC))
+    pred = predict(model, test)
+    kx = eval_phi(model.spectrum.spec, test.gram(model.dataset.points))
+    assert np.max(np.abs(pred - kx @ model.alpha)) <= 1e-12 * np.max(np.abs(pred))
 
 
 def test_k_inv_formed_only_when_used():
@@ -344,10 +377,11 @@ def test_fit_matches_dense_solve(monkeypatch):
 
 
 def _count_pftrs(monkeypatch):
+    """The right-hand-side column count of each pftrs call."""
     real, calls = estimator.pftrs, []
 
     def pftrs_counted(a, b):
-        calls.append(1)
+        calls.append(b.shape[1])
         return real(a, b)
 
     monkeypatch.setattr(estimator, "pftrs", pftrs_counted)
@@ -367,34 +401,38 @@ def test_noiseless_fit_solves_once(monkeypatch):
 
 
 def test_equal_but_separate_labels_get_two_solves(monkeypatch):
-    # the rule is identity, not sigma2: equal copies are solved for apart
+    # the rule is identity, not sigma2: equal copies are two right-hand-side
+    # columns of the one solve
     calls = _count_pftrs(monkeypatch)
     sp = compute_spectrum(kernel_by_id("exp"), 12)
     noiseless = make_dataset(build_target(sp, 0.5, 1.5, SEED.child(1)), 42, 0.0, SEED)
     ds = Dataset(points=noiseless.points, y=noiseless.clean.copy(),
                  clean=noiseless.clean.copy(), sigma2=0.0)
     model = fit(ds, sp)
-    assert len(calls) == 2 and model.alpha is not model.alpha_clean
+    assert calls == [2] and model.alpha is not model.alpha_clean
     ref = np.linalg.solve(assemble_kernel_matrix(sp.spec, ds.points.gram()), ds.clean)
     for x in (model.alpha, model.alpha_clean):
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_a_solve_that_misses_the_contract_is_refined_once(monkeypatch):
-    # a first solve 1e-6 off in relative terms gets one refinement sweep,
-    # which brings the residual back inside 1e-10; the other right-hand
-    # side, solved well, is not refined
+    # a first solve of Y 1e-6 off in relative terms gets one refinement
+    # sweep, which brings the residual back inside 1e-10; the other
+    # right-hand-side column, f*(X) solved well, is not refined
     ds, sp = _forced_fit(monkeypatch, 0)
     real, calls = estimator.pftrs, []
 
     def pftrs_perturbed(a, b):
         calls.append(b)
         x = real(a, b)
-        return x * (1 + 1e-6) if len(calls) == 1 else x
+        if len(calls) == 1:
+            x[:, 0] *= 1 + 1e-6
+        return x
 
     monkeypatch.setattr(estimator, "pftrs", pftrs_perturbed)
     model = fit(ds, sp)
-    assert len(calls) == 3 and calls[0] is ds.y and calls[1] is ds.clean
+    assert [b.shape[1] for b in calls] == [2, 1]
+    assert np.array_equal(calls[0], np.stack((ds.y, ds.clean), axis=1))
     K = assemble_kernel_matrix(sp.spec, ds.points.gram())
     for x, rhs in ((model.alpha, ds.y), (model.alpha_clean, ds.clean)):
         assert np.linalg.norm(K @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)

@@ -71,7 +71,7 @@ def test_config_validation():
     ("gamma", math.inf), ("n_coefficient", math.inf), ("s", math.inf),
     ("gamma", True), ("s", True), ("sigma2", True), ("n_coefficient", True),
     ("coefficients", "1"), ("coefficients", {"0.5": 1}),
-    ("coefficients", (True,))])
+    ("coefficients", (True,)), ("master_seed", -1), ("mc_test_points", -5)])
 def test_config_rejects_bad_values(tmp_path, field, value):
     # coefficients are tried with "kernel": "custom", so only the value is at fault
     overrides = {field: value, **({"kernel": "custom"} if field == "coefficients" else {})}
@@ -591,6 +591,29 @@ def test_cli_run_and_fit(tmp_path, capsys):
                      "--tolerance", "2.0"]) == 0
     assert cli_main(["fit", "--input", out, "--quantity", "var_exact",
                      "--tolerance", "1e-6"]) == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_run_rejects_workers_below_one(tmp_path, capsys, workers):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config().to_dict()))
+    out = tmp_path / "rows.csv"
+    assert cli_main(["run", "--config", str(cfg_path), "-o", str(out),
+                     "--workers", workers]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: workers must be >= 1")
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_cli_fit_rejects_a_tolerance_that_is_not_finite_and_nonnegative(
+        tmp_path, capsys, tolerance):
+    path = str(tmp_path / "synth.csv")
+    _synthetic_csv(path, 1.5, 0.5)
+    with pytest.raises(UsageError, match="tolerance"):
+        analyze(path, "var_exact", tolerance=float(tolerance))
+    assert cli_main(["fit", "--input", path, "--quantity", "var_exact",
+                     "--tolerance", tolerance]) == 1
+    assert capsys.readouterr().err.startswith("error: tolerance")
 
 
 def _csv_bytes_without_runtime(path):

@@ -267,7 +267,7 @@ def test_mc_through_the_scipy_gemm_adapter_matches_the_bound_path(monkeypatch):
                               n_coefficient=(estimator.PANEL_ROWS + 88) / 12**1.5)
     sp = compute_spectrum(config.kernel_spec(), 12)
     target, model, seed = fit_cell(config, sp, 12, 0)
-    assert model.n > estimator.CROSS_COLS
+    assert len(estimator._tiles(model.n)) == 2
     m = 2 * estimator.PANEL_ROWS + 37
     ref = mc_errors(model, target, m, seed.child(TAG_MC))
     _patch_adapters(monkeypatch)
