@@ -39,15 +39,16 @@ triangle (FittedInterpolant.degree_sums) yields <S, P_k(G)> for the
 variance and a^T P_k(G) a for the bias.
 
 One rule cuts [0, n) into tiles of at most PANEL_ROWS indices (_tiles):
-the row panels of the blocks fit packs and the degree pass walks, and the
-column blocks of the cross-kernel. Beside the RFP array a cell holds one
-panel of at most PANEL_ROWS x n doubles: S = K^-1 K^-T by row panels in the
-degree pass, or K^-1 k(X, x) for a panel of test points in the Monte Carlo
-check, which accumulates over the tiles of K^-1's columns. The degree pass
-also holds one half of the panel's columns of K^-1, PANEL_ROWS x
-(n - n // 2) doubles, unpacked to multiply by. G and the cross-kernel
-k(x, X) are rebuilt from the points in cache-sized blocks, each in one
-reused buffer.
+the row panels of the blocks fit packs and the degree pass walks, the
+column blocks of the cross-kernel and the inner index of S's products.
+Beside the RFP array and the points a cell holds one panel of at most
+PANEL_ROWS x n doubles: S = K^-1 K^-T by row panels in the degree pass, or
+K^-1 k(X, x) for a panel of test points in the Monte Carlo check, which
+accumulates over the tiles of K^-1's columns. The degree pass also holds
+one tile square of K^-1, at most PANEL_ROWS^2 doubles, unpacked to
+multiply by; the Monte Carlo check draws its test points one panel at a
+time (seeding.sphere_panels). G and the cross-kernel k(x, X) are rebuilt
+from the points in cache-sized blocks, each in one reused buffer.
 """
 
 from __future__ import annotations
@@ -55,15 +56,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from ._lapack import gemm, pftrf, pftri, pftrs, symm, syrk
 from .errors import NumericalError, UsageError
-from .seeding import SeedPath, SpherePoints, sample_sphere
+from .seeding import SeedPath, SpherePoints, sphere_panels
 from .spectrum import Spectrum, assemble_kernel_matrix, eval_phi, tail_sums
-from .target import Dataset, Target, eval_target
+from .target import Dataset, Target, eval_target_along_axis
 from .zonal import BLOCK_DOUBLES, ZonalBasis, multiplicities, zonal_series
 
 RESIDUAL_TOL = 1e-10
@@ -93,6 +94,10 @@ def _tiles(n: int) -> list[tuple[int, int]]:
         count = -(-(h1 - h0) // PANEL_ROWS)
         cuts += [h0 + (h1 - h0) * i // count for i in range(count)]
     return list(zip(cuts, cuts[1:] + [n]))
+
+
+def _widest(tiles: list[tuple[int, int]]) -> int:
+    return max(t1 - t0 for t0, t1 in tiles)
 
 
 @dataclass(frozen=True)
@@ -132,15 +137,16 @@ class FittedInterpolant:
         basis = self.spectrum.basis()
         g_buf = np.empty(min(BLOCK_DOUBLES, n * n))
         aa_buf = np.empty_like(g_buf)
+        tiles = _tiles(n)
         if K_inv is not None:
             blocks = _rfp_blocks(K_inv, n)
-            rows = min(PANEL_ROWS, n)
-            s_buf = np.empty(rows * n)
-            half_buf = np.empty(rows * (n - n // 2))
+            w = _widest(tiles)
+            s_buf = np.empty(w * n)
+            tile_buf = np.empty(w * w)
             sb_buf = np.empty_like(g_buf)
-        for p0, p1 in _tiles(n):
+        for p0, p1 in tiles:
             if K_inv is not None:
-                S_p = _s_panel(blocks, p0, p1, s_buf, half_buf)
+                S_p = _s_panel(blocks, tiles, p0, p1, s_buf, tile_buf)
             for r0, r1, G_b in _gram_blocks(X, p0, p1, g_buf):
                 aa = aa_buf[: G_b.size].reshape(G_b.shape)
                 np.multiply.outer(a[r0:r1], a[:r1], out=aa)
@@ -262,12 +268,13 @@ def _unpack(blocks: tuple, r0: int, r1: int, c0: int, c1: int, out: np.ndarray) 
 
 
 def _pack(blocks: tuple, r0: int, r1: int, K_b: np.ndarray) -> None:
-    """Write the lower triangle of K[r0:r1, :r1] = K_b into K's RFP blocks."""
-    n1 = blocks[0].shape[1]
-    for a0, a1 in ((r0, min(r1, n1)), (max(r0, n1), r1)):
-        # rows [a0, a1) lie in one half, so their pieces of K[a0:a1, :a1] are
-        # wholly below the diagonal but for one square
-        for i0, i1, j0, j1, view, sym in _pieces(blocks, a0, a1, 0, a1):
+    """Write the lower triangle of K[r0:r1, :r1] = K_b into K's RFP blocks.
+    The pieces of K[r0:r1, :r1] are diagonal squares and rectangles below
+    the diagonal, but for K[r0:n1, n1:r1] when the rows straddle the halves
+    (one tile, n <= PANEL_ROWS): that is stored as the transpose of a piece
+    below, so it is skipped."""
+    for i0, i1, j0, j1, view, sym in _pieces(blocks, r0, r1, 0, r1):
+        if j0 < i1:
             src = K_b[i0 - r0:i1 - r0, j0:j1]
             np.copyto(view, src, where=_LOWER[: i1 - i0, : i1 - i0] if sym else True)
 
@@ -286,23 +293,22 @@ def _kernel_products(X: np.ndarray, spectrum: Spectrum, x: np.ndarray) -> np.nda
     return y
 
 
-def _s_panel(blocks: tuple, p0: int, p1: int, out: np.ndarray, half_buf: np.ndarray
-             ) -> np.ndarray:
+def _s_panel(blocks: tuple, tiles: list[tuple[int, int]], p0: int, p1: int,
+             out: np.ndarray, tile_buf: np.ndarray) -> np.ndarray:
     """S[p0:p1, :p1] of S = K^-1 K^-T for K^-1 in RFP blocks, as a C-order
-    view of the flat buffer out. Its transpose is summed over the two halves
+    view of the flat buffer out. Its transpose is summed over the tiles
     [q0, q1) of the inner index, with K^-1[q0:q1, p0:p1] unpacked into the
-    flat buffer half_buf in turn: K^-1[:p0, q0:q1] times it gives rows
+    flat buffer tile_buf in turn: K^-1[:p0, q0:q1] times it gives rows
     [0, p0), and its Gram matrix the symmetric square [p0, p1), of which
     only the panel's lower triangle is formed."""
-    n, n1 = blocks[0].shape
     h = p1 - p0
     S_t = out[: p1 * h].reshape(h, p1).T    # column-major, S_t.T is the panel
     S_t.fill(0.0)
-    for q0, q1 in ((0, n1), (n1, n)):
-        half = half_buf[: (q1 - q0) * h].reshape(h, q1 - q0).T
-        _unpack(blocks, q0, q1, p0, p1, half)
-        _sym_product(blocks, 0, p0, q0, q1, half, S_t[:p0])
-        syrk(half, S_t[p0:])
+    for q0, q1 in tiles:
+        tile = tile_buf[: (q1 - q0) * h].reshape(h, q1 - q0).T
+        _unpack(blocks, q0, q1, p0, p1, tile)
+        _sym_product(blocks, 0, p0, q0, q1, tile, S_t[:p0])
+        syrk(tile, S_t[p0:])
     return S_t.T
 
 
@@ -371,44 +377,56 @@ def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
                              K_inv=K if dataset.sigma2 > 0 else None)
 
 
-def _cross_products(model: FittedInterpolant, points: SpherePoints, alpha: np.ndarray,
-                    norms: np.ndarray | None) -> np.ndarray:
-    """k(x, X) alpha for each query point x. k(x, X) is built from the points
-    by panels of at most PANEL_ROWS query points and the tiles of X
-    (_tiles), Phi applied in place, in one reused buffer, so no m x n or
-    panel-sized kernel array exists. When norms is given, norms[i] is set
-    to ||K^-1 k(X, x_i)||^2, with K^-1 k(X, x) for a panel (one
-    Fortran-order column per point) summed over the tiles by products with
-    K^-1's RFP blocks."""
-    X = model.dataset.points
-    if points.d != X.d:
-        raise UsageError("query dimension does not match training dimension")
-    n, m, spec = X.n, points.n, model.spectrum.spec
+def _cross_products(model: FittedInterpolant, panels: Iterable[np.ndarray], alpha: np.ndarray,
+                    out: np.ndarray, norms: np.ndarray | None
+                    ) -> Iterator[tuple[slice, np.ndarray]]:
+    """For each panel x of at most PANEL_ROWS query points (one per row),
+    the next rows of out and norms: add k(x, X) alpha to out[rows] and, when
+    norms is given, set norms[rows] to ||K^-1 k(X, x_i)||^2; then yield
+    (rows, x). k(x, X) is built from the points by the tiles of X (_tiles),
+    Phi applied in place, in one reused buffer, so no m x n or panel-sized
+    kernel array exists; K^-1 k(X, x) for the panel (one Fortran-order
+    column per point) is summed over the tiles by products with K^-1's RFP
+    blocks."""
+    X = model.dataset.points.coordinates
+    n, spec = len(X), model.spectrum.spec
     tiles = _tiles(n)
-    buf = np.empty(min(PANEL_ROWS, m) * min(PANEL_ROWS, n))
+    h = min(PANEL_ROWS, len(out))
+    buf = np.empty(h * _widest(tiles))
     if norms is not None:
         blocks = _rfp_blocks(model.K_inv, n)
-        s_buf = np.empty(min(PANEL_ROWS, m) * n)
-    out = np.zeros(m)
-    for p0 in range(0, m, PANEL_ROWS):
-        rows = slice(p0, min(p0 + PANEL_ROWS, m))
+        s_buf = np.empty(h * n)
+    p0 = 0
+    for x in panels:
+        rows = slice(p0, p0 + len(x))
+        p0 = rows.stop
         if norms is not None:
-            s_t = s_buf[: (rows.stop - p0) * n].reshape(-1, n)
+            s_t = s_buf[: len(x) * n].reshape(-1, n)
             s_t.fill(0.0)
         for c0, c1 in tiles:
-            kb = _gram_block(points.coordinates[rows], X.coordinates[c0:c1], buf)
+            kb = _gram_block(x, X[c0:c1], buf)
             eval_phi(spec, kb, out=kb)
             out[rows] += kb @ alpha[c0:c1]
             if norms is not None:
                 _sym_product(blocks, 0, n, c0, c1, kb.T, s_t.T)
         if norms is not None:
             norms[rows] = np.einsum("ij,ij->i", s_t, s_t)
-    return out
+        yield rows, x
+
+
+def _check_dimension(model: FittedInterpolant, d: int) -> None:
+    if d != model.dataset.points.d:
+        raise UsageError("query dimension does not match training dimension")
 
 
 def predict(model: FittedInterpolant, points: SpherePoints) -> np.ndarray:
-    """k(x, X) alpha for each query point x."""
-    return _cross_products(model, points, model.alpha, None)
+    """k(x, X) alpha for each query point x, by panels of PANEL_ROWS points."""
+    _check_dimension(model, points.d)
+    x, out = points.coordinates, np.zeros(points.n)
+    panels = (x[p0:p0 + PANEL_ROWS] for p0 in range(0, len(x), PANEL_ROWS))
+    for _ in _cross_products(model, panels, model.alpha, out, None):
+        pass
+    return out
 
 
 def variance_split(model: FittedInterpolant, l: int) -> tuple[float, float]:
@@ -485,18 +503,25 @@ class McErrors:
 
 def mc_errors(model: FittedInterpolant, target: Target, m_test: int,
               seed: SeedPath) -> McErrors:
-    """Monte Carlo bias^2 and variance over fresh uniform test points."""
+    """Monte Carlo bias^2 and variance over fresh uniform test points,
+    sample_sphere(target.d, m_test, seed) bit for bit."""
     if m_test < 100:
         raise UsageError(f"mc test points must be >= 100, got {m_test}")
-    test = sample_sphere(target.d, m_test, seed)
+    _check_dimension(model, target.d)
+    # the test points are drawn by panels inside the cross-kernel loop, which
+    # also takes each panel's <x, w>, so no m x (d + 1) array exists; f* is
+    # then evaluated once on the m values
+    panels = sphere_panels(target.d, m_test, seed, PANEL_ROWS)
+    fitted, t_w = np.zeros((2, m_test))
     norms = np.zeros(m_test)   # ||K^-1 k(X, x)||^2; stays 0 when sigma^2 = 0
-    fitted = _cross_products(model, test, model.alpha_clean,
-                             None if model.K_inv is None else norms)
+    for rows, x in _cross_products(model, panels, model.alpha_clean, fitted,
+                                   None if model.K_inv is None else norms):
+        np.matmul(x, target.axis, out=t_w[rows])
 
     def mean_se(samples: np.ndarray) -> tuple[float, float]:
         return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(m_test))
 
-    return McErrors(*mean_se((fitted - eval_target(target, test)) ** 2),
+    return McErrors(*mean_se((fitted - eval_target_along_axis(target, t_w)) ** 2),
                     *mean_se(model.dataset.sigma2 * norms))
 
 

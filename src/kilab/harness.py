@@ -13,6 +13,7 @@ import csv
 import ctypes
 import json
 import math
+import os
 import sys
 import time
 import traceback
@@ -40,7 +41,8 @@ CSV_COLUMNS = [
 ]
 
 # largest n a cell may have: its RFP array of n (n + 1) / 2 doubles must fit
-# in memory
+# in memory beside its n x (d + 1) points (_cell_bytes), which run_sweep
+# checks against physical memory
 N_CAP = 8000
 
 
@@ -212,16 +214,42 @@ def _keep_freed_buffers() -> None:
     mallopt(-1, 64 << 20)    # M_TRIM_THRESHOLD
 
 
+def _physical_memory() -> int | None:
+    """Physical memory in bytes, or None where sysconf does not report it."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
+def _cell_bytes(config: ExperimentConfig, d: int) -> int:
+    """What cell d holds for its whole run: n x (d + 1) points and one RFP
+    array of n (n + 1) / 2 doubles."""
+    n = config.n_for(d)
+    return 8 * (n * (n + 1) // 2 + n * (d + 1))
+
+
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> Iterator[dict]:
     """One row per (d, replicate) cell, in deterministic cell order.
 
     Every spectrum is computed by the call itself, before the first row is
     requested: a d whose spectrum fails raises here, before a CSV is opened.
-    Only a parallel sweep imports the process pool (about 15 ms), before its
-    spectra, so what a forked worker holds beyond set-up is its cells' alone.
+    So does a sweep whose largest cell, once per concurrent worker, cannot
+    fit in physical memory, before its spectra: a cell killed for memory
+    would end the sweep with no error row. Only a parallel sweep imports the
+    process pool (about 15 ms), before its spectra, so what a forked worker
+    holds beyond set-up is its cells' alone.
     """
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
+    busy = min(workers, len(config.d_list) * config.replicates)
+    need = busy * max(_cell_bytes(config, d) for d in config.d_list)
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise UsageError(
+            f"{busy} concurrent cell(s) need {need / 2**30:.2f} GiB for points and "
+            f"K alone, above the {memory / 2**30:.2f} GiB of physical memory")
     _keep_freed_buffers()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 # numpy >= 2 imports numpy.random on first use; every cell draws from it, so
@@ -17,6 +18,7 @@ import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
 
 from .errors import UsageError
+from .zonal import BLOCK_DOUBLES, row_blocks
 
 # Well-known purpose tags used as the last path label.
 TAG_POINTS = 1
@@ -66,15 +68,40 @@ class SpherePoints:
         return np.clip(g, -1.0, 1.0, out=g)
 
 
-def sample_sphere(d: int, n: int, seed: SeedPath) -> SpherePoints:
-    """Draw n i.i.d. uniform points on S^d (Gaussian direction method)."""
+def sphere_panels(d: int, n: int, seed: SeedPath, rows: int) -> Iterator[np.ndarray]:
+    """Yield n i.i.d. uniform points on S^d (Gaussian direction method), one
+    per row, as consecutive panels of at most rows points. The points are
+    drawn from seed's one stream into one reused buffer, as many whole
+    panels at a time as fit in BLOCK_DOUBLES values (at least one), and
+    divided by their rows' norms in place, a row block (row_blocks) at a
+    time, so the panels concatenate to the same bytes for every rows, and
+    to the draw divided by np.linalg.norm. A yielded panel is valid only
+    until the next is requested."""
     if d < 1:
         raise UsageError(f"sphere dimension must be >= 1, got {d}")
     if n < 1:
         raise UsageError(f"point count must be >= 1, got {n}")
-    g = seed.rng().standard_normal((n, d + 1))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    return SpherePoints(d=d, coordinates=g / norms)
+    rng = seed.rng()
+    # small panels share one draw and one norm pass: at m = 2000 test
+    # points on S^8, 2 draws in place of 7 take 70-85 us off a 1.4 ms
+    # Monte Carlo check
+    step = rows * max(1, BLOCK_DOUBLES // ((d + 1) * rows))
+    buf = rng.standard_normal((min(step, n), d + 1))    # later chunks reuse it
+    for c0 in range(0, n, step):
+        g = buf[: min(step, n - c0)]
+        if c0:
+            rng.standard_normal(out=g)
+        for block in row_blocks(g):
+            b = g[block]    # np.linalg.norm's own sqrt(sum(b * b))
+            b /= np.sqrt(np.add.reduce(b * b, axis=1, keepdims=True))
+        for p0 in range(0, len(g), rows):
+            yield g[p0:p0 + rows]
+
+
+def sample_sphere(d: int, n: int, seed: SeedPath) -> SpherePoints:
+    """Draw n i.i.d. uniform points on S^d: sphere_panels' one-panel case,
+    held in one n x (d + 1) array."""
+    return SpherePoints(d=d, coordinates=next(sphere_panels(d, n, seed, n)))
 
 
 def sample_noise(n: int, sigma2: float, seed: SeedPath) -> np.ndarray:

@@ -90,9 +90,13 @@ def eval_target(target: Target, points: SpherePoints) -> np.ndarray:
     """Exact evaluation f*(x) = sum_k beta_k sqrt(N(d,k)) P_kd(<x, w>)."""
     if points.d != target.d:
         raise UsageError(f"dimension mismatch: points d={points.d}, target d={target.d}")
+    return eval_target_along_axis(target, points.coordinates @ target.axis)
+
+
+def eval_target_along_axis(target: Target, t: np.ndarray) -> np.ndarray:
+    """f*(x) for points x with <x, w> = t."""
     sp = target.spectrum
-    return zonal_series(sp.d, target.beta * np.sqrt(sp.multiplicities[: target.l + 2]),
-                        points.coordinates @ target.axis)
+    return zonal_series(sp.d, target.beta * np.sqrt(sp.multiplicities[: target.l + 2]), t)
 
 
 def make_dataset(target: Target, n: int, sigma2: float, seed: SeedPath) -> Dataset:

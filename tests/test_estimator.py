@@ -203,10 +203,11 @@ def test_blocked_degree_sums_match_full_matrix_oracle(d, n):
 @pytest.mark.parametrize("sigma2, panels", [(1.0, 1), (0.0, 0)])
 def test_degree_pass_holds_one_s_panel_and_a_few_blocks(sigma2, panels):
     # beyond the model the pass holds at most one PANEL_ROWS x n panel of S
-    # and one of PANEL_ROWS x ceil(n / 2) for a half of K^-1's columns, none
-    # at sigma^2 = 0, and a few cache blocks (G, the probes and the
-    # recurrence's three buffers); n = 800 makes a panel larger than the
-    # blocks' allowance
+    # and one PANEL_ROWS^2 tile of K^-1, none at sigma^2 = 0, and six cache
+    # blocks (G, the probes a a^T and S, the recurrence's three buffers);
+    # n = 800 makes a panel larger than the blocks' allowance. Measured:
+    # 298 945 doubles at sigma^2 = 1 (tiles of 200), where a PANEL_ROWS x
+    # ceil(n / 2) half of K^-1 in place of the tile gave 444 396
     model, _, _ = _cell(d=16, gamma=2.0, n=800, sigma2=sigma2)
     n = model.n
     assert estimator.PANEL_ROWS * n > 8 * BLOCK_DOUBLES
@@ -216,8 +217,8 @@ def test_degree_pass_holds_one_s_panel_and_a_few_blocks(sigma2, panels):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    panel = estimator.PANEL_ROWS * (n + (n + 1) // 2)
-    assert peak <= 8 * (panels * panel + 8 * BLOCK_DOUBLES)
+    panel = estimator.PANEL_ROWS * (n + estimator.PANEL_ROWS)
+    assert peak <= 8 * (panels * panel + 6 * BLOCK_DOUBLES)
 
 
 def test_fit_factors_phi_of_the_degree_pass_blocks(monkeypatch):
@@ -259,6 +260,46 @@ def test_mc_variance_matches_two_solve_oracle():
     samples = model.dataset.sigma2 * np.sum(s * s, axis=0)
     assert mc.var == pytest.approx(samples.mean(), rel=1e-10)
     assert mc.var_se == pytest.approx(samples.std(ddof=1) / np.sqrt(500), rel=1e-10)
+
+
+def test_mc_holds_one_panel_of_test_points():
+    # the test points are drawn a PANEL_ROWS panel at a time inside the
+    # cross-kernel loop, so at d = 2000 and m = 2000 the check holds one
+    # panel of PANEL_ROWS x (d + 1) doubles, its K^-1 k(X, x) and
+    # cross-kernel buffers of PANEL_ROWS x n, three arrays of m (k(x, X) a,
+    # <x, w> and the norms) and the sampler's row blocks, never an
+    # m x (d + 1) array (measured 624 947 doubles; drawing all m points at
+    # once held 8 014 225)
+    d, m = 2000, 2000
+    model, target, seed = _cell(d=d, gamma=0.5)
+    n = model.n
+    tracemalloc.start()
+    try:
+        mc_errors(model, target, m, seed.child(TAG_MC))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = estimator.PANEL_ROWS
+    assert peak <= 8 * (rows * (d + 1 + 2 * n) + 3 * m + 2 * BLOCK_DOUBLES) < 8 * m * (d + 1)
+
+
+@pytest.mark.parametrize("d, m", [(12, 2 * estimator.PANEL_ROWS + 37), (1000, 300)])
+def test_mc_panels_concatenate_to_one_sphere_draw(monkeypatch, d, m):
+    # the Monte Carlo check's test points are sample_sphere(d, m, seed), bit
+    # for bit, however they are cut into panels
+    model, target, seed = _cell(d=d, gamma=1.0 if d < 100 else 0.5)
+    drawn, real = [], estimator.sphere_panels
+
+    def recorded(*args):
+        for panel in real(*args):
+            drawn.append(panel.copy())
+            yield panel
+
+    monkeypatch.setattr(estimator, "sphere_panels", recorded)
+    mc_errors(model, target, m, seed.child(TAG_MC))
+    assert [len(p) for p in drawn[:-1]] == [estimator.PANEL_ROWS] * (len(drawn) - 1)
+    whole = sample_sphere(d, m, seed.child(TAG_MC)).coordinates
+    assert np.concatenate(drawn).tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("sigma2", [1.0, 0.0])

@@ -19,7 +19,7 @@ from kilab.errors import NumericalError
 from kilab.harness import CSV_COLUMNS, PHASE_COLUMNS, _parse_range
 from kilab.seeding import TAG_MC
 from kilab.verify import report_to_json, run_verify
-from kilab.zonal import ZonalBasis
+from kilab.zonal import BLOCK_DOUBLES, ZonalBasis
 
 
 def small_config(**overrides):
@@ -259,11 +259,13 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(later)
 
 def test_run_cell_peak_memory_is_one_n_squared_plus_panels():
     # one RFP array of n (n + 1) / 2 doubles holds K, the Cholesky factor
-    # and then K^-1; beside it the degree pass holds one S panel of
-    # PANEL_ROWS x n doubles and one of PANEL_ROWS x n / 2 for a half of
-    # K^-1's columns, and the Monte Carlo check one K^-1 k(X, x) panel, with
-    # G and the cross-kernel built in cache-sized blocks. The bound is
-    # n (n + 1) / 2 + 576 n doubles
+    # and then K^-1, beside the n x (d + 1) points; the degree pass holds one
+    # S panel of PANEL_ROWS x n doubles, one PANEL_ROWS^2 tile of K^-1 and
+    # six cache blocks, and the Monte Carlo check less: one K^-1 k(X, x)
+    # panel and one panel of test points, with G and the cross-kernel built
+    # in cache-sized blocks. Measured n (n + 1) / 2 + 454 n doubles at
+    # n = 1024; a PANEL_ROWS x n / 2 half of K^-1 in place of the tile held
+    # 566 n
     cfg = ExperimentConfig(kernel="exp", gamma=2.0, s=0.5, d_list=(32,),
                            sigma2=1.0, mc_test_points=2000)
     spectrum = compute_spectrum(cfg.kernel_spec(), 32)
@@ -276,7 +278,9 @@ def test_run_cell_peak_memory_is_one_n_squared_plus_panels():
     finally:
         tracemalloc.stop()
     assert row["error"] == ""
-    assert peak <= 8 * (n * (n + 1) // 2 + 576 * n)
+    rows = estimator.PANEL_ROWS
+    assert peak <= 8 * (n * (n + 1) // 2 + n * (32 + 1) + rows * (n + rows)
+                        + 6 * BLOCK_DOUBLES)
 
 
 def test_spectra_and_cells_run_at_d_from_512():
@@ -602,6 +606,32 @@ def test_cli_run_rejects_workers_below_one(tmp_path, capsys, workers):
                      "--workers", workers]) == 1
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: workers must be >= 1")
+
+
+def test_cli_run_refuses_a_sweep_that_cannot_fit(tmp_path, capsys, monkeypatch):
+    # each concurrent worker holds the largest cell's points and RFP array;
+    # the sweep is refused before any cell runs and before a CSV is opened
+    cfg = small_config()
+    n, d = cfg.n_for(8), 8
+    cell = 8 * (n * (n + 1) // 2 + n * (d + 1))
+    assert cell == harness._cell_bytes(cfg, 8) > harness._cell_bytes(cfg, 6)
+    monkeypatch.setattr(harness, "_physical_memory", lambda: cell)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    out = tmp_path / "rows.csv"
+    args = ["run", "--config", str(cfg_path), "-o", str(out)]
+    assert cli_main(args + ["--workers", "2"]) == 1
+    assert not out.exists()
+    assert "physical memory" in capsys.readouterr().err
+    assert cli_main(args) == 0
+    monkeypatch.setattr(harness, "_physical_memory", lambda: cell - 1)
+    assert cli_main(args) == 1
+    # where sysconf reports no memory size the check is skipped
+    monkeypatch.setattr(harness, "_physical_memory", lambda: None)
+    assert len(list(run_sweep(cfg, workers=2))) == 4
+    monkeypatch.undo()
+    memory = harness._physical_memory()
+    assert memory is None or memory == os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
