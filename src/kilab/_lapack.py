@@ -1,4 +1,4 @@
-"""The six LAPACK/BLAS routines kilab calls, bound on numpy's own OpenBLAS.
+"""The eleven LAPACK/BLAS routines kilab calls, bound on numpy's own OpenBLAS.
 
 Importing scipy.linalg for them costs over 200 ms and maps a second OpenBLAS
 library beside numpy's, so when the OpenBLAS that numpy links exports its
@@ -12,14 +12,21 @@ matrix in rectangular full packed (RFP) storage, LAPACK's layout with
 TRANSR = 'N' and UPLO = 'L': a contiguous 1-D array of n (n + 1) / 2
 doubles (kilab.estimator describes its three blocks). pftrf and pftri
 overwrite it in place, with the Cholesky factor and then the inverse.
-symm and gemm accumulate c += a @ b on 2-D views of such storage, and
-syrk adds a^T a to c's upper triangle: every operand is a column-major
+The others take 2-D views of such storage: every operand is a column-major
 matrix whose leading dimension is its column stride, or the transpose of
-one where the routine takes a transposed operand, and symm reads only a's
-lower triangle. The LAPACKE `_work` variants skip the plain ones' O(n^2) NaN
-scan, which scipy's wrappers do not make either. Every array's dtype,
-layout, shape and writeability is checked before its pointer reaches the
-library, which would otherwise read or write out of bounds silently.
+one, and each routine picks the flags that make the transpose mean what
+the view means. symm and gemm accumulate c += a @ b, with c column-major,
+and syrk adds a^T a to c's upper triangle; gemm and syrk take a scale of
+the product, so -1 subtracts it. potrf, trtri and lauum overwrite the
+lower triangle of a square view with, in turn, its Cholesky factor L, the
+inverse of a lower-triangular L and L^T L; symm reads only a's lower
+triangle, and trsm (b := scale L^-1 b) and trmm (b := b L) read a
+lower-triangular L from it. The lower triangle of a transposed view is its
+base's upper one, so a transposed view is passed with UPLO = 'U'. The
+LAPACKE `_work` variants skip the plain ones' O(n^2) NaN scan, which
+scipy's wrappers do not make either. Every array's dtype, layout, shape and
+writeability is checked before its pointer reaches the library, which
+would otherwise read or write out of bounds silently.
 """
 
 from __future__ import annotations
@@ -33,10 +40,14 @@ import numpy.linalg._umath_linalg
 _COL_MAJOR = 102                  # LAPACK_COL_MAJOR, CblasColMajor
 _NO_TRANS, _TRANS = 111, 112
 _UPPER, _LOWER = 121, 122
-_LEFT = 141
+_LEFT, _RIGHT = 141, 142
+_NON_UNIT = 131
 _SYMBOLS = ("scipy_LAPACKE_dpftrf_work64_", "scipy_LAPACKE_dpftri_work64_",
             "scipy_LAPACKE_dpftrs_work64_", "scipy_cblas_dsymm64_",
-            "scipy_cblas_dgemm64_", "scipy_cblas_dsyrk64_")
+            "scipy_cblas_dgemm64_", "scipy_cblas_dsyrk64_",
+            "scipy_LAPACKE_dpotrf_work64_", "scipy_LAPACKE_dtrtri_work64_",
+            "scipy_LAPACKE_dlauum_work64_", "scipy_cblas_dtrsm64_",
+            "scipy_cblas_dtrmm64_")
 _F64 = np.dtype(np.float64)
 
 
@@ -100,10 +111,31 @@ def _symm_dims(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
 
 
 def _syrk_dims(a: np.ndarray, c: np.ndarray) -> tuple:
-    """(a transposed, lda, ldc, n, k) of c (n x n) += a^T a with a k x n, c
-    column-major and writeable."""
-    _, _, trans_a, lda, ldc, n, _, k = _gemm_dims(a.T, a, c)
-    return trans_a, lda, ldc, n, k
+    """(a transposed, lda, c transposed, ldc, n, k) of c (n x n) += a^T a
+    with a k x n and c writeable."""
+    trans_c, _ = _operand(c, written=True)
+    _, _, trans_a, lda, ldc, n, _, k = _gemm_dims(a.T, a, c.T if trans_c else c)
+    return trans_a, lda, trans_c, ldc, n, k
+
+
+def _square(a: np.ndarray, written: bool) -> tuple[bool, int, int]:
+    """(transposed, lda, n) of a square n x n view."""
+    trans, lda = _operand(a, written)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"need a square matrix, got {a.shape}")
+    return trans, lda, a.shape[0]
+
+
+def _triangular_dims(a: np.ndarray, b: np.ndarray, axis: int) -> tuple:
+    """(a transposed, lda, b transposed, ldb, m, n) of a square a read and a
+    writeable b whose dimension `axis` matches a's order, with (m, n) b's
+    shape as the library sees it: its transpose's when b is transposed."""
+    trans_a, lda, order = _square(a, written=False)
+    trans_b, ldb = _operand(b, written=True)
+    if b.shape[axis] != order:
+        raise ValueError(f"incompatible dimensions ({a.shape} and {b.shape})")
+    m, n = b.shape[::-1] if trans_b else b.shape
+    return trans_a, lda, trans_b, ldb, m, n
 
 
 def _solve_rhs(n: int, b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -136,10 +168,9 @@ _data = _pointer_reader()
 
 
 def _scipy_adapters() -> tuple:
-    """pftrf, pftri, pftrs, symm, gemm and syrk over scipy.linalg, with
-    kilab's flags and checks."""
-    from scipy.linalg.blas import dgemm, dsymm, dsyrk
-    from scipy.linalg.lapack import dpftrf, dpftri, dpftrs
+    """The routines of bind over scipy.linalg, with kilab's flags and checks."""
+    from scipy.linalg.blas import dgemm, dsymm, dsyrk, dtrmm, dtrsm
+    from scipy.linalg.lapack import dlauum, dpftrf, dpftri, dpftrs, dpotrf, dtrtri
 
     # f2py writes an array _packed accepts in place, so the array it returns
     # is the argument itself
@@ -157,28 +188,55 @@ def _scipy_adapters() -> tuple:
             raise ValueError(f"illegal value in {-info}th argument of internal pftrs")
         return x2.reshape(x.shape)
 
-    # f2py copies strided views, so the products are written back into c
+    # f2py copies strided views, with the values the view shows, so each
+    # routine works on the view's own lower triangle and the result is
+    # written back into the view; the triangle a routine leaves alone comes
+    # back unchanged (dpotrf's clean=0 keeps it)
     def symm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
         _symm_dims(a, b, c)
         c[...] = dsymm(1.0, a, b, beta=1.0, c=c, lower=1)
 
-    def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+    def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, scale: float = 1.0) -> None:
         _gemm_dims(a, b, c)
-        c[...] = dgemm(1.0, a, b, beta=1.0, c=c)
+        c[...] = dgemm(scale, a, b, beta=1.0, c=c)
 
-    def syrk(a: np.ndarray, c: np.ndarray) -> None:
+    def syrk(a: np.ndarray, c: np.ndarray, scale: float = 1.0) -> None:
         _syrk_dims(a, c)
-        c[...] = dsyrk(1.0, a, beta=1.0, c=c, trans=1, lower=0)
+        c[...] = dsyrk(scale, a, beta=1.0, c=c, trans=1, lower=0)
 
-    return pftrf, pftri, pftrs, symm, gemm, syrk
+    def potrf(a: np.ndarray) -> int:
+        _square(a, written=True)
+        a[...], info = dpotrf(a, lower=1, clean=0)
+        return int(info)
+
+    def trtri(a: np.ndarray) -> int:
+        _square(a, written=True)
+        a[...], info = dtrtri(a, lower=1)
+        return int(info)
+
+    def lauum(a: np.ndarray) -> int:
+        _square(a, written=True)
+        a[...], info = dlauum(a, lower=1)
+        return int(info)
+
+    def trsm(a: np.ndarray, b: np.ndarray, scale: float = 1.0) -> None:
+        _triangular_dims(a, b, 0)
+        b[...] = dtrsm(scale, a, b, lower=1)
+
+    def trmm(a: np.ndarray, b: np.ndarray) -> None:
+        _triangular_dims(a, b, 1)
+        b[...] = dtrmm(1.0, a, b, side=1, lower=1)
+
+    return pftrf, pftri, pftrs, symm, gemm, syrk, potrf, trtri, lauum, trsm, trmm
 
 
 def bind(lib) -> tuple:
-    """(pftrf, pftri, pftrs, symm, gemm, syrk) on lib's ILP64 LAPACKE/CBLAS
-    symbols, or adapters over scipy.linalg when lib lacks any of them."""
+    """(pftrf, pftri, pftrs, symm, gemm, syrk, potrf, trtri, lauum, trsm,
+    trmm) on lib's ILP64 LAPACKE/CBLAS symbols, or adapters over
+    scipy.linalg when lib lacks any of them."""
     try:
-        lib_pftrf, lib_pftri, lib_pftrs, lib_symm, lib_gemm, lib_syrk = (
-            getattr(lib, name) for name in _SYMBOLS)
+        (lib_pftrf, lib_pftri, lib_pftrs, lib_symm, lib_gemm, lib_syrk, lib_potrf,
+         lib_trtri, lib_lauum, lib_trsm, lib_trmm) = (getattr(lib, name) for name in _SYMBOLS)
     except AttributeError:
         return _scipy_adapters()
 
@@ -189,6 +247,11 @@ def bind(lib) -> tuple:
         f.restype = i64
     lib_pftrs.argtypes = [enum, char, char, i64, i64, ptr, ptr, i64]
     lib_pftrs.restype = i64
+    for f in (lib_potrf, lib_lauum):
+        f.argtypes = [enum, char, i64, ptr, i64]
+        f.restype = i64
+    lib_trtri.argtypes = [enum, char, char, i64, ptr, i64]
+    lib_trtri.restype = i64
     lib_symm.argtypes = [enum, enum, enum, i64, i64, dbl, ptr, i64, ptr, i64, dbl, ptr, i64]
     lib_symm.restype = None
     lib_gemm.argtypes = [enum, enum, enum, i64, i64, i64, dbl, ptr, i64, ptr, i64,
@@ -196,6 +259,9 @@ def bind(lib) -> tuple:
     lib_gemm.restype = None
     lib_syrk.argtypes = [enum, enum, enum, i64, i64, dbl, ptr, i64, dbl, ptr, i64]
     lib_syrk.restype = None
+    for f in (lib_trsm, lib_trmm):
+        f.argtypes = [enum, enum, enum, enum, enum, i64, i64, dbl, ptr, i64, ptr, i64]
+        f.restype = None
 
     def pftrf(a: np.ndarray) -> int:
         """Cholesky factor of the RFP matrix a, in place. Returns LAPACK's
@@ -224,23 +290,63 @@ def bind(lib) -> tuple:
         lib_symm(_COL_MAJOR, _LEFT, _UPPER if trans_a else _LOWER, m, n, 1.0,
                  _data(a), lda, _data(b), ldb, 1.0, _data(c), ldc)
 
-    def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-        """c += a @ b in place."""
+    def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, scale: float = 1.0) -> None:
+        """c += scale a @ b in place."""
         trans_a, lda, trans_b, ldb, ldc, m, n, k = _gemm_dims(a, b, c)
         lib_gemm(_COL_MAJOR, _TRANS if trans_a else _NO_TRANS,
-                 _TRANS if trans_b else _NO_TRANS, m, n, k, 1.0,
+                 _TRANS if trans_b else _NO_TRANS, m, n, k, scale,
                  _data(a), lda, _data(b), ldb, 1.0, _data(c), ldc)
 
-    def syrk(a: np.ndarray, c: np.ndarray) -> None:
-        """c += a^T a in place, on c's upper triangle only."""
-        trans_a, lda, ldc, n, k = _syrk_dims(a, c)
-        # a transposed view is the transpose of a column-major n x k matrix
-        lib_syrk(_COL_MAJOR, _UPPER, _NO_TRANS if trans_a else _TRANS, n, k, 1.0,
-                 _data(a), lda, 1.0, _data(c), ldc)
+    def syrk(a: np.ndarray, c: np.ndarray, scale: float = 1.0) -> None:
+        """c += scale a^T a in place, on c's upper triangle only."""
+        trans_a, lda, trans_c, ldc, n, k = _syrk_dims(a, c)
+        # a transposed view is the transpose of a column-major n x k matrix,
+        # and the upper triangle of a transposed c its base's lower one
+        lib_syrk(_COL_MAJOR, _LOWER if trans_c else _UPPER, _NO_TRANS if trans_a else _TRANS,
+                 n, k, scale, _data(a), lda, 1.0, _data(c), ldc)
 
-    return pftrf, pftri, pftrs, symm, gemm, syrk
+    # the lower triangle of a transposed view is its base's upper one
+    def potrf(a: np.ndarray) -> int:
+        """Cholesky factor L of the symmetric matrix in a's lower triangle,
+        written there. Returns LAPACK's info."""
+        trans, lda, n = _square(a, written=True)
+        return int(lib_potrf(_COL_MAJOR, b"U" if trans else b"L", n, _data(a), lda))
+
+    def trtri(a: np.ndarray) -> int:
+        """L^-1 of the lower-triangular L in a's lower triangle, written
+        there. Returns LAPACK's info."""
+        trans, lda, n = _square(a, written=True)
+        return int(lib_trtri(_COL_MAJOR, b"U" if trans else b"L", b"N", n, _data(a), lda))
+
+    def lauum(a: np.ndarray) -> int:
+        """L^T L of the lower-triangular L in a's lower triangle, written
+        there. Returns LAPACK's info."""
+        trans, lda, n = _square(a, written=True)
+        return int(lib_lauum(_COL_MAJOR, b"U" if trans else b"L", n, _data(a), lda))
+
+    def trsm(a: np.ndarray, b: np.ndarray, scale: float = 1.0) -> None:
+        """b := scale L^-1 b in place, for the lower-triangular L in a's
+        lower triangle."""
+        trans_a, lda, trans_b, ldb, m, n = _triangular_dims(a, b, 0)
+        # a transposed b is solved from the right, b^T := scale b^T L^-T; a
+        # transposed a holds L^T in its base's upper triangle
+        lib_trsm(_COL_MAJOR, _RIGHT if trans_b else _LEFT, _UPPER if trans_a else _LOWER,
+                 _TRANS if trans_a != trans_b else _NO_TRANS, _NON_UNIT, m, n, scale,
+                 _data(a), lda, _data(b), ldb)
+
+    def trmm(a: np.ndarray, b: np.ndarray) -> None:
+        """b := b L in place, for the lower-triangular L in a's lower
+        triangle."""
+        trans_a, lda, trans_b, ldb, m, n = _triangular_dims(a, b, 1)
+        # a transposed b is multiplied from the left, b^T := L^T b^T
+        lib_trmm(_COL_MAJOR, _LEFT if trans_b else _RIGHT, _UPPER if trans_a else _LOWER,
+                 _TRANS if trans_a != trans_b else _NO_TRANS, _NON_UNIT, m, n, 1.0,
+                 _data(a), lda, _data(b), ldb)
+
+    return pftrf, pftri, pftrs, symm, gemm, syrk, potrf, trtri, lauum, trsm, trmm
 
 
 # dlsym on the linalg extension resolves through its dependencies, which
 # hold the OpenBLAS numpy itself calls
-pftrf, pftri, pftrs, symm, gemm, syrk = bind(ctypes.CDLL(numpy.linalg._umath_linalg.__file__))
+(pftrf, pftri, pftrs, symm, gemm, syrk, potrf, trtri, lauum, trsm,
+ trmm) = bind(ctypes.CDLL(numpy.linalg._umath_linalg.__file__))

@@ -31,16 +31,24 @@ bit for bit. fit makes one solve for the columns [Y, f*(X)], or for Y
 alone when the dataset's y is its clean array, as make_dataset gives at
 sigma^2 = 0: then alpha is alpha_clean. The residual rebuilds K x from
 those blocks, and a column whose residual misses RESIDUAL_TOL gets one
-refinement sweep. kilab._lapack's pftrf, pftrs and pftri work on the array,
-and its symm, gemm and syrk read the three blocks where they lie, on
-numpy's own OpenBLAS; scipy.linalg is imported only by the lambda_min and
-concentration diagnostics. One O(k_max n^2) recurrence pass over G's lower
+refinement sweep. All of it runs on numpy's own OpenBLAS through
+kilab._lapack: pftrs solves over the whole array, and the other routines
+work on views of the three blocks where they lie. For n > PANEL_ROWS the
+factor and the inverse are tiled over _tiles(n) (_cholesky, _invert:
+potrf, trsm, syrk and gemm, then trmm, trsm, trtri, lauum, gemm and syrk
+on tiles), so no call writes more than one tile of columns and OpenBLAS's
+workspace stays one tile wide instead of growing with n; for
+n <= PANEL_ROWS the one tile straddles the halves, and pftrf and pftri,
+whose calls are at most ceil(n / 2) wide, factor and invert the array.
+scipy.linalg is imported only by the lambda_min and concentration
+diagnostics. One O(k_max n^2) recurrence pass over G's lower
 triangle (FittedInterpolant.degree_sums) yields <S, P_k(G)> for the
 variance and a^T P_k(G) a for the bias.
 
 One rule cuts [0, n) into tiles of at most PANEL_ROWS indices (_tiles):
 the row panels of the blocks fit packs and the degree pass walks, the
-column blocks of the cross-kernel and the inner index of S's products.
+tiles of the factor and the inverse, the column blocks of the cross-kernel
+and the inner index of S's products.
 Beside the RFP array and the points a cell holds one panel of at most
 PANEL_ROWS x n doubles: S = K^-1 K^-T by row panels in the degree pass, or
 K^-1 k(X, x) for a panel of test points in the Monte Carlo check, which
@@ -48,7 +56,9 @@ accumulates over the tiles of K^-1's columns. The degree pass also holds
 one tile square of K^-1, at most PANEL_ROWS^2 doubles, unpacked to
 multiply by; the Monte Carlo check draws its test points one panel at a
 time (seeding.sphere_panels). G and the cross-kernel k(x, X) are rebuilt
-from the points in cache-sized blocks, each in one reused buffer.
+from the points in cache-sized blocks, each in one reused buffer, clipped
+into [-1, 1] as they are built, so Phi and the recurrence take them with no
+second range scan (eval_phi_clipped, ZonalBasis.iter_clipped_values).
 """
 
 from __future__ import annotations
@@ -60,10 +70,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._lapack import gemm, pftrf, pftri, pftrs, symm, syrk
+from ._lapack import (gemm, lauum, pftrf, pftri, pftrs, potrf, symm, syrk, trmm, trsm,
+                      trtri)
 from .errors import NumericalError, UsageError
 from .seeding import SeedPath, SpherePoints, sphere_panels
-from .spectrum import Spectrum, assemble_kernel_matrix, eval_phi, tail_sums
+from .spectrum import Spectrum, assemble_kernel_matrix, eval_phi_clipped, tail_sums
 from .target import Dataset, Target, eval_target_along_axis
 from .zonal import BLOCK_DOUBLES, ZonalBasis, multiplicities, zonal_series
 
@@ -84,7 +95,8 @@ def _tiles(n: int) -> list[tuple[int, int]]:
     one tile when n <= PANEL_ROWS, else each half of K^-1's RFP storage,
     [0, n - n // 2) and [n - n // 2, n), cut into the fewest tiles, whose
     widths differ by at most one. No tile straddles the halves, which would
-    cut a thin slice off the RFP blocks for the products, and none is thin
+    cut a thin slice off the RFP blocks for the products, so the tiled
+    factor and inverse take each tile block as one view; and none is thin
     (at n = 2025, 2 BLAS threads, a 149-wide last tile per half made the
     Monte Carlo check 3-5 % slower than tiles of 253 in most runs)."""
     if n <= PANEL_ROWS:
@@ -157,7 +169,7 @@ class FittedInterpolant:
                     S_b[:, :r0] *= 2.0
                     square = S_b[:, r0:]    # S_p holds its lower triangle
                     np.copyto(square, square.T, where=~_LOWER[: r1 - r0, : r1 - r0])
-                for k, p_k in enumerate(basis.iter_values(G_b)):
+                for k, p_k in enumerate(basis.iter_clipped_values(G_b)):
                     quad[k] += np.vdot(aa, p_k)
                     if K_inv is not None:
                         inner[k] += np.vdot(S_b, p_k)
@@ -194,7 +206,7 @@ def _kernel_blocks(X: np.ndarray, spectrum: Spectrum, buf: np.ndarray
     flat buffer buf; a yielded block is valid only until the next."""
     for p0, p1 in _tiles(len(X)):
         for r0, r1, G_b in _gram_blocks(X, p0, p1, buf):
-            yield r0, r1, eval_phi(spectrum.spec, G_b, out=G_b)
+            yield r0, r1, eval_phi_clipped(spectrum.spec, G_b, G_b)
 
 
 def _rfp_blocks(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,6 +291,110 @@ def _pack(blocks: tuple, r0: int, r1: int, K_b: np.ndarray) -> None:
             np.copyto(view, src, where=_LOWER[: i1 - i0, : i1 - i0] if sym else True)
 
 
+def _block(blocks: tuple, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    """K[r0:r1, c0:c1] as a view of K's RFP blocks, for columns within one
+    half of the RFP split and rows from c0 on: a view of L in the first
+    half, column-major, and of L2 in the second, transposed. A diagonal
+    square holds K in its lower triangle only."""
+    L, L2 = blocks
+    n1 = L.shape[1]
+    return L[r0:r1, c0:c1] if c0 < n1 else L2[r0 - n1:r1 - n1, c0 - n1:c1 - n1]
+
+
+def _strips(tiles: list[tuple[int, int]], k: int, c0: int, n1: int) -> list[tuple[int, int]]:
+    """Row ranges covering tiles[k:], each within one half of the RFP split,
+    for blocks of the columns from c0: one range per half when c0 lies in
+    the first half, whose blocks are column-major, else one per tile, as a
+    transposed block's rows are its base's columns. So a block over a range
+    is at most one tile of columns wide as the library sees it, and its
+    rows, as the columns of another block, lie in one half."""
+    rest = tiles[k:]
+    if c0 >= n1:
+        return rest
+    halves = ([t for t in rest if t[1] <= n1], [t for t in rest if t[0] >= n1])
+    return [(h[0][0], h[-1][1]) for h in halves if h]
+
+
+def _gemm_into(a: np.ndarray, b: np.ndarray, c: np.ndarray, scale: float = 1.0) -> None:
+    """c += scale a @ b for a block c of K's RFP storage; a transposed c (the
+    second half) gets c^T += scale b^T a^T, so gemm writes column-major."""
+    if c.strides[0] > c.strides[1]:
+        gemm(b.T, a.T, c.T, scale)
+    else:
+        gemm(a, b, c, scale)
+
+
+# The tiled factor and inverse update by one tile of the inner dimension at
+# a time (right-looking): with one BLAS thread OpenBLAS ran a 256 x 256
+# gemm with k = 2048 at 40-45 GFLOP/s and a 2048 x 256 one with k = 256 at
+# 70, and the right-looking inverse took 12 % less time at n = 4096 and 6 %
+# less at n = 2025 than one whose gemms summed whole rows of tiles.
+def _cholesky(K: np.ndarray, n: int) -> int:
+    """K's Cholesky factor L over K's RFP array, in place. Returns LAPACK's
+    info: 0, or the order of the first leading minor that is not positive
+    definite. With one tile (n <= PANEL_ROWS) that is pftrf, whose calls are
+    at most ceil(n / 2) wide; else a right-looking tiled Cholesky over
+    _tiles(n): potrf on diagonal tile j, trsm on the rows below it, then for
+    each later tile i a syrk on its diagonal tile and a gemm on the rows
+    below that, so no call writes more than one tile of columns and
+    OpenBLAS's workspace stays one tile wide."""
+    if n <= PANEL_ROWS:
+        return pftrf(K)
+    blocks, tiles, n1 = _rfp_blocks(K, n), _tiles(n), n - n // 2
+    for j, (j0, j1) in enumerate(tiles):
+        diag = _block(blocks, j0, j1, j0, j1)
+        info = potrf(diag)
+        if info:
+            return j0 + info
+        for r0, r1 in _strips(tiles, j + 1, j0, n1):    # L[r, j] = K[r, j] L_jj^-T
+            trsm(diag, _block(blocks, r0, r1, j0, j1).T)
+        for i, (i0, i1) in enumerate(tiles[j + 1:], j + 1):
+            l_i = _block(blocks, i0, i1, j0, j1)
+            syrk(l_i.T, _block(blocks, i0, i1, i0, i1).T, -1.0)
+            for r0, r1 in _strips(tiles, i + 1, i0, n1):
+                _gemm_into(_block(blocks, r0, r1, j0, j1), l_i.T,
+                           _block(blocks, r0, r1, i0, i1), -1.0)
+    return 0
+
+
+def _invert(K: np.ndarray, n: int) -> int:
+    """K^-1 over K's RFP Cholesky factor L, in place. Returns LAPACK's info.
+    With one tile that is pftri; else two right-looking sweeps over the
+    tiles, every call cut at tile boundaries. The first makes L^-1: at tile
+    j the tiles left of the diagonal hold L[j:, :j] L^-1[:j, :j], so row
+    tile j becomes -L_jj^-1 times its tiles (trsm), each then updates the
+    rows below (gemm), L_jj its inverse (trtri) and the column below it
+    L[j+1:, j] L_jj^-1 (trmm). The second makes K^-1 = L^-T L^-1 by adding
+    row tile k's outer products L^-1[k, :k]^T L^-1[k, :k] to the tiles above
+    it (syrk, gemm) before row tile k becomes L^-1_kk^T L^-1[k, :k+1]
+    (trmm, lauum)."""
+    if n <= PANEL_ROWS:
+        return pftri(K)
+    blocks, tiles, n1 = _rfp_blocks(K, n), _tiles(n), n - n // 2
+    for j, (j0, j1) in enumerate(tiles):
+        diag = _block(blocks, j0, j1, j0, j1)
+        for l0, l1 in tiles[:j]:
+            row = _block(blocks, j0, j1, l0, l1)
+            trsm(diag, row, -1.0)
+            for r0, r1 in _strips(tiles, j + 1, l0, n1):
+                _gemm_into(_block(blocks, r0, r1, j0, j1), row, _block(blocks, r0, r1, l0, l1))
+        info = trtri(diag)
+        if info:
+            return j0 + info
+        for r0, r1 in _strips(tiles, j + 1, j0, n1):
+            trmm(diag, _block(blocks, r0, r1, j0, j1))
+    for k, (k0, k1) in enumerate(tiles):
+        diag = _block(blocks, k0, k1, k0, k1)
+        for i, (i0, i1) in enumerate(tiles[:k]):
+            row = _block(blocks, k0, k1, i0, i1)
+            syrk(row, _block(blocks, i0, i1, i0, i1).T)
+            for r0, r1 in _strips(tiles[:k], i + 1, i0, n1):
+                _gemm_into(_block(blocks, k0, k1, r0, r1).T, row, _block(blocks, r0, r1, i0, i1))
+            trmm(diag, row.T)
+        lauum(diag)
+    return 0
+
+
 def _kernel_products(X: np.ndarray, spectrum: Spectrum, x: np.ndarray) -> np.ndarray:
     """K x for an n x c matrix x, K rebuilt from the points in the blocks fit
     packs, each block's diagonal square mirrored from its lower triangle, so
@@ -342,7 +458,7 @@ def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
     for r0, r1, K_b in _kernel_blocks(X, spectrum, buf):
         _pack(blocks, r0, r1, K_b)
     del buf, blocks
-    if pftrf(K) != 0:
+    if _cholesky(K, n) != 0:
         del K    # half-factored: lambda_min comes from a fresh K
         lam_min = _lambda_min(spectrum, dataset.points)
         raise NumericalError(
@@ -368,9 +484,9 @@ def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
             raise NumericalError(f"linear solve residual {rel:.3e} exceeds {RESIDUAL_TOL}")
 
     if dataset.sigma2 > 0:    # K^-1 over the factor
-        info = pftri(K)
+        info = _invert(K, n)
         if info != 0:
-            raise NumericalError(f"LAPACK dpftri failed (info={info})")
+            raise NumericalError(f"inverting K failed (LAPACK info={info})")
     alpha = x[:, 0]
     return FittedInterpolant(dataset=dataset, spectrum=spectrum, alpha=alpha,
                              alpha_clean=alpha if y is clean else x[:, 1],
@@ -405,7 +521,7 @@ def _cross_products(model: FittedInterpolant, panels: Iterable[np.ndarray], alph
             s_t.fill(0.0)
         for c0, c1 in tiles:
             kb = _gram_block(x, X[c0:c1], buf)
-            eval_phi(spec, kb, out=kb)
+            eval_phi_clipped(spec, kb, kb)
             out[rows] += kb @ alpha[c0:c1]
             if norms is not None:
                 _sym_product(blocks, 0, n, c0, c1, kb.T, s_t.T)

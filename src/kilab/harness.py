@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import KilabError, UsageError
-from .estimator import ErrorReport, FittedInterpolant, evaluate_cell, fit
+from .estimator import PANEL_ROWS, ErrorReport, FittedInterpolant, evaluate_cell, fit
 from .rates import classify, fit_slope
 from .seeding import SeedPath, TAG_AXIS, TAG_MC
 from .spectrum import (KernelSpec, Spectrum, compute_spectrum,
@@ -41,8 +41,8 @@ CSV_COLUMNS = [
 ]
 
 # largest n a cell may have: its RFP array of n (n + 1) / 2 doubles must fit
-# in memory beside its n x (d + 1) points (_cell_bytes), which run_sweep
-# checks against physical memory
+# in memory beside its n x (d + 1) points and panels (_cell_bytes), which
+# run_sweep checks against physical memory
 N_CAP = 8000
 
 
@@ -224,10 +224,13 @@ def _physical_memory() -> int | None:
 
 
 def _cell_bytes(config: ExperimentConfig, d: int) -> int:
-    """What cell d holds for its whole run: n x (d + 1) points and one RFP
-    array of n (n + 1) / 2 doubles."""
+    """What cell d holds at its peak: n x (d + 1) points, one RFP array of
+    n (n + 1) / 2 doubles, and beside them a PANEL_ROWS x n panel and one
+    tile square, at most PANEL_ROWS^2 (kilab.estimator; every BLAS call
+    writes at most one tile of columns, so OpenBLAS's workspace does not
+    grow with n)."""
     n = config.n_for(d)
-    return 8 * (n * (n + 1) // 2 + n * (d + 1))
+    return 8 * (n * (n + 1) // 2 + n * (d + 1) + PANEL_ROWS * (n + PANEL_ROWS))
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> Iterator[dict]:
@@ -248,8 +251,8 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> Iterator[dict]:
     memory = _physical_memory()
     if memory is not None and need > memory:
         raise UsageError(
-            f"{busy} concurrent cell(s) need {need / 2**30:.2f} GiB for points and "
-            f"K alone, above the {memory / 2**30:.2f} GiB of physical memory")
+            f"{busy} concurrent cell(s) need {need / 2**30:.2f} GiB for points, "
+            f"K and panels alone, above the {memory / 2**30:.2f} GiB of physical memory")
     _keep_freed_buffers()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -57,9 +57,9 @@ class KernelSpec:
             raise UsageError("kernel coefficients below the last must be positive")
         if a.sum() > 1 + 1e-12:
             raise UsageError("coefficient sum exceeds 1 (violates Phi(1) <= 1)")
-        if self.phi is not None:
+        if self.phi is not None:    # against Horner's rule, as eval_phi runs it without phi
             t = np.linspace(-1.0, 1.0, 17)
-            gap = np.max(np.abs(eval_phi(self, t) - np.polynomial.polynomial.polyval(t, a)))
+            gap = np.max(np.abs(eval_phi(self, t) - _horner(self.coefficients, t, np.empty(17))))
             if not gap <= 1e-12:
                 raise UsageError(f"closed-form phi differs from the coefficient "
                                  f"series by {gap:.3e} on [-1, 1]")
@@ -72,19 +72,33 @@ def eval_phi(spec: KernelSpec, t, out: np.ndarray | None = None) -> np.ndarray:
     t_arr = clip_unit(t, "kernel")
     if out is None:
         out = np.empty_like(t_arr)
-    if spec.phi is not None:
-        spec.phi(t_arr, out)
-    else:   # Horner by row blocks: out may be t, so each block of t is
-            # copied, and freed before the next block is copied
-        t_rows, out_rows = np.atleast_1d(t_arr), np.atleast_1d(out)
-        for rows in row_blocks(t_rows):
-            t_b, out_b = t_rows[rows].copy(), out_rows[rows]
-            out_b[...] = 0.0
-            for a_j in reversed(spec.coefficients):
-                out_b *= t_b
-                out_b += a_j
-            del t_b
+    eval_phi_clipped(spec, t_arr, out)
     return out if np.ndim(t) else float(out)
+
+
+def eval_phi_clipped(spec: KernelSpec, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """eval_phi for a float array t already clipped into [-1, 1], such as a
+    Gram block of unit points that kilab.estimator clips as it builds it,
+    with no second scan of t; out may be t itself."""
+    if spec.phi is not None:
+        spec.phi(t, out)
+    else:
+        _horner(spec.coefficients, np.atleast_1d(t), np.atleast_1d(out))
+    return out
+
+
+def _horner(coefficients: Sequence[float], t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_j a_j t^j into out by Horner's rule, by row blocks: out may be t,
+    so each block of t is copied, and freed before the next block is
+    copied."""
+    for rows in row_blocks(t):
+        t_b, out_b = t[rows].copy(), out[rows]
+        out_b[...] = 0.0
+        for a_j in reversed(coefficients):
+            out_b *= t_b
+            out_b += a_j
+        del t_b
+    return out
 
 
 def _phi_exp(t, out):

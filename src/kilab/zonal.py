@@ -115,6 +115,12 @@ class ZonalBasis:
         """
         return self._recurrence(clip_unit(t, "zonal"))
 
+    def iter_clipped_values(self, t: np.ndarray) -> Iterator[np.ndarray]:
+        """iter_values for a float array t already clipped into [-1, 1], such
+        as a Gram block of unit points that kilab.estimator clips as it builds
+        it, with no second scan of t."""
+        return self._recurrence(t)
+
     def iter_blocks(self, t) -> Iterator[tuple[slice, Iterator[np.ndarray]]]:
         """Yield (rows, iter_values(t[rows])) over blocks of leading-axis rows
         of t, each at most BLOCK_DOUBLES values (but at least one row)."""

@@ -229,12 +229,13 @@ def test_fit_factors_phi_of_the_degree_pass_blocks(monkeypatch):
     points = sample_sphere(45, 2025, SeedPath(20240901, (45, 0)).child(TAG_POINTS))
     sp = compute_spectrum(kernel_by_id("exp"), 45)
     y = points.coordinates[:, 0].copy()
-    real, factored = estimator.pftrf, []
-    monkeypatch.setattr(estimator, "pftrf", lambda a: factored.append(a.copy()) or real(a))
+    real, factored = estimator._cholesky, []
+    monkeypatch.setattr(estimator, "_cholesky",
+                        lambda a, n: factored.append(a.copy()) or real(a, n))
     model = fit(Dataset(points=points, y=y, clean=y, sigma2=0.0), sp)
     K = np.tril(_dense(factored[0], points.n))
 
-    iter_values, covered = ZonalBasis.iter_values, [0]
+    iter_values, covered = ZonalBasis.iter_clipped_values, [0]
 
     def iter_values_checked(basis, t):
         if np.ndim(t) == 2:
@@ -245,7 +246,7 @@ def test_fit_factors_phi_of_the_degree_pass_blocks(monkeypatch):
             covered[0] = r1
         return iter_values(basis, t)
 
-    monkeypatch.setattr(ZonalBasis, "iter_values", iter_values_checked)
+    monkeypatch.setattr(ZonalBasis, "iter_clipped_values", iter_values_checked)
     model.degree_sums
     assert covered == [points.n]
 

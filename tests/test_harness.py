@@ -214,14 +214,14 @@ def test_run_cell_makes_one_degree_pass_over_g(monkeypatch, sigma2,
     # of G's lower triangle fed to the recurrence hold n (n + 1) / 2 values
     # plus at most half a block height per row (n^2 in one dense pass).
     # n = 308 takes several blocks, so a second pass would exceed the bound
-    iter_values = ZonalBasis.iter_values
+    iter_values = ZonalBasis.iter_clipped_values
     shapes = []
 
     def iter_values_counted(basis, t):
         shapes.append(np.shape(t))
         return iter_values(basis, t)
 
-    monkeypatch.setattr(ZonalBasis, "iter_values", iter_values_counted)
+    monkeypatch.setattr(ZonalBasis, "iter_clipped_values", iter_values_counted)
     cfg = small_config(sigma2=sigma2, mc_test_points=mc_test_points, n_coefficient=30.0)
     row = run_cell(cfg, compute_spectrum(cfg.kernel_spec(), 6), 6, 0)
     assert row["error"] == ""
@@ -609,11 +609,12 @@ def test_cli_run_rejects_workers_below_one(tmp_path, capsys, workers):
 
 
 def test_cli_run_refuses_a_sweep_that_cannot_fit(tmp_path, capsys, monkeypatch):
-    # each concurrent worker holds the largest cell's points and RFP array;
-    # the sweep is refused before any cell runs and before a CSV is opened
+    # each concurrent worker holds the largest cell's points, RFP array and
+    # panels; the sweep is refused before any cell runs and before a CSV is
+    # opened
     cfg = small_config()
-    n, d = cfg.n_for(8), 8
-    cell = 8 * (n * (n + 1) // 2 + n * (d + 1))
+    n, d, panel = cfg.n_for(8), 8, estimator.PANEL_ROWS
+    cell = 8 * (n * (n + 1) // 2 + n * (d + 1) + panel * (n + panel))
     assert cell == harness._cell_bytes(cfg, 8) > harness._cell_bytes(cfg, 6)
     monkeypatch.setattr(harness, "_physical_memory", lambda: cell)
     cfg_path = tmp_path / "cfg.json"

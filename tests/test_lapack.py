@@ -1,6 +1,7 @@
-"""kilab._lapack against scipy.linalg (and numpy, for symm, gemm and syrk) as the
-reference, its argument checks, and the scipy.linalg adapters it returns
-when the library lacks a symbol."""
+"""kilab._lapack against scipy.linalg (and numpy, for the routines on 2-D
+views) as the reference, its argument checks, the scipy.linalg adapters it
+returns when the library lacks a symbol, and the tiled factor and inverse
+kilab.estimator builds from them."""
 
 import ctypes
 import types
@@ -11,15 +12,22 @@ import pytest
 from scipy.linalg.lapack import (dpftrf as scipy_dpftrf, dpftri as scipy_dpftri,
                                  dpftrs as scipy_dpftrs, dtrttf)
 
-from kilab import _lapack, estimator, fit, mc_errors, variance_split
-from kilab.harness import ExperimentConfig, fit_cell
+from scipy.linalg import eigvalsh
+from scipy.linalg.lapack import dpotrf as scipy_dpotrf, dtfttr
+
+from kilab import (Dataset, NumericalError, SpherePoints, _lapack, assemble_kernel_matrix,
+                   estimator, fit, mc_errors, variance_split)
+from kilab.harness import ExperimentConfig, fit_cell, run_cell
 from kilab.seeding import TAG_MC
 from kilab.spectrum import compute_spectrum
 
 RTOL = 1e-12
 # the RFP layout differs between even and odd n
 RFP_SIZES = [1, 2, 3, 33, 64, 65, 600, 601]
+NAMES = ("pftrf", "pftri", "pftrs", "symm", "gemm", "syrk", "potrf", "trtri", "lauum",
+         "trsm", "trmm")
 ADAPTERS = _lapack.bind(object())
+BOUND = tuple(getattr(_lapack, name) for name in NAMES)
 
 
 def _spd(n, seed=5):
@@ -156,11 +164,98 @@ def test_syrk_adds_the_gram_matrix_to_the_upper_triangle(n, syrk):
         assert np.array_equal(np.tril(c, -1), np.tril(c0, -1))
 
 
+def _views(rng, rows, cols):
+    """A rows x cols block of a larger column-major array, and the transpose
+    of one, as the RFP blocks' views of the two halves are."""
+    col = np.asfortranarray(rng.standard_normal((rows + 3, cols + 2)))[1:-2, 1:-1]
+    tr = np.asfortranarray(rng.standard_normal((cols + 4, rows + 1)))[2:-2, 1:].T
+    return col, tr
+
+
+@pytest.mark.parametrize("routines", [BOUND, ADAPTERS], ids=["bound", "scipy adapter"])
+@pytest.mark.parametrize("n", [1, 33, 300])
+def test_gemm_and_syrk_scale_the_product_and_syrk_takes_a_transposed_c(n, routines):
+    # -1 subtracts the product; a transposed c's upper triangle is its base's
+    # lower one, which syrk updates while the other triangle stays as it
+    # was (gemm's c stays column-major)
+    gemm, syrk = routines[4], routines[5]
+    rng = np.random.default_rng(11)
+    k = max(n // 3, 1)
+    a = np.asfortranarray(rng.standard_normal((k, n)))
+    for c in _views(rng, n, n):
+        c0 = c.copy()
+        syrk(a, c, -1.0)
+        upper = np.triu_indices(n)
+        assert _close(c[upper], (c0 - a.T @ a)[upper])
+        assert np.array_equal(np.tril(c, -1), np.tril(c0, -1))
+    c0 = c.T.copy(order="F")
+    gemm(a.T, a, c.T, -1.0)
+    assert _close(c.T, c0 - a.T @ a)
+
+
+@pytest.mark.parametrize("routines", [BOUND, ADAPTERS], ids=["bound", "scipy adapter"])
+@pytest.mark.parametrize("n", [1, 33, 300])
+def test_potrf_trtri_and_lauum_work_on_the_lower_triangle_of_a_view(n, routines):
+    # in turn L, L^-1 and L^-T L^-1 = K^-1 on and below the diagonal of a
+    # column-major or a transposed view; the strict upper triangle, which in
+    # RFP storage may hold the other half's values, is left alone
+    potrf, trtri, lauum = routines[6:9]
+    rng = np.random.default_rng(12)
+    K = _spd(n, seed=13)
+    L = np.linalg.cholesky(K)
+    lower = np.tril_indices(n)
+    for a in _views(rng, n, n):
+        a[lower] = K[lower]
+        upper = np.triu(a, 1)
+        assert potrf(a) == 0 and _close(np.tril(a), L)
+        assert trtri(a) == 0 and _close(np.tril(a), np.linalg.inv(L))
+        assert lauum(a) == 0 and _close(a[lower], np.linalg.inv(K)[lower])
+        assert np.array_equal(np.triu(a, 1), upper)
+
+
+def test_potrf_reports_the_failing_minor_as_scipy_does():
+    a = _spd(12)
+    a[7, 7] = -1.0
+    ref = scipy_dpotrf(a, lower=1)[1]
+    for potrf in (_lapack.potrf, ADAPTERS[6]):
+        for view in _views(np.random.default_rng(14), 12, 12):
+            view[...] = a
+            assert potrf(view) == ref == 8
+
+
+@pytest.mark.parametrize("routines", [BOUND, ADAPTERS], ids=["bound", "scipy adapter"])
+@pytest.mark.parametrize("n", [1, 33, 300])
+def test_trsm_and_trmm_take_either_view_of_each_operand(n, routines):
+    # b := scale L^-1 b and b := b L for the lower-triangular L in a's lower
+    # triangle, with a and b each column-major or transposed
+    trsm, trmm = routines[9:]
+    rng = np.random.default_rng(15)
+    L = np.linalg.cholesky(_spd(n, seed=16))
+    m = max(n // 2, 1) + 3
+    for a in _views(rng, n, n):
+        a[np.tril_indices(n)] = L[np.tril_indices(n)]
+        for b in _views(rng, n, m):
+            b0 = b.copy()
+            trsm(a, b, -1.0)
+            assert _close(b, -np.linalg.solve(L, b0))
+            trsm(a, b)
+            assert _close(L @ (L @ b), -b0)
+        for b in _views(rng, m, n):
+            b0 = b.copy()
+            trmm(a, b)
+            assert _close(b, b0 @ L)
+
+
 def _recording_lib(calls):
     """A library object whose symbols record their calls."""
     def symbol(name):
         return lambda *args: calls.append(name) or 0
     return types.SimpleNamespace(**{name: symbol(name) for name in _lapack._SYMBOLS})
+
+
+# each routine's 2-D operands, in call order
+OPERANDS = {"gemm": "abc", "symm": "abc", "syrk": "ac", "potrf": "a", "trtri": "a",
+            "lauum": "a", "trsm": "ab", "trmm": "ab"}
 
 
 def _bad_arrays():
@@ -172,15 +267,18 @@ def _bad_arrays():
     packed = _rfp(a)
     packed_read_only = packed.copy()
     packed_read_only.flags.writeable = False
-    every = ("gemm a", "gemm b", "gemm c", "symm a", "symm b", "symm c", "syrk a", "syrk c")
+    every = tuple(f"{routine} {operand}" for routine, operands in OPERANDS.items()
+                  for operand in operands)
     return {
-        # a transposed operand serves as gemm's a or b and symm's or syrk's a
-        "C order": (a.copy(order="C"), ("gemm c", "symm b", "symm c", "syrk c"), None),
+        # a transposed operand serves everywhere but as gemm's c and symm's b
+        # and c
+        "C order": (a.copy(order="C"), ("gemm c", "symm b", "symm c"), None),
         "float32": (a.astype(np.float32, order="F"), every, packed.astype(np.float32)),
+        # 4 x 3: trsm's b only needs a's order of rows
         "non-square": (np.asfortranarray(a[:, :3]),
-                       ("gemm a", "gemm b", "gemm c", "symm a", "symm b", "symm c", "syrk c"),
-                       None),
-        "read-only": (read_only, ("gemm c", "symm c", "syrk c"), packed_read_only),
+                       tuple(where for where in every if where != "trsm b"), None),
+        "read-only": (read_only, ("gemm c", "symm c", "syrk c", "potrf a", "trtri a",
+                                  "lauum a", "trsm b", "trmm b"), packed_read_only),
         "wrong length": (None, (), packed[:-1]),
         # neither a column-major matrix nor the transpose of one
         "strided": (np.asfortranarray(np.ones((8, 4)))[::2], every,
@@ -192,17 +290,17 @@ def _bad_arrays():
                                   "wrong length", "strided"])
 def test_bad_matrices_raise_before_reaching_the_library(case):
     calls = []
-    pftrf, pftri, pftrs, symm, gemm, syrk = _lapack.bind(_recording_lib(calls))
+    routines = dict(zip(NAMES, _lapack.bind(_recording_lib(calls))))
+    pftrf, pftri, pftrs = routines["pftrf"], routines["pftri"], routines["pftrs"]
+    gemm, symm, syrk = routines["gemm"], routines["symm"], routines["syrk"]
     bad, bad_for, bad_packed = _bad_arrays()[case]
     good = _spd(4).copy(order="F")
     for where in bad_for:
         routine, operand = where.split()
-        args = [good, good, good.copy(order="F")]
-        if routine == "syrk":
-            del args[1]
-        args[("ac" if routine == "syrk" else "abc").index(operand)] = bad
+        args = [good.copy(order="F") for _ in OPERANDS[routine]]
+        args[OPERANDS[routine].index(operand)] = bad
         with pytest.raises(ValueError):
-            {"gemm": gemm, "symm": symm, "syrk": syrk}[routine](*args)
+            routines[routine](*args)
     if bad_packed is not None:
         with pytest.raises(ValueError):
             pftrf(bad_packed)
@@ -226,23 +324,33 @@ def test_bad_matrices_raise_before_reaching_the_library(case):
         symm(wide, wide, wide.copy(order="F"))    # a not square
     with pytest.raises(ValueError):
         syrk(wide, good.copy(order="F"))          # 3 x 3 into 4 x 4
+    with pytest.raises(ValueError):
+        routines["trsm"](good, wide.T.copy(order="F"))    # L^-1 (4 x 4) b (3 x 4)
+    with pytest.raises(ValueError):
+        routines["trmm"](good, wide.copy(order="F"))      # b (4 x 3) L (4 x 4)
     gemm(good, wide, wide.copy(order="F"))
     symm(good, wide, wide.copy(order="F"))
     syrk(wide, np.ones((3, 3), order="F"))
+    for name in ("potrf", "trtri", "lauum"):
+        routines[name](good.copy(order="F"))
+    routines["trsm"](good, wide.copy(order="F"))
+    routines["trmm"](good, wide.T.copy(order="F"))
     assert calls == ["scipy_LAPACKE_dpftrf_work64_", "scipy_cblas_dgemm64_",
-                     "scipy_cblas_dsymm64_", "scipy_cblas_dsyrk64_"]
+                     "scipy_cblas_dsymm64_", "scipy_cblas_dsyrk64_",
+                     "scipy_LAPACKE_dpotrf_work64_", "scipy_LAPACKE_dtrtri_work64_",
+                     "scipy_LAPACKE_dlauum_work64_", "scipy_cblas_dtrsm64_",
+                     "scipy_cblas_dtrmm64_"]
 
 
 def _patch_adapters(monkeypatch):
-    for name, routine in zip(("pftrf", "pftri", "pftrs", "symm", "gemm", "syrk"), ADAPTERS):
+    for name, routine in zip(NAMES, ADAPTERS):
         monkeypatch.setattr(estimator, name, routine)
 
 
 def test_a_library_without_the_symbols_falls_back_to_scipy(monkeypatch):
     # the adapters drop the arrays scipy returns, so a copy in place of an
     # in-place write would leave fit working on K instead of its factor
-    assert not set(ADAPTERS) & {_lapack.pftrf, _lapack.pftri, _lapack.pftrs,
-                                _lapack.symm, _lapack.gemm, _lapack.syrk}
+    assert not set(ADAPTERS) & set(BOUND)
 
     config = ExperimentConfig(gamma=1.5, s=0.5, d_list=(12,), master_seed=31337)
     sp = compute_spectrum(config.kernel_spec(), 12)
@@ -275,3 +383,98 @@ def test_mc_through_the_scipy_gemm_adapter_matches_the_bound_path(monkeypatch):
     assert ref.var > 0
     for g, r in zip(vars(got).values(), vars(ref).values()):
         assert g == pytest.approx(r, rel=1e-13, abs=0.0)
+
+
+def _kernel_cell(n, d=40, seed=31337):
+    """A sigma^2 = 1 cell of n points on S^d (exp kernel, gamma = 2) and its
+    spectrum; at d = 40 K's condition number stays below 1e4 up to
+    n = 1153."""
+    config = ExperimentConfig(gamma=2.0, s=0.5, d_list=(d,), master_seed=seed,
+                              n_coefficient=n / d**2)
+    sp = compute_spectrum(config.kernel_spec(), d)
+    _, model, _ = fit_cell(config, sp, d, 0)
+    assert model.n == n
+    return model, sp
+
+
+@pytest.mark.parametrize("path", ["bound", "scipy adapter"])
+@pytest.mark.parametrize("n", [289, 290, 577, 1153])
+def test_tiled_factor_and_inverse_match_numpy(monkeypatch, n, path):
+    # one tile past pftrf's range, odd and even n, and one to three tiles
+    # per half of the RFP split
+    if path == "scipy adapter":
+        _patch_adapters(monkeypatch)
+    model, sp = _kernel_cell(n)
+    assert len(estimator._tiles(n)) >= 2 and n > estimator.PANEL_ROWS
+    K = assemble_kernel_matrix(sp.spec, model.dataset.points.gram())
+    packed = _rfp(K)
+    assert estimator._cholesky(packed, n) == 0
+    L, info = dtfttr(n, packed, transr="N", uplo="L")
+    assert info == 0 and _close(np.tril(L), np.linalg.cholesky(K))
+    assert estimator._invert(packed, n) == 0
+    low, info = dtfttr(n, packed, transr="N", uplo="L")
+    assert info == 0
+    K_inv = np.tril(low) + np.tril(low, -1).T
+    assert _close(K_inv, np.linalg.inv(K))
+
+
+def test_a_duplicated_point_fails_the_tiled_factor_at_its_row():
+    # point 400, in the second tile of the first half (n = 600), repeats
+    # point 10, so K is singular; the factor stops at the minor of order
+    # 401 and fit reports lambda_min of K assembled afresh
+    model, sp = _kernel_cell(600, d=12)
+    X = model.dataset.points.coordinates.copy()
+    X[400] = X[10]
+    assert estimator._tiles(600)[1][0] <= 400
+    ds = Dataset(points=SpherePoints(12, X), y=model.dataset.y, clean=model.dataset.clean,
+                 sigma2=1.0)
+    K = assemble_kernel_matrix(sp.spec, ds.points.gram())
+    assert estimator._cholesky(_rfp(K), 600) == 401
+    with pytest.raises(NumericalError, match="not positive definite") as err:
+        fit(ds, sp)
+    reported = float(str(err.value).split("lambda_min = ")[1].rstrip(")"))
+    assert reported == pytest.approx(eigvalsh(K, subset_by_index=(0, 0))[0], rel=1e-12)
+
+
+def test_every_blas_call_of_a_cell_writes_at_most_one_tile_of_columns(monkeypatch):
+    # OpenBLAS's workspace grows with the widest output a call writes, so a
+    # cell with several tiles per half (n = 1600, three of 266-267) must
+    # make no call wider than PANEL_ROWS: N is the column count of the
+    # column-major output (of b for trsm and trmm, seen by the library as
+    # the transpose of a transposed view), and a LAPACK routine's order
+    # must fit in one tile too. pftrf and pftri would take all of n
+    widths = []
+
+    def columns(a):
+        return a.shape[0] if _lapack._operand(a)[0] else a.shape[1]
+
+    def order(a):
+        return a.shape[0]
+
+    width = {"pftrf": lambda a: _lapack._packed(a, written=False),
+             "pftri": lambda a: _lapack._packed(a, written=False),
+             "pftrs": lambda a, b: b.shape[1] if b.ndim == 2 else 1,
+             "symm": lambda a, b, c: columns(c), "gemm": lambda a, b, c, *_: columns(c),
+             "syrk": lambda a, c, *_: order(c), "trsm": lambda a, b, *_: columns(b),
+             "trmm": lambda a, b: columns(b), "potrf": order, "trtri": order, "lauum": order}
+    imported = [name for name, routine in vars(_lapack).items()
+                if callable(routine) and getattr(estimator, name, None) is routine]
+    assert imported and set(imported) <= set(width)
+
+    def recorded(name, routine):
+        def call(*args):
+            widths.append((name, int(width[name](*args))))
+            return routine(*args)
+        return call
+
+    for name in imported:
+        monkeypatch.setattr(estimator, name, recorded(name, getattr(_lapack, name)))
+    config = ExperimentConfig(gamma=2.0, s=0.5, d_list=(40,), sigma2=1.0,
+                              mc_test_points=2 * estimator.PANEL_ROWS + 37, master_seed=31337)
+    assert config.n_for(40) == 1600
+    row = run_cell(config, compute_spectrum(config.kernel_spec(), 40), 40, 0)
+    assert row["error"] == ""
+    too_wide = [(name, w) for name, w in widths if w > estimator.PANEL_ROWS]
+    assert not too_wide, too_wide[:5]
+    called = {name for name, _ in widths}
+    assert {"potrf", "trtri", "lauum", "trsm", "trmm", "syrk", "gemm", "symm"} <= called
