@@ -1,4 +1,4 @@
-"""The eleven LAPACK/BLAS routines kilab calls, bound on numpy's own OpenBLAS.
+"""The nine LAPACK/BLAS routines kilab calls, bound on numpy's own OpenBLAS.
 
 Importing scipy.linalg for them costs over 200 ms and maps a second OpenBLAS
 library beside numpy's, so when the OpenBLAS that numpy links exports its
@@ -7,12 +7,12 @@ ctypes on the library already loaded. When any symbol is missing (an older
 wheel, an MKL or Accelerate build) they are adapters over scipy.linalg,
 which copy any operand that is not a contiguous array.
 
-Each has one call shape. pftrf, pftri and pftrs work on a symmetric n x n
-matrix in rectangular full packed (RFP) storage, LAPACK's layout with
-TRANSR = 'N' and UPLO = 'L': a contiguous 1-D array of n (n + 1) / 2
-doubles (kilab.estimator describes its three blocks). pftrf and pftri
-overwrite it in place, with the Cholesky factor and then the inverse.
-The others take 2-D views of such storage: every operand is a column-major
+Each has one call shape. pftrs solves with the Cholesky factor of a
+symmetric n x n matrix in rectangular full packed (RFP) storage, LAPACK's
+layout with TRANSR = 'N' and UPLO = 'L': a contiguous 1-D array of
+n (n + 1) / 2 doubles (kilab.estimator describes its three blocks and
+factors and inverts it in place, tile by tile, with the others). The
+others take 2-D views of such storage: every operand is a column-major
 matrix whose leading dimension is its column stride, or the transpose of
 one, and each routine picks the flags that make the transpose mean what
 the view means. symm and gemm accumulate c += a @ b, with c column-major,
@@ -42,8 +42,7 @@ _NO_TRANS, _TRANS = 111, 112
 _UPPER, _LOWER = 121, 122
 _LEFT, _RIGHT = 141, 142
 _NON_UNIT = 131
-_SYMBOLS = ("scipy_LAPACKE_dpftrf_work64_", "scipy_LAPACKE_dpftri_work64_",
-            "scipy_LAPACKE_dpftrs_work64_", "scipy_cblas_dsymm64_",
+_SYMBOLS = ("scipy_LAPACKE_dpftrs_work64_", "scipy_cblas_dsymm64_",
             "scipy_cblas_dgemm64_", "scipy_cblas_dsyrk64_",
             "scipy_LAPACKE_dpotrf_work64_", "scipy_LAPACKE_dtrtri_work64_",
             "scipy_LAPACKE_dlauum_work64_", "scipy_cblas_dtrsm64_",
@@ -60,10 +59,9 @@ def _array(a: np.ndarray, ndim: int, written: bool) -> None:
         raise ValueError("the array is read-only")
 
 
-def _packed(a: np.ndarray, written: bool) -> int:
-    """n of a contiguous float64 RFP array of n (n + 1) / 2 values,
-    writeable when the routine writes to it."""
-    _array(a, 1, written)
+def _packed(a: np.ndarray) -> int:
+    """n of a contiguous float64 RFP array of n (n + 1) / 2 values."""
+    _array(a, 1, written=False)
     if not a.flags.c_contiguous:
         raise ValueError("need a contiguous RFP array")
     n = (math.isqrt(8 * a.size + 1) - 1) // 2
@@ -170,18 +168,10 @@ _data = _pointer_reader()
 def _scipy_adapters() -> tuple:
     """The routines of bind over scipy.linalg, with kilab's flags and checks."""
     from scipy.linalg.blas import dgemm, dsymm, dsyrk, dtrmm, dtrsm
-    from scipy.linalg.lapack import dlauum, dpftrf, dpftri, dpftrs, dpotrf, dtrtri
-
-    # f2py writes an array _packed accepts in place, so the array it returns
-    # is the argument itself
-    def pftrf(a: np.ndarray) -> int:
-        return dpftrf(_packed(a, written=True), a, transr="N", uplo="L", overwrite_a=1)[1]
-
-    def pftri(a: np.ndarray) -> int:
-        return dpftri(_packed(a, written=True), a, transr="N", uplo="L", overwrite_a=1)[1]
+    from scipy.linalg.lapack import dlauum, dpftrs, dpotrf, dtrtri
 
     def pftrs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        n = _packed(a, written=False)
+        n = _packed(a)
         x, _ = _solve_rhs(n, b)
         x2, info = dpftrs(n, a, x.reshape(n, -1), transr="N", uplo="L")
         if info != 0:
@@ -227,24 +217,21 @@ def _scipy_adapters() -> tuple:
         _triangular_dims(a, b, 1)
         b[...] = dtrmm(1.0, a, b, side=1, lower=1)
 
-    return pftrf, pftri, pftrs, symm, gemm, syrk, potrf, trtri, lauum, trsm, trmm
+    return pftrs, symm, gemm, syrk, potrf, trtri, lauum, trsm, trmm
 
 
 def bind(lib) -> tuple:
-    """(pftrf, pftri, pftrs, symm, gemm, syrk, potrf, trtri, lauum, trsm,
-    trmm) on lib's ILP64 LAPACKE/CBLAS symbols, or adapters over
-    scipy.linalg when lib lacks any of them."""
+    """(pftrs, symm, gemm, syrk, potrf, trtri, lauum, trsm, trmm) on lib's
+    ILP64 LAPACKE/CBLAS symbols, or adapters over scipy.linalg when lib lacks
+    any of them."""
     try:
-        (lib_pftrf, lib_pftri, lib_pftrs, lib_symm, lib_gemm, lib_syrk, lib_potrf,
-         lib_trtri, lib_lauum, lib_trsm, lib_trmm) = (getattr(lib, name) for name in _SYMBOLS)
+        (lib_pftrs, lib_symm, lib_gemm, lib_syrk, lib_potrf, lib_trtri, lib_lauum,
+         lib_trsm, lib_trmm) = (getattr(lib, name) for name in _SYMBOLS)
     except AttributeError:
         return _scipy_adapters()
 
     i64, ptr, char, dbl, enum = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_char,
                                  ctypes.c_double, ctypes.c_int)
-    for f in (lib_pftrf, lib_pftri):
-        f.argtypes = [enum, char, char, i64, ptr]
-        f.restype = i64
     lib_pftrs.argtypes = [enum, char, char, i64, i64, ptr, ptr, i64]
     lib_pftrs.restype = i64
     for f in (lib_potrf, lib_lauum):
@@ -263,19 +250,9 @@ def bind(lib) -> tuple:
         f.argtypes = [enum, enum, enum, enum, enum, i64, i64, dbl, ptr, i64, ptr, i64]
         f.restype = None
 
-    def pftrf(a: np.ndarray) -> int:
-        """Cholesky factor of the RFP matrix a, in place. Returns LAPACK's
-        info."""
-        return int(lib_pftrf(_COL_MAJOR, b"N", b"L", _packed(a, written=True), _data(a)))
-
-    def pftri(a: np.ndarray) -> int:
-        """Inverse of K over K's RFP Cholesky factor a, in place. Returns
-        LAPACK's info."""
-        return int(lib_pftri(_COL_MAJOR, b"N", b"L", _packed(a, written=True), _data(a)))
-
     def pftrs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """x with K x = b, from K's RFP Cholesky factor a (a new array)."""
-        n = _packed(a, written=False)
+        n = _packed(a)
         x, nrhs = _solve_rhs(n, b)
         info = lib_pftrs(_COL_MAJOR, b"N", b"L", n, nrhs, _data(a), _data(x), max(n, 1))
         if info != 0:
@@ -343,10 +320,10 @@ def bind(lib) -> tuple:
                  _TRANS if trans_a != trans_b else _NO_TRANS, _NON_UNIT, m, n, 1.0,
                  _data(a), lda, _data(b), ldb)
 
-    return pftrf, pftri, pftrs, symm, gemm, syrk, potrf, trtri, lauum, trsm, trmm
+    return pftrs, symm, gemm, syrk, potrf, trtri, lauum, trsm, trmm
 
 
 # dlsym on the linalg extension resolves through its dependencies, which
 # hold the OpenBLAS numpy itself calls
-(pftrf, pftri, pftrs, symm, gemm, syrk, potrf, trtri, lauum, trsm,
+(pftrs, symm, gemm, syrk, potrf, trtri, lauum, trsm,
  trmm) = bind(ctypes.CDLL(numpy.linalg._umath_linalg.__file__))

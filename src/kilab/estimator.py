@@ -33,13 +33,12 @@ sigma^2 = 0: then alpha is alpha_clean. The residual rebuilds K x from
 those blocks, and a column whose residual misses RESIDUAL_TOL gets one
 refinement sweep. All of it runs on numpy's own OpenBLAS through
 kilab._lapack: pftrs solves over the whole array, and the other routines
-work on views of the three blocks where they lie. For n > PANEL_ROWS the
-factor and the inverse are tiled over _tiles(n) (_cholesky, _invert:
-potrf, trsm, syrk and gemm, then trmm, trsm, trtri, lauum, gemm and syrk
-on tiles), so no call writes more than one tile of columns and OpenBLAS's
-workspace stays one tile wide instead of growing with n; for
-n <= PANEL_ROWS the one tile straddles the halves, and pftrf and pftri,
-whose calls are at most ceil(n / 2) wide, factor and invert the array.
+work on views of the three blocks where they lie. The factor and the
+inverse are tiled over _tiles(n) (_cholesky, _invert: potrf, trsm, syrk
+and gemm, then trmm, trsm, trtri, lauum, gemm and syrk on tiles), so no
+call writes more than one tile of columns and OpenBLAS's workspace stays
+one tile wide instead of growing with n; with one tile per half this is
+the order of LAPACK's own RFP Cholesky (pftrf).
 scipy.linalg is imported only by the lambda_min and concentration
 diagnostics. One O(k_max n^2) recurrence pass over G's lower
 triangle (FittedInterpolant.degree_sums) yields <S, P_k(G)> for the
@@ -70,8 +69,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._lapack import (gemm, lauum, pftrf, pftri, pftrs, potrf, symm, syrk, trmm, trsm,
-                      trtri)
+from ._lapack import gemm, lauum, pftrs, potrf, symm, syrk, trmm, trsm, trtri
 from .errors import NumericalError, UsageError
 from .seeding import SeedPath, SpherePoints, sphere_panels
 from .spectrum import Spectrum, assemble_kernel_matrix, eval_phi_clipped, tail_sums
@@ -92,15 +90,12 @@ _LOWER = np.tri(PANEL_ROWS, dtype=bool)
 
 def _tiles(n: int) -> list[tuple[int, int]]:
     """Consecutive [t0, t1) covering [0, n), each at most PANEL_ROWS wide:
-    one tile when n <= PANEL_ROWS, else each half of K^-1's RFP storage,
-    [0, n - n // 2) and [n - n // 2, n), cut into the fewest tiles, whose
-    widths differ by at most one. No tile straddles the halves, which would
-    cut a thin slice off the RFP blocks for the products, so the tiled
-    factor and inverse take each tile block as one view; and none is thin
-    (at n = 2025, 2 BLAS threads, a 149-wide last tile per half made the
-    Monte Carlo check 3-5 % slower than tiles of 253 in most runs)."""
-    if n <= PANEL_ROWS:
-        return [(0, n)]
+    each half of K's RFP storage, [0, n - n // 2) and [n - n // 2, n), cut
+    into the fewest tiles, whose widths differ by at most one. No tile
+    straddles the halves, so every tile block of K is one view of its RFP
+    blocks (_block); and none is thin (at n = 2025, 2 BLAS threads, a
+    149-wide last tile per half made the Monte Carlo check 3-5 % slower
+    than tiles of 253 in most runs)."""
     n1, cuts = n - n // 2, []
     for h0, h1 in ((0, n1), (n1, n)):
         count = -(-(h1 - h0) // PANEL_ROWS)
@@ -220,57 +215,47 @@ def _rfp_blocks(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return R[1 - odd: 1 - odd + n], R[: n - n1, odd:].T
 
 
-def _pieces(blocks: tuple, r0: int, r1: int, c0: int, c1: int
-            ) -> Iterator[tuple[int, int, int, int, np.ndarray, bool]]:
-    """Yield (i0, i1, j0, j1, view, sym) over pieces that tile K[r0:r1, c0:c1]
-    for the symmetric K whose RFP blocks are blocks. A piece is either K's
-    [i0, i1) x [j0, j1) block as a strided view of the storage (sym False),
-    or a diagonal square (i0 = j0, i1 = j1) whose view holds it in its lower
-    triangle only (sym True)."""
+def _block(blocks: tuple, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    """K[r0:r1, c0:c1] as a view of K's RFP blocks, for columns within one
+    half of the RFP split and rows from c0 on: a view of L in the first
+    half, column-major, and of L2 in the second, transposed. A diagonal
+    square holds K in its lower triangle only."""
     L, L2 = blocks
     n1 = L.shape[1]
-    if c0 < n1:
-        yield from _triangle_pieces(L, 0, r0, r1, c0, min(c1, n1))
-    j0 = max(c0, n1)
-    if j0 < c1:
-        i1 = min(r1, n1)
-        if r0 < i1:     # K[:n1, n1:] is the transpose of K[n1:, :n1]
-            yield r0, i1, j0, c1, L[j0:c1, r0:i1].T, False
-        yield from _triangle_pieces(L2, n1, max(r0, n1), r1, j0, c1)
+    return L[r0:r1, c0:c1] if c0 < n1 else L2[r0 - n1:r1 - n1, c0 - n1:c1 - n1]
 
 
-def _triangle_pieces(low: np.ndarray, o: int, i0: int, i1: int, j0: int, j1: int
-                     ) -> Iterator[tuple[int, int, int, int, np.ndarray, bool]]:
-    """_pieces of K[i0:i1, j0:j1] for K[o:, o:] held on and below the
-    diagonal of low: the square on the diagonal, and the rectangles wholly
-    below it (read from low) or wholly above it (read from low^T)."""
-    if i0 >= i1 or j0 >= j1:
-        return
-    d0, d1 = max(i0, j0), min(i1, j1)
-    if d0 < d1:
-        yield d0, d1, d0, d1, low[d0 - o:d1 - o, d0 - o:d1 - o], True
-        sides = ((i0, d0, j0, j1), (d1, i1, j0, j1), (d0, d1, j0, d0), (d0, d1, d1, j1))
-    else:
-        sides = ((i0, i1, j0, j1),)
-    for a0, a1, b0, b1 in sides:
-        if a0 < a1 and b0 < b1:
-            view = (low[a0 - o:a1 - o, b0 - o:b1 - o] if a0 >= b1
-                    else low[b0 - o:b1 - o, a0 - o:a1 - o].T)
-            yield a0, a1, b0, b1, view, False
+def _pieces(blocks: tuple, r0: int, r1: int, c0: int, c1: int
+            ) -> Iterator[tuple[int, int, np.ndarray, bool]]:
+    """Yield (i0, i1, view, sym) over pieces that tile K[r0:r1, c0:c1] for a
+    tile [c0, c1) of _tiles and rows that hold its diagonal square whole or
+    miss it: the rows above the tile, as K[i0:i1, c0:c1] = K[c0:c1, i0:i1]^T
+    one transposed view per RFP half; the diagonal square, whose view holds
+    it in its lower triangle only (sym True); and the rows below."""
+    n1 = blocks[0].shape[1]
+    for i0, i1 in ((r0, min(r1, c0, n1)), (max(r0, n1), min(r1, c0))):
+        if i0 < i1:
+            yield i0, i1, _block(blocks, c0, c1, i0, i1).T, False
+    if r0 <= c0 < r1:
+        yield c0, c1, _block(blocks, c0, c1, c0, c1), True
+    i0 = max(r0, c1)
+    if i0 < r1:
+        yield i0, r1, _block(blocks, i0, r1, c0, c1), False
 
 
 def _sym_product(blocks: tuple, r0: int, r1: int, c0: int, c1: int,
                  B: np.ndarray, C: np.ndarray) -> None:
-    """C += K[r0:r1, c0:c1] @ B in place, reading K where its RFP blocks hold
-    it; B and C are column-major."""
-    for i0, i1, j0, j1, view, sym in _pieces(blocks, r0, r1, c0, c1):
-        (symm if sym else gemm)(view, B[j0 - c0:j1 - c0], C[i0 - r0:i1 - r0])
+    """C += K[r0:r1, c0:c1] @ B in place for a tile [c0, c1) (_pieces),
+    reading K where its RFP blocks hold it; B and C are column-major."""
+    for i0, i1, view, sym in _pieces(blocks, r0, r1, c0, c1):
+        (symm if sym else gemm)(view, B, C[i0 - r0:i1 - r0])
 
 
 def _unpack(blocks: tuple, r0: int, r1: int, c0: int, c1: int, out: np.ndarray) -> None:
-    """out = K[r0:r1, c0:c1], from K's RFP blocks."""
-    for i0, i1, j0, j1, view, sym in _pieces(blocks, r0, r1, c0, c1):
-        dst = out[i0 - r0:i1 - r0, j0 - c0:j1 - c0]
+    """out = K[r0:r1, c0:c1] for tiles [r0, r1) and [c0, c1), from K's RFP
+    blocks."""
+    for i0, i1, view, sym in _pieces(blocks, r0, r1, c0, c1):
+        dst = out[i0 - r0:i1 - r0]
         if sym:
             lower = _LOWER[: i1 - i0, : i1 - i0]
             np.copyto(dst, view, where=lower)
@@ -280,25 +265,16 @@ def _unpack(blocks: tuple, r0: int, r1: int, c0: int, c1: int, out: np.ndarray) 
 
 
 def _pack(blocks: tuple, r0: int, r1: int, K_b: np.ndarray) -> None:
-    """Write the lower triangle of K[r0:r1, :r1] = K_b into K's RFP blocks.
-    The pieces of K[r0:r1, :r1] are diagonal squares and rectangles below
-    the diagonal, but for K[r0:n1, n1:r1] when the rows straddle the halves
-    (one tile, n <= PANEL_ROWS): that is stored as the transpose of a piece
-    below, so it is skipped."""
-    for i0, i1, j0, j1, view, sym in _pieces(blocks, r0, r1, 0, r1):
-        if j0 < i1:
-            src = K_b[i0 - r0:i1 - r0, j0:j1]
-            np.copyto(view, src, where=_LOWER[: i1 - i0, : i1 - i0] if sym else True)
-
-
-def _block(blocks: tuple, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-    """K[r0:r1, c0:c1] as a view of K's RFP blocks, for columns within one
-    half of the RFP split and rows from c0 on: a view of L in the first
-    half, column-major, and of L2 in the second, transposed. A diagonal
-    square holds K in its lower triangle only."""
-    L, L2 = blocks
-    n1 = L.shape[1]
-    return L[r0:r1, c0:c1] if c0 < n1 else L2[r0 - n1:r1 - n1, c0 - n1:c1 - n1]
+    """Write the lower triangle of K[r0:r1, :r1] = K_b, for rows within one
+    half of the RFP split, into K's RFP blocks: the columns left of the
+    diagonal square in full, one view per half, and the square through the
+    _LOWER mask, as its view's strict upper triangle holds the other
+    half."""
+    n1 = blocks[0].shape[1]
+    for c0, c1 in ((0, min(r0, n1)), (n1, r0)):
+        if c0 < c1:
+            _block(blocks, r0, r1, c0, c1)[...] = K_b[:, c0:c1]
+    np.copyto(_block(blocks, r0, r1, r0, r1), K_b[:, r0:], where=_LOWER[: r1 - r0, : r1 - r0])
 
 
 def _strips(tiles: list[tuple[int, int]], k: int, c0: int, n1: int) -> list[tuple[int, int]]:
@@ -332,14 +308,11 @@ def _gemm_into(a: np.ndarray, b: np.ndarray, c: np.ndarray, scale: float = 1.0) 
 def _cholesky(K: np.ndarray, n: int) -> int:
     """K's Cholesky factor L over K's RFP array, in place. Returns LAPACK's
     info: 0, or the order of the first leading minor that is not positive
-    definite. With one tile (n <= PANEL_ROWS) that is pftrf, whose calls are
-    at most ceil(n / 2) wide; else a right-looking tiled Cholesky over
-    _tiles(n): potrf on diagonal tile j, trsm on the rows below it, then for
-    each later tile i a syrk on its diagonal tile and a gemm on the rows
-    below that, so no call writes more than one tile of columns and
-    OpenBLAS's workspace stays one tile wide."""
-    if n <= PANEL_ROWS:
-        return pftrf(K)
+    definite. A right-looking tiled Cholesky over _tiles(n): potrf on
+    diagonal tile j, trsm on the rows below it, then for each later tile i
+    a syrk on its diagonal tile and a gemm on the rows below that, so no
+    call writes more than one tile of columns and OpenBLAS's workspace
+    stays one tile wide."""
     blocks, tiles, n1 = _rfp_blocks(K, n), _tiles(n), n - n // 2
     for j, (j0, j1) in enumerate(tiles):
         diag = _block(blocks, j0, j1, j0, j1)
@@ -359,17 +332,14 @@ def _cholesky(K: np.ndarray, n: int) -> int:
 
 def _invert(K: np.ndarray, n: int) -> int:
     """K^-1 over K's RFP Cholesky factor L, in place. Returns LAPACK's info.
-    With one tile that is pftri; else two right-looking sweeps over the
-    tiles, every call cut at tile boundaries. The first makes L^-1: at tile
-    j the tiles left of the diagonal hold L[j:, :j] L^-1[:j, :j], so row
-    tile j becomes -L_jj^-1 times its tiles (trsm), each then updates the
-    rows below (gemm), L_jj its inverse (trtri) and the column below it
-    L[j+1:, j] L_jj^-1 (trmm). The second makes K^-1 = L^-T L^-1 by adding
-    row tile k's outer products L^-1[k, :k]^T L^-1[k, :k] to the tiles above
-    it (syrk, gemm) before row tile k becomes L^-1_kk^T L^-1[k, :k+1]
-    (trmm, lauum)."""
-    if n <= PANEL_ROWS:
-        return pftri(K)
+    Two right-looking sweeps over _tiles(n), every call cut at tile
+    boundaries. The first makes L^-1: at tile j the tiles left of the
+    diagonal hold L[j:, :j] L^-1[:j, :j], so row tile j becomes -L_jj^-1
+    times its tiles (trsm), each then updates the rows below (gemm), L_jj
+    its inverse (trtri) and the column below it L[j+1:, j] L_jj^-1 (trmm).
+    The second makes K^-1 = L^-T L^-1 by adding row tile k's outer products
+    L^-1[k, :k]^T L^-1[k, :k] to the tiles above it (syrk, gemm) before row
+    tile k becomes L^-1_kk^T L^-1[k, :k+1] (trmm, lauum)."""
     blocks, tiles, n1 = _rfp_blocks(K, n), _tiles(n), n - n // 2
     for j, (j0, j1) in enumerate(tiles):
         diag = _block(blocks, j0, j1, j0, j1)

@@ -156,9 +156,10 @@ def _full_pk(d, k_max, G):
 @pytest.mark.parametrize("d, n", [(8, 1), (8, 100), (12, 200),
                                   (12, 2 * estimator.PANEL_ROWS + 200)])
 def test_blocked_degree_sums_match_full_matrix_oracle(d, n):
-    # n = 1; n = 100 is one block; n = 200 is two lower-triangle blocks,
-    # 128 x 128 and 72 x 200; n = 2 PANEL_ROWS + 200 runs the pass over
-    # three S panels, the last one ragged
+    # n = 1; n = 100 is one block per RFP half, 50 x 50 and 50 x 100;
+    # n = 200 is three lower-triangle blocks, 100 x 100, 87 x 187 and the
+    # ragged 13 x 200; n = 2 PANEL_ROWS + 200 runs the pass over four S
+    # panels
     assert n == 1 or n < BLOCK_DOUBLES // n or n % (BLOCK_DOUBLES // n)
     model, target, _ = _cell(d=d, gamma=1.5, n=n)
     sp = model.spectrum
@@ -332,18 +333,19 @@ def test_panelled_mc_and_predict_match_dense_formulas(sigma2):
 
 @pytest.mark.parametrize("n", [1, 2, 256, 288, 289, 431, 577, 2025])
 def test_tiles_cover_each_half_of_the_rfp_split(n):
-    # the one rule for row panels and cross-kernel column blocks: consecutive
-    # tiles of at most PANEL_ROWS over [0, n), none straddling K^-1's RFP
-    # halves at n - n // 2 once there is more than one tile
+    # the one rule for row panels, cross-kernel column blocks and the tiles
+    # of the factor: consecutive tiles of at most PANEL_ROWS over [0, n),
+    # none straddling K's RFP halves at n1 = n - n // 2, so from n = 2 on a
+    # tile ends at n1, and each half has the fewest tiles
     tiles = estimator._tiles(n)
     assert tiles[0][0] == 0 and tiles[-1][1] == n
     assert all(t1 == u0 for (_, t1), (u0, _) in zip(tiles, tiles[1:]))
     assert all(0 < t1 - t0 <= estimator.PANEL_ROWS for t0, t1 in tiles)
     n1 = n - n // 2
-    if n > estimator.PANEL_ROWS:
-        assert not any(t0 < n1 < t1 for t0, t1 in tiles)
-    else:
-        assert tiles == [(0, n)]
+    assert not any(t0 < n1 < t1 for t0, t1 in tiles)
+    first = [t for t in tiles if t[1] <= n1]
+    assert len(first) == -(-n1 // estimator.PANEL_ROWS)
+    assert len(tiles) - len(first) == -(-(n // 2) // estimator.PANEL_ROWS)
 
 
 def test_predict_makes_no_k_inv_product(monkeypatch):
@@ -374,8 +376,8 @@ def test_k_inv_formed_only_when_used():
 
 @pytest.mark.parametrize("n", [40, 77])
 def test_k_inv_matches_two_solve_route_and_is_symmetric(n):
-    # pftri on the factor, in RFP storage (an even and an odd n lay it out
-    # differently); the reference is a dense LU solve against a freshly
+    # the tiled inverse over the factor, in RFP storage (an even and an odd
+    # n lay it out differently); the reference is a dense LU solve against a freshly
     # assembled K
     model, _, _ = _cell(d=12, n=n)
     ref = np.linalg.solve(_kernel_matrix(model), np.eye(n))
@@ -385,24 +387,26 @@ def test_k_inv_matches_two_solve_route_and_is_symmetric(n):
 
 
 def test_k_inv_potri_failure_raises(monkeypatch):
-    # pftri is LAPACK's potri on RFP storage
+    # the tiled inverse inverts each diagonal tile of the factor by trtri;
+    # a failure on the first tile is reported at its row
     ds, sp = _forced_fit(monkeypatch, 0)
-    monkeypatch.setattr(estimator, "pftri", lambda a: 3)
+    monkeypatch.setattr(estimator, "trtri", lambda a: 3)
     with pytest.raises(NumericalError, match="info=3"):
         fit(ds, sp)
 
 
 def _forced_fit(monkeypatch, failures):
-    """A d = 12 cell whose first `failures` factorizations report failure."""
-    real = estimator.pftrf
+    """A d = 12 cell whose first `failures` diagonal-tile factorizations
+    report failure."""
+    real = estimator.potrf
     calls = []
 
-    def pftrf_failing(a):
+    def potrf_failing(a):
         calls.append(1)
         info = real(a)
         return (info or 5) if len(calls) <= failures else info
 
-    monkeypatch.setattr(estimator, "pftrf", pftrf_failing)
+    monkeypatch.setattr(estimator, "potrf", potrf_failing)
     sp = compute_spectrum(kernel_by_id("exp"), 12)
     seed = SeedPath(31337, (12, 0))
     ds = make_dataset(build_target(sp, 0.5, 1.5, seed.child(TAG_AXIS)), 42, 1.0, seed)
@@ -487,7 +491,7 @@ def test_fit_factorization_failure_messages(monkeypatch):
 
 
 def test_fit_failure_reports_lambda_min_of_the_assembled_k(monkeypatch):
-    # the array is half-factored when pftrf fails, so lambda_min must come
+    # the array is half-factored when the factor fails, so lambda_min must come
     # from a K assembled afresh, not from what is left in the buffer
     ds, sp = _forced_fit(monkeypatch, 1)
     with pytest.raises(NumericalError) as err:

@@ -3,7 +3,9 @@ views) as the reference, its argument checks, the scipy.linalg adapters it
 returns when the library lacks a symbol, and the tiled factor and inverse
 kilab.estimator builds from them."""
 
+import ast
 import ctypes
+import inspect
 import types
 
 import numpy as np
@@ -24,10 +26,9 @@ from kilab.spectrum import compute_spectrum
 RTOL = 1e-12
 # the RFP layout differs between even and odd n
 RFP_SIZES = [1, 2, 3, 33, 64, 65, 600, 601]
-NAMES = ("pftrf", "pftri", "pftrs", "symm", "gemm", "syrk", "potrf", "trtri", "lauum",
-         "trsm", "trmm")
-ADAPTERS = _lapack.bind(object())
-BOUND = tuple(getattr(_lapack, name) for name in NAMES)
+NAMES = ("pftrs", "symm", "gemm", "syrk", "potrf", "trtri", "lauum", "trsm", "trmm")
+ADAPTERS = dict(zip(NAMES, _lapack.bind(object())))
+BOUND = {name: getattr(_lapack, name) for name in NAMES}
 
 
 def _spd(n, seed=5):
@@ -50,7 +51,7 @@ def _close(got, ref):
 def test_the_numpy_openblas_symbols_select_the_ctypes_path():
     lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
     bound = all(hasattr(lib, name) for name in _lapack._SYMBOLS)
-    assert estimator.pftrf.__qualname__.startswith("bind.") == bound
+    assert estimator.potrf.__qualname__.startswith("bind.") == bound
     assert estimator.pftrs is _lapack.pftrs and estimator.symm is _lapack.symm
 
 
@@ -64,21 +65,23 @@ def test_pointers_are_the_arrays_data_addresses():
 @pytest.mark.parametrize("lower", [1])    # the triangle RFP storage holds
 @pytest.mark.parametrize("n", RFP_SIZES)
 def test_factor_inverse_and_solve_match_scipy(n, lower):
-    _factor_inverse_and_solve(n, _lapack.pftrf, _lapack.pftri, _lapack.pftrs)
+    _factor_inverse_and_solve(n, _lapack.pftrs)
 
 
 @pytest.mark.parametrize("n", RFP_SIZES)
-def test_scipy_adapters_factor_inverse_and_solve_match_scipy(n):
-    _factor_inverse_and_solve(n, *ADAPTERS[:3])
+def test_scipy_adapters_factor_inverse_and_solve_match_scipy(monkeypatch, n):
+    _patch_adapters(monkeypatch)
+    _factor_inverse_and_solve(n, ADAPTERS["pftrs"])
 
 
-def _factor_inverse_and_solve(n, pftrf, pftri, pftrs):
+def _factor_inverse_and_solve(n, pftrs):
+    """kilab.estimator's tiled factor and inverse of an RFP array against
+    LAPACK's pftrf and pftri, and pftrs solves with that factor."""
     a = _spd(n)
     c = _rfp(a)
-    info = pftrf(c)
+    assert estimator._cholesky(c, n) == 0
     ref, ref_info = scipy_dpftrf(n, _rfp(a), transr="N", uplo="L")
-    assert info == ref_info == 0
-    assert _close(c, ref)
+    assert ref_info == 0 and _close(c, ref)
 
     rhs = np.random.default_rng(6).standard_normal((n, 3))
     read_only = c.view()
@@ -90,20 +93,21 @@ def _factor_inverse_and_solve(n, pftrf, pftri, pftrs):
         assert ref_info == 0 and _close(x, ref_x.reshape(b.shape))
         assert _close(a @ x, b)
 
-    info = pftri(c)
+    assert estimator._invert(c, n) == 0
     ref_inv, ref_info = scipy_dpftri(n, ref, transr="N", uplo="L")
-    assert info == ref_info == 0
-    assert _close(c, ref_inv)
+    assert ref_info == 0 and _close(c, ref_inv)
 
 
 def test_factor_reports_the_failing_minor_as_scipy_does():
+    # the minor of order 8 ends in the second RFP half (n1 = 6), so the
+    # tiled factor adds its tile's start to potrf's info
     a = _spd(12)
     a[7, 7] = -1.0
-    assert _lapack.pftrf(_rfp(a)) == \
-        scipy_dpftrf(12, _rfp(a), transr="N", uplo="L")[1] > 0
+    assert estimator._cholesky(_rfp(a), 12) == \
+        scipy_dpftrf(12, _rfp(a), transr="N", uplo="L")[1] == 8
 
 
-@pytest.mark.parametrize("symm", [_lapack.symm, ADAPTERS[3]], ids=["bound", "scipy adapter"])
+@pytest.mark.parametrize("symm", [_lapack.symm, ADAPTERS["symm"]], ids=["bound", "scipy adapter"])
 @pytest.mark.parametrize("n", RFP_SIZES)
 def test_symm_reads_the_lower_triangle_like_numpy(n, symm):
     # c (n x m) += A @ b for the symmetric A held in a's lower triangle; a is
@@ -124,7 +128,7 @@ def test_symm_reads_the_lower_triangle_like_numpy(n, symm):
         assert _close(c, c0 + sym @ b)
 
 
-@pytest.mark.parametrize("gemm", [_lapack.gemm, ADAPTERS[4]], ids=["bound", "scipy adapter"])
+@pytest.mark.parametrize("gemm", [_lapack.gemm, ADAPTERS["gemm"]], ids=["bound", "scipy adapter"])
 @pytest.mark.parametrize("n", [1, 33, 600])
 def test_gemm_accumulates_like_numpy(n, gemm):
     # c (n x m) += a (n x k) @ b (k x m) in place, twice, on rectangular
@@ -145,7 +149,7 @@ def test_gemm_accumulates_like_numpy(n, gemm):
         assert _close(c, c0 + 2 * (a @ b))
 
 
-@pytest.mark.parametrize("syrk", [_lapack.syrk, ADAPTERS[5]], ids=["bound", "scipy adapter"])
+@pytest.mark.parametrize("syrk", [_lapack.syrk, ADAPTERS["syrk"]], ids=["bound", "scipy adapter"])
 @pytest.mark.parametrize("n", [1, 33, 600])
 def test_syrk_adds_the_gram_matrix_to_the_upper_triangle(n, syrk):
     # c (n x n) gets a^T a added on and above its diagonal and keeps its
@@ -178,7 +182,7 @@ def test_gemm_and_syrk_scale_the_product_and_syrk_takes_a_transposed_c(n, routin
     # -1 subtracts the product; a transposed c's upper triangle is its base's
     # lower one, which syrk updates while the other triangle stays as it
     # was (gemm's c stays column-major)
-    gemm, syrk = routines[4], routines[5]
+    gemm, syrk = routines["gemm"], routines["syrk"]
     rng = np.random.default_rng(11)
     k = max(n // 3, 1)
     a = np.asfortranarray(rng.standard_normal((k, n)))
@@ -199,7 +203,7 @@ def test_potrf_trtri_and_lauum_work_on_the_lower_triangle_of_a_view(n, routines)
     # in turn L, L^-1 and L^-T L^-1 = K^-1 on and below the diagonal of a
     # column-major or a transposed view; the strict upper triangle, which in
     # RFP storage may hold the other half's values, is left alone
-    potrf, trtri, lauum = routines[6:9]
+    potrf, trtri, lauum = routines["potrf"], routines["trtri"], routines["lauum"]
     rng = np.random.default_rng(12)
     K = _spd(n, seed=13)
     L = np.linalg.cholesky(K)
@@ -217,7 +221,7 @@ def test_potrf_reports_the_failing_minor_as_scipy_does():
     a = _spd(12)
     a[7, 7] = -1.0
     ref = scipy_dpotrf(a, lower=1)[1]
-    for potrf in (_lapack.potrf, ADAPTERS[6]):
+    for potrf in (_lapack.potrf, ADAPTERS["potrf"]):
         for view in _views(np.random.default_rng(14), 12, 12):
             view[...] = a
             assert potrf(view) == ref == 8
@@ -228,7 +232,7 @@ def test_potrf_reports_the_failing_minor_as_scipy_does():
 def test_trsm_and_trmm_take_either_view_of_each_operand(n, routines):
     # b := scale L^-1 b and b := b L for the lower-triangular L in a's lower
     # triangle, with a and b each column-major or transposed
-    trsm, trmm = routines[9:]
+    trsm, trmm = routines["trsm"], routines["trmm"]
     rng = np.random.default_rng(15)
     L = np.linalg.cholesky(_spd(n, seed=16))
     m = max(n // 2, 1) + 3
@@ -265,8 +269,6 @@ def _bad_arrays():
     read_only = a.copy(order="F")
     read_only.flags.writeable = False
     packed = _rfp(a)
-    packed_read_only = packed.copy()
-    packed_read_only.flags.writeable = False
     every = tuple(f"{routine} {operand}" for routine, operands in OPERANDS.items()
                   for operand in operands)
     return {
@@ -277,8 +279,9 @@ def _bad_arrays():
         # 4 x 3: trsm's b only needs a's order of rows
         "non-square": (np.asfortranarray(a[:, :3]),
                        tuple(where for where in every if where != "trsm b"), None),
+        # pftrs only reads the factor
         "read-only": (read_only, ("gemm c", "symm c", "syrk c", "potrf a", "trtri a",
-                                  "lauum a", "trsm b", "trmm b"), packed_read_only),
+                                  "lauum a", "trsm b", "trmm b"), None),
         "wrong length": (None, (), packed[:-1]),
         # neither a column-major matrix nor the transpose of one
         "strided": (np.asfortranarray(np.ones((8, 4)))[::2], every,
@@ -291,7 +294,7 @@ def _bad_arrays():
 def test_bad_matrices_raise_before_reaching_the_library(case):
     calls = []
     routines = dict(zip(NAMES, _lapack.bind(_recording_lib(calls))))
-    pftrf, pftri, pftrs = routines["pftrf"], routines["pftri"], routines["pftrs"]
+    pftrs = routines["pftrs"]
     gemm, symm, syrk = routines["gemm"], routines["symm"], routines["syrk"]
     bad, bad_for, bad_packed = _bad_arrays()[case]
     good = _spd(4).copy(order="F")
@@ -303,16 +306,11 @@ def test_bad_matrices_raise_before_reaching_the_library(case):
             routines[routine](*args)
     if bad_packed is not None:
         with pytest.raises(ValueError):
-            pftrf(bad_packed)
-        with pytest.raises(ValueError):
-            pftri(bad_packed)
-        if case != "read-only":    # the factor is only read
-            with pytest.raises(ValueError):
-                pftrs(bad_packed, np.ones(4))
+            pftrs(bad_packed, np.ones(4))
     assert calls == []
 
     packed = _rfp(good)
-    pftrf(packed)
+    pftrs(packed, np.ones(4))
     with pytest.raises(ValueError):
         pftrs(packed, np.ones(3))
     wide = np.asfortranarray(np.ones((4, 3)))
@@ -335,7 +333,7 @@ def test_bad_matrices_raise_before_reaching_the_library(case):
         routines[name](good.copy(order="F"))
     routines["trsm"](good, wide.copy(order="F"))
     routines["trmm"](good, wide.T.copy(order="F"))
-    assert calls == ["scipy_LAPACKE_dpftrf_work64_", "scipy_cblas_dgemm64_",
+    assert calls == ["scipy_LAPACKE_dpftrs_work64_", "scipy_cblas_dgemm64_",
                      "scipy_cblas_dsymm64_", "scipy_cblas_dsyrk64_",
                      "scipy_LAPACKE_dpotrf_work64_", "scipy_LAPACKE_dtrtri_work64_",
                      "scipy_LAPACKE_dlauum_work64_", "scipy_cblas_dtrsm64_",
@@ -343,14 +341,14 @@ def test_bad_matrices_raise_before_reaching_the_library(case):
 
 
 def _patch_adapters(monkeypatch):
-    for name, routine in zip(NAMES, ADAPTERS):
+    for name, routine in ADAPTERS.items():
         monkeypatch.setattr(estimator, name, routine)
 
 
 def test_a_library_without_the_symbols_falls_back_to_scipy(monkeypatch):
     # the adapters drop the arrays scipy returns, so a copy in place of an
     # in-place write would leave fit working on K instead of its factor
-    assert not set(ADAPTERS) & set(BOUND)
+    assert not set(ADAPTERS.values()) & set(BOUND.values())
 
     config = ExperimentConfig(gamma=1.5, s=0.5, d_list=(12,), master_seed=31337)
     sp = compute_spectrum(config.kernel_spec(), 12)
@@ -398,15 +396,15 @@ def _kernel_cell(n, d=40, seed=31337):
 
 
 @pytest.mark.parametrize("path", ["bound", "scipy adapter"])
-@pytest.mark.parametrize("n", [289, 290, 577, 1153])
+@pytest.mark.parametrize("n", [2, 3, 23, 128, 288, 289, 290, 577, 1153])
 def test_tiled_factor_and_inverse_match_numpy(monkeypatch, n, path):
-    # one tile past pftrf's range, odd and even n, and one to three tiles
-    # per half of the RFP split
+    # halves of one and two indices, odd and even n, one tile per half up
+    # to n = 2 PANEL_ROWS, and one to three tiles per half of the RFP split
     if path == "scipy adapter":
         _patch_adapters(monkeypatch)
-    model, sp = _kernel_cell(n)
-    assert len(estimator._tiles(n)) >= 2 and n > estimator.PANEL_ROWS
-    K = assemble_kernel_matrix(sp.spec, model.dataset.points.gram())
+    model, sp = _kernel_cell(max(n, 4))    # a cell has at least 4 points
+    assert len(estimator._tiles(n)) >= 2
+    K = assemble_kernel_matrix(sp.spec, model.dataset.points.gram())[:n, :n]
     packed = _rfp(K)
     assert estimator._cholesky(packed, n) == 0
     L, info = dtfttr(n, packed, transr="N", uplo="L")
@@ -419,17 +417,28 @@ def test_tiled_factor_and_inverse_match_numpy(monkeypatch, n, path):
 
 
 def test_a_duplicated_point_fails_the_tiled_factor_at_its_row():
-    # point 400, in the second tile of the first half (n = 600), repeats
-    # point 10, so K is singular; the factor stops at the minor of order
-    # 401 and fit reports lambda_min of K assembled afresh
-    model, sp = _kernel_cell(600, d=12)
+    # point 400, in the first tile of the second half (n = 600, two tiles
+    # per half), repeats point 10, so K is singular; the factor stops at the
+    # minor of order 401 and fit reports lambda_min of K assembled afresh
+    assert estimator._tiles(600)[2] == (300, 450)
+    _duplicated_point_fails_at_its_row(600, 400)
+
+
+def test_a_duplicated_point_in_the_second_half_of_a_small_cell_fails_at_its_row():
+    # n = 200 has one tile per half, [0, 100) and [100, 200): point 150
+    # repeats point 10, and the factor stops at the minor of order 151
+    assert estimator._tiles(200) == [(0, 100), (100, 200)]
+    _duplicated_point_fails_at_its_row(200, 150)
+
+
+def _duplicated_point_fails_at_its_row(n, row):
+    model, sp = _kernel_cell(n, d=12)
     X = model.dataset.points.coordinates.copy()
-    X[400] = X[10]
-    assert estimator._tiles(600)[1][0] <= 400
+    X[row] = X[10]
     ds = Dataset(points=SpherePoints(12, X), y=model.dataset.y, clean=model.dataset.clean,
                  sigma2=1.0)
     K = assemble_kernel_matrix(sp.spec, ds.points.gram())
-    assert estimator._cholesky(_rfp(K), 600) == 401
+    assert estimator._cholesky(_rfp(K), n) == row + 1
     with pytest.raises(NumericalError, match="not positive definite") as err:
         fit(ds, sp)
     reported = float(str(err.value).split("lambda_min = ")[1].rstrip(")"))
@@ -439,11 +448,38 @@ def test_a_duplicated_point_fails_the_tiled_factor_at_its_row():
 def test_every_blas_call_of_a_cell_writes_at_most_one_tile_of_columns(monkeypatch):
     # OpenBLAS's workspace grows with the widest output a call writes, so a
     # cell with several tiles per half (n = 1600, three of 266-267) must
-    # make no call wider than PANEL_ROWS: N is the column count of the
-    # column-major output (of b for trsm and trmm, seen by the library as
-    # the transpose of a transposed view), and a LAPACK routine's order
-    # must fit in one tile too. pftrf and pftri would take all of n
-    widths = []
+    # make no call wider than PANEL_ROWS
+    config = ExperimentConfig(gamma=2.0, s=0.5, d_list=(40,), sigma2=1.0,
+                              mc_test_points=2 * estimator.PANEL_ROWS + 37, master_seed=31337)
+    assert config.n_for(40) == 1600
+    widths = _call_widths(monkeypatch, config, 40)
+    too_wide = [(name, w) for name, w, _ in widths if w > estimator.PANEL_ROWS]
+    assert not too_wide, too_wide[:5]
+
+
+def test_every_blas_call_of_a_small_cell_writes_at_most_half_of_n_columns(monkeypatch):
+    # at n = 128 each RFP half is one tile of 64: no call of the fit or the
+    # degree pass, the factor's and the inverse's included, is wider than
+    # that; the Monte Carlo products write one panel of test points, at
+    # most PANEL_ROWS columns
+    config = ExperimentConfig(gamma=1.75, s=0.5, d_list=(16,), sigma2=1.0,
+                              mc_test_points=2000, master_seed=31337)
+    assert config.n_for(16) == 128
+    widths = _call_widths(monkeypatch, config, 16)
+    too_wide = [(name, w, mc) for name, w, mc in widths
+                if w > (estimator.PANEL_ROWS if mc else 64)]
+    assert not too_wide, too_wide[:5]
+    assert any(mc for *_, mc in widths) and not all(mc for *_, mc in widths)
+
+
+def _call_widths(monkeypatch, config, d):
+    """(routine, width, in the Monte Carlo check) for each call of
+    kilab._lapack's routines that one cell makes; every routine must be
+    called. The width is the column count of the column-major output (of b
+    for trsm and trmm, seen by the library as the transpose of a transposed
+    view), a LAPACK routine's order, and pftrs's right-hand-side column
+    count."""
+    widths, in_mc = [], [False]
 
     def columns(a):
         return a.shape[0] if _lapack._operand(a)[0] else a.shape[1]
@@ -451,30 +487,44 @@ def test_every_blas_call_of_a_cell_writes_at_most_one_tile_of_columns(monkeypatc
     def order(a):
         return a.shape[0]
 
-    width = {"pftrf": lambda a: _lapack._packed(a, written=False),
-             "pftri": lambda a: _lapack._packed(a, written=False),
-             "pftrs": lambda a, b: b.shape[1] if b.ndim == 2 else 1,
+    width = {"pftrs": lambda a, b: b.shape[1] if b.ndim == 2 else 1,
              "symm": lambda a, b, c: columns(c), "gemm": lambda a, b, c, *_: columns(c),
              "syrk": lambda a, c, *_: order(c), "trsm": lambda a, b, *_: columns(b),
              "trmm": lambda a, b: columns(b), "potrf": order, "trtri": order, "lauum": order}
-    imported = [name for name, routine in vars(_lapack).items()
-                if callable(routine) and getattr(estimator, name, None) is routine]
-    assert imported and set(imported) <= set(width)
+    assert set(width) == set(NAMES)
 
     def recorded(name, routine):
         def call(*args):
-            widths.append((name, int(width[name](*args))))
+            widths.append((name, int(width[name](*args)), in_mc[0]))
             return routine(*args)
         return call
 
-    for name in imported:
+    def mc_errors(*args):
+        in_mc[0] = True
+        try:
+            return real_mc(*args)
+        finally:
+            in_mc[0] = False
+
+    for name in NAMES:
         monkeypatch.setattr(estimator, name, recorded(name, getattr(_lapack, name)))
-    config = ExperimentConfig(gamma=2.0, s=0.5, d_list=(40,), sigma2=1.0,
-                              mc_test_points=2 * estimator.PANEL_ROWS + 37, master_seed=31337)
-    assert config.n_for(40) == 1600
-    row = run_cell(config, compute_spectrum(config.kernel_spec(), 40), 40, 0)
+    real_mc = estimator.mc_errors
+    monkeypatch.setattr(estimator, "mc_errors", mc_errors)
+    row = run_cell(config, compute_spectrum(config.kernel_spec(), d), d, 0)
     assert row["error"] == ""
-    too_wide = [(name, w) for name, w in widths if w > estimator.PANEL_ROWS]
-    assert not too_wide, too_wide[:5]
-    called = {name for name, _ in widths}
-    assert {"potrf", "trtri", "lauum", "trsm", "trmm", "syrk", "gemm", "symm"} <= called
+    assert {name for name, *_ in widths} == set(NAMES)
+    return widths
+
+
+def test_every_bound_routine_is_imported_by_the_estimator():
+    # a binding no cell can call would linger unseen: bind, on the library
+    # and as scipy adapters, returns exactly the routines kilab.estimator
+    # imports from kilab._lapack, which binds them under the same names
+    tree = ast.parse(inspect.getsource(estimator))
+    imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                and node.module == "_lapack" and node.level == 1 for alias in node.names}
+    lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
+    for routines in (_lapack.bind(lib), _lapack.bind(object())):
+        assert [routine.__name__ for routine in routines] == list(NAMES)
+    assert imported == set(NAMES) and len(_lapack._SYMBOLS) == len(NAMES)
+    assert all(getattr(estimator, name) is getattr(_lapack, name) for name in NAMES)
