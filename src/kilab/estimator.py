@@ -54,10 +54,13 @@ K^-1 k(X, x) for a panel of test points in the Monte Carlo check, which
 accumulates over the tiles of K^-1's columns. The degree pass also holds
 one tile square of K^-1, at most PANEL_ROWS^2 doubles, unpacked to
 multiply by; the Monte Carlo check draws its test points one panel at a
-time (seeding.sphere_panels). G and the cross-kernel k(x, X) are rebuilt
-from the points in cache-sized blocks, each in one reused buffer, clipped
-into [-1, 1] as they are built, so Phi and the recurrence take them with no
-second range scan (eval_phi_clipped, ZonalBasis.iter_clipped_values).
+time (seeding.sphere_panels). stage_doubles counts what each stage holds,
+and cell_bytes, the points, the RFP array and the largest stage, is the
+count kilab.harness.run_sweep checks before a sweep starts. G and the
+cross-kernel k(x, X) are rebuilt from the points in cache-sized blocks,
+each in one reused buffer, clipped into [-1, 1] as they are built, so Phi
+and the recurrence take them with no second range scan (eval_phi_clipped,
+ZonalBasis.iter_clipped_values).
 """
 
 from __future__ import annotations
@@ -105,6 +108,31 @@ def _tiles(n: int) -> list[tuple[int, int]]:
 
 def _widest(tiles: list[tuple[int, int]]) -> int:
     return max(t1 - t0 for t0, t1 in tiles)
+
+
+def stage_doubles(n: int, d: int, m: int, sigma2: float) -> dict[str, int]:
+    """The doubles each stage of a cell of n points on S^d holds at its peak
+    beyond the points and the RFP array, with m Monte Carlo test points (0
+    for none), each stage with the n-long columns the cell keeps (y, f*(X),
+    the dual weights): upper bounds, which tests/test_harness.py holds to
+    tracemalloc peaks of whole cells. "fit": four cache blocks (K's block,
+    the copy matmul makes of its transposed columns, the masks) and the
+    solve's columns. "degree_pass": the S panel, the K^-1 tile and S's
+    block (sigma^2 > 0 only), and six blocks (G's, a a^T's, the
+    recurrence's three, the masks). "mc": the panel of up to PANEL_ROWS test
+    points, the K^-1 k(X, x) panel, the cross-kernel block, five m-long
+    arrays (k(x, X) a, <x, w>, the norms, then f* and a difference of two)
+    and five blocks (the sampler's, then f*'s recurrence)."""
+    w, b, h = _widest(_tiles(n)), min(BLOCK_DOUBLES, n * n), min(PANEL_ROWS, m)
+    return {"fit": 4 * b + 12 * n,
+            "degree_pass": (w * (n + w) + b if sigma2 > 0 else 0) + 6 * b + 8 * n,
+            "mc": h * (d + 1 + n + w) + 5 * (m + max(BLOCK_DOUBLES, d + 1)) + 4 * n}
+
+
+def cell_bytes(n: int, d: int, m: int, sigma2: float) -> int:
+    """The bytes a cell holds at its peak: its n x (d + 1) points, its RFP
+    array of n (n + 1) / 2 doubles and its largest stage (stage_doubles)."""
+    return 8 * (n * (d + 1) + n * (n + 1) // 2 + max(stage_doubles(n, d, m, sigma2).values()))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import KilabError, UsageError
-from .estimator import PANEL_ROWS, ErrorReport, FittedInterpolant, evaluate_cell, fit
+from .estimator import ErrorReport, FittedInterpolant, cell_bytes, evaluate_cell, fit
 from .rates import classify, fit_slope
 from .seeding import SeedPath, TAG_AXIS, TAG_MC
 from .spectrum import (KernelSpec, Spectrum, compute_spectrum,
@@ -41,8 +41,8 @@ CSV_COLUMNS = [
 ]
 
 # largest n a cell may have: its RFP array of n (n + 1) / 2 doubles must fit
-# in memory beside its n x (d + 1) points and panels (_cell_bytes), which
-# run_sweep checks against physical memory
+# in memory beside its n x (d + 1) points and its stages' buffers
+# (estimator.cell_bytes), which run_sweep checks against physical memory
 N_CAP = 8000
 
 
@@ -194,7 +194,7 @@ def run_cell(config: ExperimentConfig, spectrum: Spectrum, d: int,
 def _keep_freed_buffers() -> None:
     """Let glibc's malloc keep freed blocks of up to 32 MiB for reuse.
 
-    Every cell frees n x n and panel buffers of 128 KiB to 32 MiB. glibc
+    Every cell frees its RFP array and panels, 128 KiB to 32 MiB. glibc
     returns a block above its mmap threshold to the system when it is freed,
     and trims the heap once its free top exceeds twice that threshold. The
     threshold only rises when such a block is freed, so it depends on what
@@ -223,14 +223,14 @@ def _physical_memory() -> int | None:
     return pages * page_size if pages > 0 and page_size > 0 else None
 
 
-def _cell_bytes(config: ExperimentConfig, d: int) -> int:
-    """What cell d holds at its peak: n x (d + 1) points, one RFP array of
-    n (n + 1) / 2 doubles, and beside them a PANEL_ROWS x n panel and one
-    tile square, at most PANEL_ROWS^2 (kilab.estimator; every BLAS call
-    writes at most one tile of columns, so OpenBLAS's workspace does not
-    grow with n)."""
-    n = config.n_for(d)
-    return 8 * (n * (n + 1) // 2 + n * (d + 1) + PANEL_ROWS * (n + PANEL_ROWS))
+def _resident_memory() -> int:
+    """This process's resident size in bytes, or 0 where the OS does not
+    report it (Linux's /proc/self/statm does)."""
+    try:
+        with open("/proc/self/statm") as f:
+            return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        return 0
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> Iterator[dict]:
@@ -238,21 +238,23 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> Iterator[dict]:
 
     Every spectrum is computed by the call itself, before the first row is
     requested: a d whose spectrum fails raises here, before a CSV is opened.
-    So does a sweep whose largest cell, once per concurrent worker, cannot
-    fit in physical memory, before its spectra: a cell killed for memory
-    would end the sweep with no error row. Only a parallel sweep imports the
-    process pool (about 15 ms), before its spectra, so what a forked worker
-    holds beyond set-up is its cells' alone.
+    So does a sweep that cannot fit in physical memory, before its spectra:
+    a cell killed for memory would end the sweep with no error row. The
+    check counts this process's resident size once, as forked workers share
+    its pages, and the largest cell (estimator.cell_bytes) once per
+    concurrent worker. Only a parallel sweep imports the process pool (about
+    15 ms), before its spectra, so what a forked worker holds beyond set-up
+    is its cells' alone.
     """
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
     busy = min(workers, len(config.d_list) * config.replicates)
-    need = busy * max(_cell_bytes(config, d) for d in config.d_list)
-    memory = _physical_memory()
+    cell, d = max((cell_bytes(config.n_for(d), d, config.mc_test_points, config.sigma2), d)
+                  for d in config.d_list)
+    need, memory = _resident_memory() + busy * cell, _physical_memory()
     if memory is not None and need > memory:
-        raise UsageError(
-            f"{busy} concurrent cell(s) need {need / 2**30:.2f} GiB for points, "
-            f"K and panels alone, above the {memory / 2**30:.2f} GiB of physical memory")
+        raise UsageError(f"this process and {busy} cell(s) of d={d}, n={config.n_for(d)} need "
+                         f"{need / 2**30:.2f} GiB, above {memory / 2**30:.2f} GiB of physical memory")
     _keep_freed_buffers()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -7,6 +7,7 @@ identity and oracle criteria use tight tolerances.
 """
 
 import numpy as np
+import pytest
 
 from kilab import (SeedPath, SpherePoints, ExperimentConfig, build_target,
                    classify, compute_spectrum, concentration_report,
@@ -240,6 +241,47 @@ def test_11_determinism():
     _verdict("criterion-11 determinism", ok,
              f"two verify runs produced {'identical' if first == second else 'different'} "
              f"reports ({len(first)} bytes)")
+
+
+@pytest.fixture(scope="module")
+def strip_rows():
+    """The gamma = 0.75, sigma^2 = 1 sweeps of criteria 12 and 13, by s. Over
+    seven master seeds at 3 replicates the variance slope read -0.286 to
+    -0.287, the bias^2 slopes -0.976 to -1.041 (s = 1) and -0.205 to -0.220
+    (s = 0.25), and the label gaps 0.458-0.460 and 0.007-0.016, each at
+    least 0.2 inside the 0.25 tolerance."""
+    return {s: _sweep_rows(gamma=0.75, s=s, sigma2=1.0, replicates=3,
+                           d_list=(250, 500, 1000, 2000, 4000))
+            for s in (1.0, 0.25)}
+
+
+def _slope(rows, *columns):
+    return fit_slope([(r["d"], sum(r[c] for c in columns)) for r in rows]).slope
+
+
+def test_12_rates_below_gamma_one(strip_rows):
+    var = _slope(strip_rows[1.0], "var_exact")
+    bias = {s: _slope(rows, "bias_sq_exact") for s, rows in strip_rows.items()}
+    ok = (abs(var - (-0.25)) <= 0.25 and abs(bias[1.0] - (-1.0)) <= 0.25
+          and abs(bias[0.25] - (-0.25)) <= 0.25)
+    _verdict("criterion-12 rates-below-gamma-one", ok,
+             f"var_exact slope {var:+.3f} vs -0.250; bias_sq_exact slope "
+             f"{bias[1.0]:+.3f} vs -1.000 (s=1) and {bias[0.25]:+.3f} vs -0.250 "
+             f"(s=0.25); tolerance 0.25, gamma=0.75, 3 replicates")
+
+
+def test_13_measured_phase_labels(strip_rows):
+    # a point is sub-optimal when its total slope exceeds the minimax
+    # exponent by more than the tolerance, else optimal
+    details, ok = [], True
+    for s, want in ((1.0, "sub-optimal"), (0.25, "optimal")):
+        p = classify(s, 0.75)
+        gap = _slope(strip_rows[s], "var_exact", "bias_sq_exact") - p.minimax_exponent
+        label = "sub-optimal" if gap > 0.25 else "optimal"
+        ok = ok and label == want == p.classification
+        details.append(f"s={s}: gap {gap:+.3f} reads {label}, classify says {p.classification}")
+    _verdict("criterion-13 measured-phase-labels", ok,
+             "; ".join(details) + " (tolerance 0.25, gamma=0.75)")
 
 
 def test_verify_catches_corrupted_spectrum(monkeypatch):

@@ -204,9 +204,9 @@ def test_blocked_degree_sums_match_full_matrix_oracle(d, n):
 @pytest.mark.parametrize("sigma2, panels", [(1.0, 1), (0.0, 0)])
 def test_degree_pass_holds_one_s_panel_and_a_few_blocks(sigma2, panels):
     # beyond the model the pass holds at most one PANEL_ROWS x n panel of S
-    # and one PANEL_ROWS^2 tile of K^-1, none at sigma^2 = 0, and six cache
-    # blocks (G, the probes a a^T and S, the recurrence's three buffers);
-    # n = 800 makes a panel larger than the blocks' allowance. Measured:
+    # and one PANEL_ROWS^2 tile of K^-1, none at sigma^2 = 0, and a few cache
+    # blocks (estimator.stage_doubles); n = 800 makes a panel larger than
+    # the blocks' allowance. Measured:
     # 298 945 doubles at sigma^2 = 1 (tiles of 200), where a PANEL_ROWS x
     # ceil(n / 2) half of K^-1 in place of the tile gave 444 396
     model, _, _ = _cell(d=16, gamma=2.0, n=800, sigma2=sigma2)
@@ -218,8 +218,11 @@ def test_degree_pass_holds_one_s_panel_and_a_few_blocks(sigma2, panels):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    panel = estimator.PANEL_ROWS * (n + estimator.PANEL_ROWS)
-    assert peak <= 8 * (panels * panel + 6 * BLOCK_DOUBLES)
+    held = estimator.stage_doubles(n, 16, 0, sigma2)["degree_pass"]
+    assert peak <= 8 * held
+    # a PANEL_ROWS x ceil(n / 2) half of K^-1 in place of the tile held
+    # 444 396 doubles; at sigma^2 = 0 the pass holds no S panel
+    assert held < (444_396 if panels else estimator.PANEL_ROWS * n)
 
 
 def test_fit_factors_phi_of_the_degree_pass_blocks(monkeypatch):
@@ -268,10 +271,9 @@ def test_mc_holds_one_panel_of_test_points():
     # the test points are drawn a PANEL_ROWS panel at a time inside the
     # cross-kernel loop, so at d = 2000 and m = 2000 the check holds one
     # panel of PANEL_ROWS x (d + 1) doubles, its K^-1 k(X, x) and
-    # cross-kernel buffers of PANEL_ROWS x n, three arrays of m (k(x, X) a,
-    # <x, w> and the norms) and the sampler's row blocks, never an
-    # m x (d + 1) array (measured 624 947 doubles; drawing all m points at
-    # once held 8 014 225)
+    # cross-kernel buffers, a few arrays of m and blocks
+    # (estimator.stage_doubles), never an m x (d + 1) array (measured
+    # 624 947 doubles; drawing all m points at once held 8 014 225)
     d, m = 2000, 2000
     model, target, seed = _cell(d=d, gamma=0.5)
     n = model.n
@@ -281,8 +283,7 @@ def test_mc_holds_one_panel_of_test_points():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = estimator.PANEL_ROWS
-    assert peak <= 8 * (rows * (d + 1 + 2 * n) + 3 * m + 2 * BLOCK_DOUBLES) < 8 * m * (d + 1)
+    assert peak <= 8 * estimator.stage_doubles(n, d, m, 1.0)["mc"] < 8 * m * (d + 1)
 
 
 @pytest.mark.parametrize("d, m", [(12, 2 * estimator.PANEL_ROWS + 37), (1000, 300)])
@@ -526,7 +527,7 @@ def test_fitted_model_holds_one_n_by_n_array_only_when_noisy(sigma2, count):
 def test_custom_kernel_fit_holds_one_n_by_n_buffer():
     # Horner's rule evaluates Phi over each G block in place, copying one
     # row block of it at a time, so a custom kernel fits in the one RFP
-    # array and a few cache blocks as exp does
+    # array and fit's few cache blocks (estimator.stage_doubles) as exp does
     spec = kernel_from_coefficients([0.5 ** (j + 1) for j in range(30)])
     sp = compute_spectrum(spec, 24)
     seed = SeedPath(31337, (24, 0))
@@ -540,7 +541,8 @@ def test_custom_kernel_fit_holds_one_n_by_n_buffer():
         tracemalloc.stop()
     n = model.n
     assert model.K_inv is None
-    assert peak <= 8 * (n * (n + 1) // 2 + 4 * BLOCK_DOUBLES)
+    held = n * (n + 1) // 2 + estimator.stage_doubles(n, 24, 0, 0.0)["fit"]
+    assert peak <= 8 * held < 8 * n * n    # no n x n copy of G for Horner's rule
 
 
 def test_fit_rejects_a_non_finite_solve(monkeypatch):

@@ -2,6 +2,7 @@ import ctypes
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +20,7 @@ from kilab.errors import NumericalError
 from kilab.harness import CSV_COLUMNS, PHASE_COLUMNS, _parse_range
 from kilab.seeding import TAG_MC
 from kilab.verify import report_to_json, run_verify
-from kilab.zonal import BLOCK_DOUBLES, ZonalBasis
+from kilab.zonal import ZonalBasis
 
 
 def small_config(**overrides):
@@ -261,11 +262,10 @@ def test_run_cell_peak_memory_is_one_n_squared_plus_panels():
     # one RFP array of n (n + 1) / 2 doubles holds K, the Cholesky factor
     # and then K^-1, beside the n x (d + 1) points; the degree pass holds one
     # S panel of PANEL_ROWS x n doubles, one PANEL_ROWS^2 tile of K^-1 and
-    # six cache blocks, and the Monte Carlo check less: one K^-1 k(X, x)
-    # panel and one panel of test points, with G and the cross-kernel built
-    # in cache-sized blocks. Measured n (n + 1) / 2 + 454 n doubles at
-    # n = 1024; a PANEL_ROWS x n / 2 half of K^-1 in place of the tile held
-    # 566 n
+    # six cache blocks, and the Monte Carlo check one K^-1 k(X, x) panel and
+    # one panel of test points (estimator.stage_doubles). Measured
+    # n (n + 1) / 2 + 454 n doubles at n = 1024; a PANEL_ROWS x n / 2 half
+    # of K^-1 in place of the tile held 566 n
     cfg = ExperimentConfig(kernel="exp", gamma=2.0, s=0.5, d_list=(32,),
                            sigma2=1.0, mc_test_points=2000)
     spectrum = compute_spectrum(cfg.kernel_spec(), 32)
@@ -278,9 +278,39 @@ def test_run_cell_peak_memory_is_one_n_squared_plus_panels():
     finally:
         tracemalloc.stop()
     assert row["error"] == ""
-    rows = estimator.PANEL_ROWS
-    assert peak <= 8 * (n * (n + 1) // 2 + n * (32 + 1) + rows * (n + rows)
-                        + 6 * BLOCK_DOUBLES)
+    assert peak <= estimator.cell_bytes(n, 32, 2000, 1.0) < 8 * (n * (n + 1) // 2 + 566 * n)
+
+
+CUSTOM = tuple(0.5 ** (j + 1) for j in range(30))
+
+
+@pytest.mark.parametrize("d, kw", [
+    (4000, dict(gamma=0.75, mc_test_points=2000)),
+    (250, dict(gamma=0.75, mc_test_points=50_000)),
+    (45, dict(gamma=2.0, mc_test_points=2000)),                     # large-cell
+    (32, dict(gamma=1.75, mc_test_points=2000)),                    # rate-sweep
+    (32, dict(gamma=1.5, s=2.0, sigma2=0.0, mc_test_points=0)),     # bias-sweep
+    (24, dict(gamma=2.0, kernel="custom", coefficients=CUSTOM, mc_test_points=2000))])
+def test_cell_count_bounds_the_traced_peak(d, kw):
+    # estimator.cell_bytes, the count run_sweep refuses from, is at least
+    # the cell's tracemalloc peak, and within 1.25 x of it on cells of
+    # 16 MiB or more. The count of points, RFP array and one PANEL_ROWS x n
+    # panel it replaced read 18.06 MiB against 27.00 traced at d = 4000 (the
+    # 288 x (d + 1) panel of test points), 21.44 against 21.69 at n = 2025
+    # and 2.40 against 2.66 at n = 431, and left out the m-long Monte Carlo
+    # arrays that dominate at d = 250 with 50 000 test points
+    cfg = ExperimentConfig(**{"s": 1.0, "sigma2": 1.0, **kw, "d_list": (d,)})
+    spectrum = compute_spectrum(cfg.kernel_spec(), d)
+    tracemalloc.start()
+    try:
+        row = run_cell(cfg, spectrum, d, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row["error"] == ""
+    count = estimator.cell_bytes(cfg.n_for(d), d, cfg.mc_test_points, cfg.sigma2)
+    assert peak <= count
+    assert count < 16 << 20 or count <= 1.25 * peak
 
 
 def test_spectra_and_cells_run_at_d_from_512():
@@ -609,30 +639,63 @@ def test_cli_run_rejects_workers_below_one(tmp_path, capsys, workers):
 
 
 def test_cli_run_refuses_a_sweep_that_cannot_fit(tmp_path, capsys, monkeypatch):
-    # each concurrent worker holds the largest cell's points, RFP array and
-    # panels; the sweep is refused before any cell runs and before a CSV is
-    # opened
+    # the sweep process's resident size, once (forked workers share its
+    # pages), and the largest cell's count (estimator.cell_bytes) once per
+    # concurrent worker must fit; the sweep is refused before any cell runs
+    # and before a CSV is opened, naming the largest cell
     cfg = small_config()
-    n, d, panel = cfg.n_for(8), 8, estimator.PANEL_ROWS
-    cell = 8 * (n * (n + 1) // 2 + n * (d + 1) + panel * (n + panel))
-    assert cell == harness._cell_bytes(cfg, 8) > harness._cell_bytes(cfg, 6)
-    monkeypatch.setattr(harness, "_physical_memory", lambda: cell)
+    n, own = cfg.n_for(8), 37 << 20
+    cell = estimator.cell_bytes(n, 8, 0, cfg.sigma2)
+    assert cell > estimator.cell_bytes(cfg.n_for(6), 6, 0, cfg.sigma2)
+    monkeypatch.setattr(harness, "_resident_memory", lambda: own)
+    monkeypatch.setattr(harness, "_physical_memory", lambda: own + cell)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg.to_dict()))
     out = tmp_path / "rows.csv"
     args = ["run", "--config", str(cfg_path), "-o", str(out)]
     assert cli_main(args + ["--workers", "2"]) == 1
     assert not out.exists()
-    assert "physical memory" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "physical memory" in err and f"d=8, n={n}" in err
     assert cli_main(args) == 0
-    monkeypatch.setattr(harness, "_physical_memory", lambda: cell - 1)
+    monkeypatch.setattr(harness, "_physical_memory", lambda: own + cell - 1)
     assert cli_main(args) == 1
+    monkeypatch.setattr(harness, "_physical_memory", lambda: own + 2 * cell)
+    assert cli_main(args + ["--workers", "2"]) == 0
     # where sysconf reports no memory size the check is skipped
     monkeypatch.setattr(harness, "_physical_memory", lambda: None)
     assert len(list(run_sweep(cfg, workers=2))) == 4
     monkeypatch.undo()
     memory = harness._physical_memory()
     assert memory is None or memory == os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    # the resident size where the OS reports it (at most the peak so far,
+    # ru_maxrss in KiB on Linux), else 0
+    own = harness._resident_memory()
+    assert own == 0 or 10 << 20 < own <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss << 10
+
+    def unreported(name):
+        raise ValueError(name)
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "sysconf", unreported)
+        assert harness._resident_memory() == 0 and harness._physical_memory() is None
+
+
+def test_sweep_is_refused_when_its_test_point_panel_cannot_fit(tmp_path, monkeypatch):
+    # at gamma = 0.75, d = 4000 (n = 503) with 2000 Monte Carlo points the
+    # cell peaks at 27.00 MiB traced, 8.8 MiB of it the 288 x 4001 panel of
+    # test points; with 22.5 MiB free the sweep is refused before any
+    # spectrum or cell is computed and before a CSV is opened (the count of
+    # points, RFP array and one 288 x n panel read 18.06 MiB and let it run)
+    cfg = ExperimentConfig(gamma=0.75, s=1.0, d_list=(4000,), mc_test_points=2000)
+    assert cfg.n_for(4000) == 503
+    calls = []
+    monkeypatch.setattr(harness, "compute_spectrum", lambda *a: calls.append(a))
+    monkeypatch.setattr(harness, "run_cell", lambda *a: calls.append(a))
+    monkeypatch.setattr(harness, "_resident_memory", lambda: 0)
+    monkeypatch.setattr(harness, "_physical_memory", lambda: 22.5 * 2**20)
+    code, wrote = _cli_run(tmp_path, cfg.to_dict())
+    assert (code, wrote, calls) == (1, False, [])
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
