@@ -24,16 +24,18 @@ factor over it, then K^-1 over the factor when sigma^2 > 0; with
 sigma^2 = 0 it is freed on return. With n1 = n - n // 2 the array is an
 lda x n1 column-major matrix (lda = n + 1 for even n, n for odd) that holds
 three blocks of K: K[:n1, :n1] by its lower triangle, K[n1:, :n1] in full
-and K[n1:, n1:] by its lower triangle transposed (_rfp_blocks). K is built
-from the points in cache blocks (_kernel_blocks), the same blocks the degree
-pass walks, so the K that is factored is Phi of the G the degree pass reads,
-bit for bit. fit makes one solve for the columns [Y, f*(X)], or for Y
-alone when the dataset's y is its clean array, as make_dataset gives at
-sigma^2 = 0: then alpha is alpha_clean. The residual rebuilds K x from
-those blocks, and a column whose residual misses RESIDUAL_TOL gets one
-refinement sweep. All of it runs on numpy's own OpenBLAS through
-kilab._lapack: pftrs solves over the whole array, and the other routines
-work on views of the three blocks where they lie. The factor and the
+and K[n1:, n1:] by its lower triangle transposed (_rfp_blocks). K is packed
+from Phi of the G blocks the degree pass walks (_gram_blocks by the row
+panels of _tiles), so the K that is factored is Phi of the G the degree
+pass reads, bit for bit. fit makes one solve for the columns [Y, f*(X)],
+or for Y alone when the dataset's y is its clean array, as make_dataset
+gives at sigma^2 = 0: then alpha is alpha_clean. The residual takes
+k(X, X) x through _cross_products, the loop predict runs, so a column's
+residual is its labels minus predict on the training points, bit for bit;
+a column whose residual misses RESIDUAL_TOL gets one refinement sweep. All
+of it runs on numpy's own OpenBLAS through kilab._lapack: pftrs solves
+over the whole array, and the other routines work on views of the three
+blocks where they lie. The factor and the
 inverse are tiled over _tiles(n) (_cholesky, _invert: potrf, trsm, syrk
 and gemm, then trmm, trsm, trtri, lauum, gemm and syrk on tiles), so no
 call writes more than one tile of columns and OpenBLAS's workspace stays
@@ -56,11 +58,13 @@ one tile square of K^-1, at most PANEL_ROWS^2 doubles, unpacked to
 multiply by; the Monte Carlo check draws its test points one panel at a
 time (seeding.sphere_panels). stage_doubles counts what each stage holds,
 and cell_bytes, the points, the RFP array and the largest stage, is the
-count kilab.harness.run_sweep checks before a sweep starts. G and the
-cross-kernel k(x, X) are rebuilt from the points in cache-sized blocks,
-each in one reused buffer, clipped into [-1, 1] as they are built, so Phi
-and the recurrence take them with no second range scan (eval_phi_clipped,
-ZonalBasis.iter_clipped_values).
+count kilab.harness.run_sweep checks before a sweep starts. G is rebuilt
+from the points in cache-sized blocks (_gram_blocks), which fit packs and
+the degree pass reads, and the cross-kernel k(x, X) by the tiles of X in
+one loop (_cross_products) that fit's residual, predict and the Monte Carlo
+check share; each is built in one reused buffer, clipped into [-1, 1] as
+it is built, so Phi and the recurrence take it with no second range scan
+(eval_phi_clipped, ZonalBasis.iter_clipped_values).
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ def _tiles(n: int) -> list[tuple[int, int]]:
 
 
 def _widest(tiles: list[tuple[int, int]]) -> int:
-    return max(t1 - t0 for t0, t1 in tiles)
+    return max((t1 - t0 for t0, t1 in tiles), default=0)
 
 
 def stage_doubles(n: int, d: int, m: int, sigma2: float) -> dict[str, int]:
@@ -115,16 +119,18 @@ def stage_doubles(n: int, d: int, m: int, sigma2: float) -> dict[str, int]:
     beyond the points and the RFP array, with m Monte Carlo test points (0
     for none), each stage with the n-long columns the cell keeps (y, f*(X),
     the dual weights): upper bounds, which tests/test_harness.py holds to
-    tracemalloc peaks of whole cells. "fit": four cache blocks (K's block,
-    the copy matmul makes of its transposed columns, the masks) and the
-    solve's columns. "degree_pass": the S panel, the K^-1 tile and S's
-    block (sigma^2 > 0 only), and six blocks (G's, a a^T's, the
-    recurrence's three, the masks). "mc": the panel of up to PANEL_ROWS test
-    points, the K^-1 k(X, x) panel, the cross-kernel block, five m-long
-    arrays (k(x, X) a, <x, w>, the norms, then f* and a difference of two)
-    and five blocks (the sampler's, then f*'s recurrence)."""
+    tracemalloc peaks of whole cells. "fit": its residual's cross-kernel
+    block of up to PANEL_ROWS x the widest tile (_cross_products), two
+    cache blocks (K's block while it is packed, and Horner's copy of one
+    row block for a kernel without a closed form) and the solve's columns.
+    "degree_pass": the S panel, the K^-1 tile and S's block (sigma^2 > 0
+    only), and six blocks (G's, a a^T's, the recurrence's three, the
+    masks). "mc": the panel of up to PANEL_ROWS test points, the
+    K^-1 k(X, x) panel, the cross-kernel block, five m-long arrays
+    (k(x, X) a, <x, w>, the norms, then f* and a difference of two) and
+    five blocks (the sampler's, then f*'s recurrence)."""
     w, b, h = _widest(_tiles(n)), min(BLOCK_DOUBLES, n * n), min(PANEL_ROWS, m)
-    return {"fit": 4 * b + 12 * n,
+    return {"fit": min(PANEL_ROWS, n) * w + 2 * b + 12 * n,
             "degree_pass": (w * (n + w) + b if sigma2 > 0 else 0) + 6 * b + 8 * n,
             "mc": h * (d + 1 + n + w) + 5 * (m + max(BLOCK_DOUBLES, d + 1)) + 4 * n}
 
@@ -220,16 +226,6 @@ def _gram_block(rows: np.ndarray, cols: np.ndarray, buf: np.ndarray) -> np.ndarr
     block = buf[: len(rows) * len(cols)].reshape(len(rows), len(cols))
     np.matmul(rows, cols.T, out=block)
     return np.clip(block, -1.0, 1.0, out=block)
-
-
-def _kernel_blocks(X: np.ndarray, spectrum: Spectrum, buf: np.ndarray
-                   ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (r0, r1, K[r0:r1, :r1]) with K = Phi(G) over the blocks the
-    degree pass walks (_gram_blocks by the row panels of _tiles), in the
-    flat buffer buf; a yielded block is valid only until the next."""
-    for p0, p1 in _tiles(len(X)):
-        for r0, r1, G_b in _gram_blocks(X, p0, p1, buf):
-            yield r0, r1, eval_phi_clipped(spectrum.spec, G_b, G_b)
 
 
 def _rfp_blocks(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -393,20 +389,6 @@ def _invert(K: np.ndarray, n: int) -> int:
     return 0
 
 
-def _kernel_products(X: np.ndarray, spectrum: Spectrum, x: np.ndarray) -> np.ndarray:
-    """K x for an n x c matrix x, K rebuilt from the points in the blocks fit
-    packs, each block's diagonal square mirrored from its lower triangle, so
-    this is the K that was factored."""
-    y = np.zeros_like(x)
-    buf = np.empty(min(BLOCK_DOUBLES, len(X) ** 2))
-    for r0, r1, K_b in _kernel_blocks(X, spectrum, buf):
-        square = K_b[:, r0:r1]
-        np.copyto(square, square.T, where=~_LOWER[: r1 - r0, : r1 - r0])
-        y[r0:r1] += K_b @ x[:r1]
-        y[:r0] += K_b[:, :r0].T @ x[r0:r1]
-    return y
-
-
 def _s_panel(blocks: tuple, tiles: list[tuple[int, int]], p0: int, p1: int,
              out: np.ndarray, tile_buf: np.ndarray) -> np.ndarray:
     """S[p0:p1, :p1] of S = K^-1 K^-T for K^-1 in RFP blocks, as a C-order
@@ -444,8 +426,10 @@ def _norms(a: np.ndarray) -> np.ndarray:
 def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
     """Factorize K by Cholesky and solve for the dual weights, in one RFP
     array of n (n + 1) / 2 doubles that ends as K^-1 when sigma^2 > 0 (see
-    the module docstring). Raises NumericalError when K is not positive
-    definite."""
+    the module docstring). The residual B - k(X, X) x of each column is
+    taken with predict's product (_kernel_times). Raises NumericalError when
+    K is not positive definite or a column misses RESIDUAL_TOL after one
+    refinement sweep."""
     if dataset.points.d != spectrum.d:
         raise UsageError("dataset and spectrum dimensions differ")
 
@@ -453,9 +437,10 @@ def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
     K = np.empty(n * (n + 1) // 2)
     blocks = _rfp_blocks(K, n)
     buf = np.empty(min(BLOCK_DOUBLES, n * n))
-    for r0, r1, K_b in _kernel_blocks(X, spectrum, buf):
-        _pack(blocks, r0, r1, K_b)
-    del buf, blocks
+    for p0, p1 in _tiles(n):    # the blocks the degree pass walks
+        for r0, r1, G_b in _gram_blocks(X, p0, p1, buf):
+            _pack(blocks, r0, r1, eval_phi_clipped(spectrum.spec, G_b, G_b))
+    buf = blocks = G_b = None    # the last block's view would keep buf alive
     if _cholesky(K, n) != 0:
         del K    # half-factored: lambda_min comes from a fresh K
         lam_min = _lambda_min(spectrum, dataset.points)
@@ -466,17 +451,17 @@ def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
     # always far inside the 1e-10 contract (at most 1.3e-13 relative on the
     # benchmark sweeps' cells); one refinement sweep serves a column that
     # misses it. B holds Y, then f*(X) unless it is Y itself, and its columns
-    # share one solve and each K x rebuild. A NaN residual fails the test,
-    # so pftrs never scans the factor for NaN
+    # share one solve and each pass over k(X, X). A NaN residual fails the
+    # test, so pftrs never scans the factor for NaN
     y, clean = dataset.y, dataset.clean
     B = y[:, None] if y is clean else np.stack((y, clean), axis=1)
     x = pftrs(K, B)
-    r = B - _kernel_products(X, spectrum, x)
+    r = B - _kernel_times(X, spectrum, X, x)
     done = _norms(r) <= RESIDUAL_TOL * _norms(B)
     if not done.all():
         redo = ~done
         x[:, redo] += pftrs(K, r[:, redo])
-        r = B[:, redo] - _kernel_products(X, spectrum, x[:, redo])
+        r = B[:, redo] - _kernel_times(X, spectrum, X, x[:, redo])
         rel = np.max(_norms(r) / np.maximum(_norms(B[:, redo]), 1e-300))
         if not rel <= RESIDUAL_TOL:
             raise NumericalError(f"linear solve residual {rel:.3e} exceeds {RESIDUAL_TOL}")
@@ -491,41 +476,56 @@ def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
                              K_inv=K if dataset.sigma2 > 0 else None)
 
 
-def _cross_products(model: FittedInterpolant, panels: Iterable[np.ndarray], alpha: np.ndarray,
-                    out: np.ndarray, norms: np.ndarray | None
-                    ) -> Iterator[tuple[slice, np.ndarray]]:
+def _cross_products(X: np.ndarray, spectrum: Spectrum, panels: Iterable[np.ndarray],
+                    alpha: np.ndarray, out: np.ndarray, K_inv: np.ndarray | None = None,
+                    norms: np.ndarray | None = None) -> Iterator[tuple[slice, np.ndarray]]:
     """For each panel x of at most PANEL_ROWS query points (one per row),
-    the next rows of out and norms: add k(x, X) alpha to out[rows] and, when
-    norms is given, set norms[rows] to ||K^-1 k(X, x_i)||^2; then yield
-    (rows, x). k(x, X) is built from the points by the tiles of X (_tiles),
+    the next rows of out and norms: add k(x, X) alpha to out[rows] for the
+    n x c weights alpha and m x c out, one matrix-vector product per
+    column, and, when K^-1 (RFP storage) is given, set norms[rows] to
+    ||K^-1 k(X, x_i)||^2; then yield (rows, x). k(x, X) is built from the
+    training points X and the spectrum's Phi by the tiles of X (_tiles),
     Phi applied in place, in one reused buffer, so no m x n or panel-sized
     kernel array exists; K^-1 k(X, x) for the panel (one Fortran-order
     column per point) is summed over the tiles by products with K^-1's RFP
-    blocks."""
-    X = model.dataset.points.coordinates
-    n, spec = len(X), model.spectrum.spec
+    blocks. This is the only loop that multiplies by k(., X): fit's
+    residual, predict and the Monte Carlo check all run it, so a column's
+    product does not depend on which of them asks or on the other columns."""
+    n, spec = len(X), spectrum.spec
     tiles = _tiles(n)
     h = min(PANEL_ROWS, len(out))
     buf = np.empty(h * _widest(tiles))
-    if norms is not None:
-        blocks = _rfp_blocks(model.K_inv, n)
+    if K_inv is not None:
+        blocks = _rfp_blocks(K_inv, n)
         s_buf = np.empty(h * n)
     p0 = 0
     for x in panels:
         rows = slice(p0, p0 + len(x))
         p0 = rows.stop
-        if norms is not None:
+        if K_inv is not None:
             s_t = s_buf[: len(x) * n].reshape(-1, n)
             s_t.fill(0.0)
         for c0, c1 in tiles:
             kb = _gram_block(x, X[c0:c1], buf)
             eval_phi_clipped(spec, kb, kb)
-            out[rows] += kb @ alpha[c0:c1]
-            if norms is not None:
+            for j in range(alpha.shape[1]):    # a gemv per column: gemm rounds otherwise
+                out[rows, j] += kb @ alpha[c0:c1, j]
+            if K_inv is not None:
                 _sym_product(blocks, 0, n, c0, c1, kb.T, s_t.T)
-        if norms is not None:
+        if K_inv is not None:
             norms[rows] = np.einsum("ij,ij->i", s_t, s_t)
         yield rows, x
+
+
+def _kernel_times(X: np.ndarray, spectrum: Spectrum, x: np.ndarray, alpha: np.ndarray
+                  ) -> np.ndarray:
+    """k(x, X) alpha for query points x (one per row), by panels of
+    PANEL_ROWS points (_cross_products)."""
+    out = np.zeros((len(x), alpha.shape[1]))
+    panels = (x[p0:p0 + PANEL_ROWS] for p0 in range(0, len(x), PANEL_ROWS))
+    for _ in _cross_products(X, spectrum, panels, alpha, out):
+        pass
+    return out
 
 
 def _check_dimension(model: FittedInterpolant, d: int) -> None:
@@ -534,13 +534,12 @@ def _check_dimension(model: FittedInterpolant, d: int) -> None:
 
 
 def predict(model: FittedInterpolant, points: SpherePoints) -> np.ndarray:
-    """k(x, X) alpha for each query point x, by panels of PANEL_ROWS points."""
+    """k(x, X) alpha for each query point x, by panels of PANEL_ROWS points
+    (_kernel_times); on the training points this is the product fit's
+    residual subtracts, bit for bit."""
     _check_dimension(model, points.d)
-    x, out = points.coordinates, np.zeros(points.n)
-    panels = (x[p0:p0 + PANEL_ROWS] for p0 in range(0, len(x), PANEL_ROWS))
-    for _ in _cross_products(model, panels, model.alpha, out, None):
-        pass
-    return out
+    return _kernel_times(model.dataset.points.coordinates, model.spectrum,
+                         points.coordinates, model.alpha[:, None])[:, 0]
 
 
 def variance_split(model: FittedInterpolant, l: int) -> tuple[float, float]:
@@ -628,9 +627,10 @@ def mc_errors(model: FittedInterpolant, target: Target, m_test: int,
     panels = sphere_panels(target.d, m_test, seed, PANEL_ROWS)
     fitted, t_w = np.zeros((2, m_test))
     norms = np.zeros(m_test)   # ||K^-1 k(X, x)||^2; stays 0 when sigma^2 = 0
-    for rows, x in _cross_products(model, panels, model.alpha_clean, fitted,
-                                   None if model.K_inv is None else norms):
+    for rows, x in _cross_products(model.dataset.points.coordinates, model.spectrum, panels,
+                                   model.alpha_clean[:, None], fitted[:, None], model.K_inv, norms):
         np.matmul(x, target.axis, out=t_w[rows])
+    del x    # a view of the last panel would keep sphere_panels' buffer alive
 
     def mean_se(samples: np.ndarray) -> tuple[float, float]:
         return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(m_test))

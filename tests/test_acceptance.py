@@ -284,6 +284,37 @@ def test_13_measured_phase_labels(strip_rows):
              "; ".join(details) + " (tolerance 0.25, gamma=0.75)")
 
 
+@pytest.fixture(scope="module")
+def low_gamma_rows():
+    """The gamma = 0.4, sigma^2 = 1 sweeps of criterion 14, by s (n = 9-28).
+    Over master seeds 424242 and 1-4 at 3 replicates the variance slope
+    read -0.349 to -0.354, the bias^2 slopes -0.476 to -0.619 (s = 0.5) and
+    -0.707 to -0.748 (s = 2), and the label gaps -0.036 to +0.042."""
+    return {s: _sweep_rows(gamma=0.4, s=s, sigma2=1.0, replicates=3,
+                           d_list=(250, 500, 1000, 2000, 4000))
+            for s in (0.5, 2.0)}
+
+
+def test_14_rates_and_labels_at_gamma_below_half(low_gamma_rows):
+    # at gamma <= 0.5 the threshold Gamma is infinite, so every s > 0 is
+    # optimal: each measured total slope must stay within the tolerance of
+    # the minimax exponent
+    var = _slope(low_gamma_rows[0.5], "var_exact")
+    ok = abs(var - (-0.4)) <= 0.25
+    details = [f"var_exact slope {var:+.3f} vs -0.400"]
+    for s, want in ((0.5, -0.5), (2.0, -0.8)):
+        bias = _slope(low_gamma_rows[s], "bias_sq_exact")
+        p = classify(s, 0.4)
+        gap = _slope(low_gamma_rows[s], "var_exact", "bias_sq_exact") - p.minimax_exponent
+        label = "sub-optimal" if gap > 0.25 else "optimal"
+        ok = (ok and abs(bias - want) <= 0.25 and p.Gamma_gamma == np.inf
+              and label == "optimal" == p.classification)
+        details.append(f"s={s}: bias_sq_exact slope {bias:+.3f} vs {want:+.3f}, "
+                       f"gap {gap:+.3f} reads {label}, classify says {p.classification}")
+    _verdict("criterion-14 rates-and-labels-at-gamma-0.4", ok,
+             "; ".join(details) + " (tolerance 0.25, 3 replicates)")
+
+
 def test_verify_catches_corrupted_spectrum(monkeypatch):
     # a designed failure: perturbing one eigenvalue must break the
     # reconstruction check and flip the overall verdict

@@ -59,6 +59,14 @@ def test_single_point_dual_weight():
     assert model.alpha[0] == pytest.approx(ds.y[0] / eval_phi(sp.spec, 1.0), rel=1e-12)
 
 
+def test_fit_on_no_points_has_no_weights():
+    # the pack, the factor and the residual's cross-kernel loop all take n = 0
+    sp = compute_spectrum(kernel_by_id("exp"), 4)
+    ds = Dataset(points=SpherePoints(4, np.zeros((0, 5))), y=np.zeros(0),
+                 clean=np.zeros(0), sigma2=0.0)
+    assert fit(ds, sp).alpha.shape == (0,)
+
+
 def test_training_labels_reproduced():
     model, target, _ = _cell()
     scale = max(1.0, float(np.max(np.abs(model.dataset.y))))
@@ -485,6 +493,24 @@ def test_a_solve_that_misses_the_contract_is_refined_once(monkeypatch):
         assert np.linalg.norm(K @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
+@pytest.mark.parametrize("sigma2", [0.0, 1.0])
+def test_fit_residual_is_predict_on_the_training_points(monkeypatch, sigma2):
+    # fit's residual B - k(X, X) x takes k(X, X) x through the loop predict
+    # runs, so for each column it is the labels minus predict on the
+    # training points, bit for bit (two panels of points at n = 376); a
+    # residual rebuilt from K's blocks differed by up to 7.4e-14 relative
+    real, residuals = estimator._norms, []
+    monkeypatch.setattr(estimator, "_norms",
+                        lambda a: residuals.append(a.copy()) or real(a))
+    model, _, _ = _cell(d=12, n=estimator.PANEL_ROWS + 88, sigma2=sigma2)
+    ds, r = model.dataset, residuals[0]
+    assert r.shape == (ds.n, 1 if ds.y is ds.clean else 2)
+    columns = ((ds.y, model.alpha), (ds.clean, model.alpha_clean))[: r.shape[1]]
+    for j, (rhs, a) in enumerate(columns):
+        predicted = predict(dataclasses.replace(model, alpha=a), ds.points)
+        assert np.array_equal(r[:, j], rhs - predicted)
+
+
 def test_fit_factorization_failure_messages(monkeypatch):
     ds, sp = _forced_fit(monkeypatch, 1)
     with pytest.raises(NumericalError, match="not positive definite"):
@@ -715,6 +741,53 @@ def test_lambda_min_vs_kappa1_grows_with_d():
     assert all(a < b for a, b in zip(medians, medians[1:]))
     assert medians[0] > 0.2 and medians[-1] > 0.4
     assert medians[-1] < 1.0
+
+
+def _other_target(target, kernel, d):
+    """target's (s, gamma) band built on the spectrum of another kernel or d."""
+    sp = compute_spectrum(kernel_by_id(kernel), d)
+    return build_target(sp, target.s, target.gamma, SEED.child(5))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda model, target: fit(model.dataset, compute_spectrum(kernel_by_id("exp"), 9)),
+     "dataset and spectrum dimensions differ"),
+    (lambda model, target: predict(model, sample_sphere(9, 5, SEED)),
+     "query dimension does not match"),
+    (lambda model, target: exact_bias_by_degree(model, _other_target(target, "exp", 9)),
+     "different spectrum"),
+    (lambda model, target: exact_bias_by_degree(model, _other_target(target, "geometric", 8)),
+     "different spectrum"),
+    (lambda model, target: concentration_report(model, model.spectrum.k_max),
+     "must be below k_max"),
+    (lambda model, target: evaluate_cell(model, target, mc_test_points=500),
+     "mc_seed is required")])
+def test_estimator_rejects_inconsistent_inputs(call, message):
+    # each check raises UsageError before any work: a spectrum, query points
+    # or target on another d, a target on another kernel's spectrum, a
+    # concentration split at or past k_max, a Monte Carlo check with no seed
+    model, target, _ = _cell()
+    with pytest.raises(UsageError, match=message):
+        call(model, target)
+
+
+@pytest.mark.parametrize("term, raises", [(-1e-9, True), (-1e-12, False)])
+def test_negative_degree_bias_guard(monkeypatch, term, raises):
+    # the in-band bias terms cancel (to about 2e4 times the result on
+    # large-d cells), so a degree's term below -1e-10 is a numerical failure
+    # and one in (-1e-10, 0) is rounding, read as 0; degree l + 2 has no
+    # target energy, so its term is mu^2 N a^T P_k(G) a alone
+    model, target, _ = _cell()
+    sp, k = model.spectrum, target.l + 2
+    inner, quad = (s.copy() for s in model.degree_sums)
+    quad[k] = term / (sp.mu[k] ** 2 * sp.multiplicities[k])
+    monkeypatch.setitem(model.__dict__, "degree_sums", (inner, quad))    # the cached value
+    if raises:
+        with pytest.raises(NumericalError, match=f"negative degree-{k} bias"):
+            exact_bias_by_degree(model, target)
+    else:
+        bias = exact_bias_by_degree(model, target)
+        assert bias.by_degree[k] == 0.0 and np.all(bias.by_degree >= 0)
 
 
 def test_evaluate_cell_defaults_run_the_exact_oracles_only():
