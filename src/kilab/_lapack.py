@@ -1,4 +1,4 @@
-"""The nine LAPACK/BLAS routines kilab calls, bound on numpy's own OpenBLAS.
+"""The eight LAPACK/BLAS routines kilab calls, bound on numpy's own OpenBLAS.
 
 Importing scipy.linalg for them costs over 200 ms and maps a second OpenBLAS
 library beside numpy's, so when the OpenBLAS that numpy links exports its
@@ -7,32 +7,27 @@ ctypes on the library already loaded. When any symbol is missing (an older
 wheel, an MKL or Accelerate build) they are adapters over scipy.linalg,
 which copy any operand that is not a contiguous array.
 
-Each has one call shape. pftrs solves with the Cholesky factor of a
-symmetric n x n matrix in rectangular full packed (RFP) storage, LAPACK's
-layout with TRANSR = 'N' and UPLO = 'L': a contiguous 1-D array of
-n (n + 1) / 2 doubles (kilab.estimator describes its three blocks and
-factors and inverts it in place, tile by tile, with the others). The
-others take 2-D views of such storage: every operand is a column-major
-matrix whose leading dimension is its column stride, or the transpose of
-one, and each routine picks the flags that make the transpose mean what
-the view means. symm and gemm accumulate c += a @ b, with c column-major,
-and syrk adds a^T a to c's upper triangle; gemm and syrk take a scale of
-the product, so -1 subtracts it. potrf, trtri and lauum overwrite the
-lower triangle of a square view with, in turn, its Cholesky factor L, the
-inverse of a lower-triangular L and L^T L; symm reads only a's lower
-triangle, and trsm (b := scale L^-1 b) and trmm (b := b L) read a
-lower-triangular L from it. The lower triangle of a transposed view is its
-base's upper one, so a transposed view is passed with UPLO = 'U'. The
-LAPACKE `_work` variants skip the plain ones' O(n^2) NaN scan, which
-scipy's wrappers do not make either. Every array's dtype, layout, shape and
-writeability is checked before its pointer reaches the library, which
-would otherwise read or write out of bounds silently.
+Each has one call shape, on 2-D views (kilab.estimator passes tiles of its
+packed storage of K): every operand is a column-major matrix whose leading
+dimension is its column stride, or the transpose of one, and each routine
+picks the flags that make the transpose mean what the view means. symm and
+gemm accumulate c += a @ b, symm with c column-major and gemm with a
+transposed c as c^T += b^T a^T; syrk adds a^T a to c's upper triangle; gemm
+and syrk take a scale of the product, so -1 subtracts it. potrf, trtri and
+lauum overwrite the lower triangle of a square view with, in turn, its
+Cholesky factor L, the inverse of a lower-triangular L and L^T L; symm reads
+only a's lower triangle, and trsm (b := scale L^-1 b, or scale L^-T b with
+transpose) and trmm (b := b L) read a lower-triangular L from it. The lower
+triangle of a transposed view is its base's upper one, so a transposed view
+is passed with UPLO = 'U'. The LAPACKE `_work` variants skip the plain ones'
+O(n^2) NaN scan, which scipy's wrappers do not make either. Every array's
+dtype, layout, shape and writeability is checked before its pointer reaches
+the library, which would otherwise read or write out of bounds silently.
 """
 
 from __future__ import annotations
 
 import ctypes
-import math
 
 import numpy as np
 import numpy.linalg._umath_linalg
@@ -42,8 +37,7 @@ _NO_TRANS, _TRANS = 111, 112
 _UPPER, _LOWER = 121, 122
 _LEFT, _RIGHT = 141, 142
 _NON_UNIT = 131
-_SYMBOLS = ("scipy_LAPACKE_dpftrs_work64_", "scipy_cblas_dsymm64_",
-            "scipy_cblas_dgemm64_", "scipy_cblas_dsyrk64_",
+_SYMBOLS = ("scipy_cblas_dsymm64_", "scipy_cblas_dgemm64_", "scipy_cblas_dsyrk64_",
             "scipy_LAPACKE_dpotrf_work64_", "scipy_LAPACKE_dtrtri_work64_",
             "scipy_LAPACKE_dlauum_work64_", "scipy_cblas_dtrsm64_",
             "scipy_cblas_dtrmm64_")
@@ -57,17 +51,6 @@ def _array(a: np.ndarray, ndim: int, written: bool) -> None:
         raise ValueError(f"need a {ndim}-D array, got shape {a.shape}")
     if written and not a.flags.writeable:
         raise ValueError("the array is read-only")
-
-
-def _packed(a: np.ndarray) -> int:
-    """n of a contiguous float64 RFP array of n (n + 1) / 2 values."""
-    _array(a, 1, written=False)
-    if not a.flags.c_contiguous:
-        raise ValueError("need a contiguous RFP array")
-    n = (math.isqrt(8 * a.size + 1) - 1) // 2
-    if n * (n + 1) // 2 != a.size:
-        raise ValueError(f"RFP storage needs n (n + 1) / 2 values, got {a.size}")
-    return n
 
 
 def _operand(a: np.ndarray, written: bool = False) -> tuple[bool, int]:
@@ -136,15 +119,6 @@ def _triangular_dims(a: np.ndarray, b: np.ndarray, axis: int) -> tuple:
     return trans_a, lda, trans_b, ldb, m, n
 
 
-def _solve_rhs(n: int, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """A Fortran-order float64 copy of b, one or more columns of length n,
-    and its column count."""
-    x = np.array(b, dtype=np.float64, order="F")
-    if x.ndim not in (1, 2) or x.shape[0] != n:
-        raise ValueError(f"incompatible dimensions (n = {n} and {x.shape})")
-    return x, 1 if x.ndim == 1 else x.shape[1]
-
-
 def _pointer_reader():
     """A function from an ndarray to its data address, as a ctypes pointer.
     numpy's C struct PyArrayObject_fields starts with PyObject_HEAD and then
@@ -168,15 +142,7 @@ _data = _pointer_reader()
 def _scipy_adapters() -> tuple:
     """The routines of bind over scipy.linalg, with kilab's flags and checks."""
     from scipy.linalg.blas import dgemm, dsymm, dsyrk, dtrmm, dtrsm
-    from scipy.linalg.lapack import dlauum, dpftrs, dpotrf, dtrtri
-
-    def pftrs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        n = _packed(a)
-        x, _ = _solve_rhs(n, b)
-        x2, info = dpftrs(n, a, x.reshape(n, -1), transr="N", uplo="L")
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal pftrs")
-        return x2.reshape(x.shape)
+    from scipy.linalg.lapack import dlauum, dpotrf, dtrtri
 
     # f2py copies strided views, with the values the view shows, so each
     # routine works on the view's own lower triangle and the result is
@@ -187,6 +153,8 @@ def _scipy_adapters() -> tuple:
         c[...] = dsymm(1.0, a, b, beta=1.0, c=c, lower=1)
 
     def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, scale: float = 1.0) -> None:
+        if c.strides[0] > c.strides[1]:    # a transposed c: c^T += b^T a^T
+            a, b, c = b.T, a.T, c.T
         _gemm_dims(a, b, c)
         c[...] = dgemm(scale, a, b, beta=1.0, c=c)
 
@@ -209,31 +177,29 @@ def _scipy_adapters() -> tuple:
         a[...], info = dlauum(a, lower=1)
         return int(info)
 
-    def trsm(a: np.ndarray, b: np.ndarray, scale: float = 1.0) -> None:
+    def trsm(a: np.ndarray, b: np.ndarray, scale: float = 1.0, transpose: bool = False) -> None:
         _triangular_dims(a, b, 0)
-        b[...] = dtrsm(scale, a, b, lower=1)
+        b[...] = dtrsm(scale, a, b, trans_a=int(transpose), lower=1)
 
     def trmm(a: np.ndarray, b: np.ndarray) -> None:
         _triangular_dims(a, b, 1)
         b[...] = dtrmm(1.0, a, b, side=1, lower=1)
 
-    return pftrs, symm, gemm, syrk, potrf, trtri, lauum, trsm, trmm
+    return symm, gemm, syrk, potrf, trtri, lauum, trsm, trmm
 
 
 def bind(lib) -> tuple:
-    """(pftrs, symm, gemm, syrk, potrf, trtri, lauum, trsm, trmm) on lib's
-    ILP64 LAPACKE/CBLAS symbols, or adapters over scipy.linalg when lib lacks
-    any of them."""
+    """(symm, gemm, syrk, potrf, trtri, lauum, trsm, trmm) on lib's ILP64
+    LAPACKE/CBLAS symbols, or adapters over scipy.linalg when lib lacks any
+    of them."""
     try:
-        (lib_pftrs, lib_symm, lib_gemm, lib_syrk, lib_potrf, lib_trtri, lib_lauum,
-         lib_trsm, lib_trmm) = (getattr(lib, name) for name in _SYMBOLS)
+        (lib_symm, lib_gemm, lib_syrk, lib_potrf, lib_trtri, lib_lauum, lib_trsm,
+         lib_trmm) = (getattr(lib, name) for name in _SYMBOLS)
     except AttributeError:
         return _scipy_adapters()
 
     i64, ptr, char, dbl, enum = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_char,
                                  ctypes.c_double, ctypes.c_int)
-    lib_pftrs.argtypes = [enum, char, char, i64, i64, ptr, ptr, i64]
-    lib_pftrs.restype = i64
     for f in (lib_potrf, lib_lauum):
         f.argtypes = [enum, char, i64, ptr, i64]
         f.restype = i64
@@ -250,15 +216,6 @@ def bind(lib) -> tuple:
         f.argtypes = [enum, enum, enum, enum, enum, i64, i64, dbl, ptr, i64, ptr, i64]
         f.restype = None
 
-    def pftrs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """x with K x = b, from K's RFP Cholesky factor a (a new array)."""
-        n = _packed(a)
-        x, nrhs = _solve_rhs(n, b)
-        info = lib_pftrs(_COL_MAJOR, b"N", b"L", n, nrhs, _data(a), _data(x), max(n, 1))
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal pftrs")
-        return x
-
     def symm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
         """c += A @ b in place, for the symmetric A held in a's lower
         triangle."""
@@ -268,7 +225,10 @@ def bind(lib) -> tuple:
                  _data(a), lda, _data(b), ldb, 1.0, _data(c), ldc)
 
     def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, scale: float = 1.0) -> None:
-        """c += scale a @ b in place."""
+        """c += scale a @ b in place; a transposed c gets c^T += scale b^T a^T,
+        so the library writes column-major."""
+        if c.strides[0] > c.strides[1]:
+            a, b, c = b.T, a.T, c.T
         trans_a, lda, trans_b, ldb, ldc, m, n, k = _gemm_dims(a, b, c)
         lib_gemm(_COL_MAJOR, _TRANS if trans_a else _NO_TRANS,
                  _TRANS if trans_b else _NO_TRANS, m, n, k, scale,
@@ -301,14 +261,15 @@ def bind(lib) -> tuple:
         trans, lda, n = _square(a, written=True)
         return int(lib_lauum(_COL_MAJOR, b"U" if trans else b"L", n, _data(a), lda))
 
-    def trsm(a: np.ndarray, b: np.ndarray, scale: float = 1.0) -> None:
-        """b := scale L^-1 b in place, for the lower-triangular L in a's
-        lower triangle."""
+    def trsm(a: np.ndarray, b: np.ndarray, scale: float = 1.0, transpose: bool = False) -> None:
+        """b := scale L^-1 b in place, or scale L^-T b with transpose, for
+        the lower-triangular L in a's lower triangle."""
         trans_a, lda, trans_b, ldb, m, n = _triangular_dims(a, b, 0)
         # a transposed b is solved from the right, b^T := scale b^T L^-T; a
-        # transposed a holds L^T in its base's upper triangle
+        # transposed a holds L^T in its base's upper triangle; each flips
+        # the transpose the library applies
         lib_trsm(_COL_MAJOR, _RIGHT if trans_b else _LEFT, _UPPER if trans_a else _LOWER,
-                 _TRANS if trans_a != trans_b else _NO_TRANS, _NON_UNIT, m, n, scale,
+                 _TRANS if trans_a ^ trans_b ^ transpose else _NO_TRANS, _NON_UNIT, m, n, scale,
                  _data(a), lda, _data(b), ldb)
 
     def trmm(a: np.ndarray, b: np.ndarray) -> None:
@@ -320,10 +281,10 @@ def bind(lib) -> tuple:
                  _TRANS if trans_a != trans_b else _NO_TRANS, _NON_UNIT, m, n, 1.0,
                  _data(a), lda, _data(b), ldb)
 
-    return pftrs, symm, gemm, syrk, potrf, trtri, lauum, trsm, trmm
+    return symm, gemm, syrk, potrf, trtri, lauum, trsm, trmm
 
 
 # dlsym on the linalg extension resolves through its dependencies, which
 # hold the OpenBLAS numpy itself calls
-(pftrs, symm, gemm, syrk, potrf, trtri, lauum, trsm,
- trmm) = bind(ctypes.CDLL(numpy.linalg._umath_linalg.__file__))
+symm, gemm, syrk, potrf, trtri, lauum, trsm, trmm = bind(
+    ctypes.CDLL(numpy.linalg._umath_linalg.__file__))

@@ -33,14 +33,15 @@ gives at sigma^2 = 0: then alpha is alpha_clean. The residual takes
 k(X, X) x through _cross_products, the loop predict runs, so a column's
 residual is its labels minus predict on the training points, bit for bit;
 a column whose residual misses RESIDUAL_TOL gets one refinement sweep. All
-of it runs on numpy's own OpenBLAS through kilab._lapack: pftrs solves
-over the whole array, and the other routines work on views of the three
-blocks where they lie. The factor and the
-inverse are tiled over _tiles(n) (_cholesky, _invert: potrf, trsm, syrk
-and gemm, then trmm, trsm, trtri, lauum, gemm and syrk on tiles), so no
-call writes more than one tile of columns and OpenBLAS's workspace stays
-one tile wide instead of growing with n; with one tile per half this is
-the order of LAPACK's own RFP Cholesky (pftrf).
+of it runs on numpy's own OpenBLAS through kilab._lapack, whose routines
+work on views of the three blocks where they lie; this module alone knows
+the layout. The factor, the solve and the inverse are tiled over _tiles(n)
+(_cholesky, _solve, _invert: potrf, trsm, syrk and gemm; trsm and gemm;
+trmm, trsm, trtri, lauum, gemm and syrk), so no call writes more than one
+tile of columns (the solve's, the right-hand sides') and OpenBLAS's
+workspace stays one tile wide instead of growing with n; with one tile per
+half these are the calls of LAPACK's own RFP Cholesky and solve (pftrf,
+pftrs).
 scipy.linalg is imported only by the lambda_min and concentration
 diagnostics. One O(k_max n^2) recurrence pass over G's lower
 triangle (FittedInterpolant.degree_sums) yields <S, P_k(G)> for the
@@ -76,7 +77,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._lapack import gemm, lauum, pftrs, potrf, symm, syrk, trmm, trsm, trtri
+from ._lapack import gemm, lauum, potrf, symm, syrk, trmm, trsm, trtri
 from .errors import NumericalError, UsageError
 from .seeding import SeedPath, SpherePoints, sphere_panels
 from .spectrum import Spectrum, assemble_kernel_matrix, eval_phi_clipped, tail_sums
@@ -114,6 +115,12 @@ def _widest(tiles: list[tuple[int, int]]) -> int:
     return max((t1 - t0 for t0, t1 in tiles), default=0)
 
 
+def _block_doubles(n: int) -> int:
+    """The most values a block of _gram_blocks holds for n points:
+    BLOCK_DOUBLES, or one row of G where that is longer."""
+    return min(max(BLOCK_DOUBLES, n), n * n)
+
+
 def stage_doubles(n: int, d: int, m: int, sigma2: float) -> dict[str, int]:
     """The doubles each stage of a cell of n points on S^d holds at its peak
     beyond the points and the RFP array, with m Monte Carlo test points (0
@@ -129,7 +136,7 @@ def stage_doubles(n: int, d: int, m: int, sigma2: float) -> dict[str, int]:
     K^-1 k(X, x) panel, the cross-kernel block, five m-long arrays
     (k(x, X) a, <x, w>, the norms, then f* and a difference of two) and
     five blocks (the sampler's, then f*'s recurrence)."""
-    w, b, h = _widest(_tiles(n)), min(BLOCK_DOUBLES, n * n), min(PANEL_ROWS, m)
+    w, b, h = _widest(_tiles(n)), _block_doubles(n), min(PANEL_ROWS, m)
     return {"fit": min(PANEL_ROWS, n) * w + 2 * b + 12 * n,
             "degree_pass": (w * (n + w) + b if sigma2 > 0 else 0) + 6 * b + 8 * n,
             "mc": h * (d + 1 + n + w) + 5 * (m + max(BLOCK_DOUBLES, d + 1)) + 4 * n}
@@ -176,7 +183,7 @@ class FittedInterpolant:
         X = self.dataset.points.coordinates
         inner, quad = np.zeros((2, k_max + 1))
         basis = self.spectrum.basis()
-        g_buf = np.empty(min(BLOCK_DOUBLES, n * n))
+        g_buf = np.empty(_block_doubles(n))
         aa_buf = np.empty_like(g_buf)
         tiles = _tiles(n)
         if K_inv is not None:
@@ -315,15 +322,6 @@ def _strips(tiles: list[tuple[int, int]], k: int, c0: int, n1: int) -> list[tupl
     return [(h[0][0], h[-1][1]) for h in halves if h]
 
 
-def _gemm_into(a: np.ndarray, b: np.ndarray, c: np.ndarray, scale: float = 1.0) -> None:
-    """c += scale a @ b for a block c of K's RFP storage; a transposed c (the
-    second half) gets c^T += scale b^T a^T, so gemm writes column-major."""
-    if c.strides[0] > c.strides[1]:
-        gemm(b.T, a.T, c.T, scale)
-    else:
-        gemm(a, b, c, scale)
-
-
 # The tiled factor and inverse update by one tile of the inner dimension at
 # a time (right-looking): with one BLAS thread OpenBLAS ran a 256 x 256
 # gemm with k = 2048 at 40-45 GFLOP/s and a 2048 x 256 one with k = 256 at
@@ -349,9 +347,30 @@ def _cholesky(K: np.ndarray, n: int) -> int:
             l_i = _block(blocks, i0, i1, j0, j1)
             syrk(l_i.T, _block(blocks, i0, i1, i0, i1).T, -1.0)
             for r0, r1 in _strips(tiles, i + 1, i0, n1):
-                _gemm_into(_block(blocks, r0, r1, j0, j1), l_i.T,
-                           _block(blocks, r0, r1, i0, i1), -1.0)
+                gemm(_block(blocks, r0, r1, j0, j1), l_i.T, _block(blocks, r0, r1, i0, i1), -1.0)
     return 0
+
+
+def _solve(K: np.ndarray, n: int, B: np.ndarray) -> np.ndarray:
+    """K^-1 B, a new Fortran-order array, for B's columns of length n, from
+    K's Cholesky factor L over its RFP array. L y = B runs forward over
+    _tiles(n): trsm with diagonal tile j, then gemm on the rows below it by
+    the strips _cholesky updates; L^T x = y runs the tiles in reverse: gemm
+    with those strips transposed, then trsm with L_jj^-T. Every call is on a
+    tile view (_block) and writes at most B's columns; with one tile per
+    half these are the calls of LAPACK's RFP solve (pftrs), in its order."""
+    blocks, tiles, n1 = _rfp_blocks(K, n), _tiles(n), n - n // 2
+    X = np.array(B, order="F")
+    for j, (j0, j1) in enumerate(tiles):
+        trsm(_block(blocks, j0, j1, j0, j1), X[j0:j1])
+        for r0, r1 in _strips(tiles, j + 1, j0, n1):
+            gemm(_block(blocks, r0, r1, j0, j1), X[j0:j1], X[r0:r1], -1.0)
+    for j in reversed(range(len(tiles))):
+        j0, j1 = tiles[j]
+        for r0, r1 in _strips(tiles, j + 1, j0, n1):
+            gemm(_block(blocks, r0, r1, j0, j1).T, X[r0:r1], X[j0:j1], -1.0)
+        trsm(_block(blocks, j0, j1, j0, j1), X[j0:j1], transpose=True)
+    return X
 
 
 def _invert(K: np.ndarray, n: int) -> int:
@@ -371,7 +390,7 @@ def _invert(K: np.ndarray, n: int) -> int:
             row = _block(blocks, j0, j1, l0, l1)
             trsm(diag, row, -1.0)
             for r0, r1 in _strips(tiles, j + 1, l0, n1):
-                _gemm_into(_block(blocks, r0, r1, j0, j1), row, _block(blocks, r0, r1, l0, l1))
+                gemm(_block(blocks, r0, r1, j0, j1), row, _block(blocks, r0, r1, l0, l1))
         info = trtri(diag)
         if info:
             return j0 + info
@@ -383,7 +402,7 @@ def _invert(K: np.ndarray, n: int) -> int:
             row = _block(blocks, k0, k1, i0, i1)
             syrk(row, _block(blocks, i0, i1, i0, i1).T)
             for r0, r1 in _strips(tiles[:k], i + 1, i0, n1):
-                _gemm_into(_block(blocks, k0, k1, r0, r1).T, row, _block(blocks, r0, r1, i0, i1))
+                gemm(_block(blocks, k0, k1, r0, r1).T, row, _block(blocks, r0, r1, i0, i1))
             trmm(diag, row.T)
         lauum(diag)
     return 0
@@ -436,7 +455,7 @@ def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
     X, n = dataset.points.coordinates, dataset.n
     K = np.empty(n * (n + 1) // 2)
     blocks = _rfp_blocks(K, n)
-    buf = np.empty(min(BLOCK_DOUBLES, n * n))
+    buf = np.empty(_block_doubles(n))
     for p0, p1 in _tiles(n):    # the blocks the degree pass walks
         for r0, r1, G_b in _gram_blocks(X, p0, p1, buf):
             _pack(blocks, r0, r1, eval_phi_clipped(spectrum.spec, G_b, G_b))
@@ -452,15 +471,15 @@ def fit(dataset: Dataset, spectrum: Spectrum) -> FittedInterpolant:
     # benchmark sweeps' cells); one refinement sweep serves a column that
     # misses it. B holds Y, then f*(X) unless it is Y itself, and its columns
     # share one solve and each pass over k(X, X). A NaN residual fails the
-    # test, so pftrs never scans the factor for NaN
+    # test, so the solve never scans the factor for NaN
     y, clean = dataset.y, dataset.clean
     B = y[:, None] if y is clean else np.stack((y, clean), axis=1)
-    x = pftrs(K, B)
+    x = _solve(K, n, B)
     r = B - _kernel_times(X, spectrum, X, x)
     done = _norms(r) <= RESIDUAL_TOL * _norms(B)
     if not done.all():
         redo = ~done
-        x[:, redo] += pftrs(K, r[:, redo])
+        x[:, redo] += _solve(K, n, r[:, redo])
         r = B[:, redo] - _kernel_times(X, spectrum, X, x[:, redo])
         rel = np.max(_norms(r) / np.maximum(_norms(B[:, redo]), 1e-300))
         if not rel <= RESIDUAL_TOL:

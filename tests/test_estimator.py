@@ -263,6 +263,25 @@ def test_fit_factors_phi_of_the_degree_pass_blocks(monkeypatch):
     assert covered == [points.n]
 
 
+def test_g_rows_longer_than_a_block_fit_the_block_buffer(monkeypatch):
+    # once r0 + 1 exceeds BLOCK_DOUBLES, _gram_blocks yields one row of G per
+    # block, longer than BLOCK_DOUBLES: at 16 and n = 23, rows 16-22. fit's
+    # pack and the degree pass size their buffer for one row at least (a
+    # buffer of BLOCK_DOUBLES raised numpy's reshape error), and
+    # stage_doubles counts blocks of that size
+    model, _, _ = _cell(d=8)
+    n, X = model.n, model.dataset.points.coordinates
+    monkeypatch.setattr(estimator, "BLOCK_DOUBLES", 16)
+    blocked = fit(model.dataset, model.spectrum)
+    sizes = [G_b.size for p0, p1 in estimator._tiles(n)
+             for *_, G_b in estimator._gram_blocks(X, p0, p1, np.empty(n * n))]
+    assert n == 23 and max(sizes) == n == estimator._block_doubles(n)
+    # G entries built in other block shapes differ by rounding
+    for got, want in ((blocked.alpha, model.alpha), (blocked.K_inv, model.K_inv),
+                      *zip(blocked.degree_sums, model.degree_sums)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_mc_variance_matches_two_solve_oracle():
     model, target, seed = _cell(d=12, gamma=1.75)
     mc = mc_errors(model, target, 500, seed.child(TAG_MC))
@@ -431,15 +450,15 @@ def test_fit_matches_dense_solve(monkeypatch):
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-def _count_pftrs(monkeypatch):
-    """The right-hand-side column count of each pftrs call."""
-    real, calls = estimator.pftrs, []
+def _count_solves(monkeypatch):
+    """The right-hand-side column count of each solve with K's factor."""
+    real, calls = estimator._solve, []
 
-    def pftrs_counted(a, b):
-        calls.append(b.shape[1])
-        return real(a, b)
+    def solve_counted(K, n, B):
+        calls.append(B.shape[1])
+        return real(K, n, B)
 
-    monkeypatch.setattr(estimator, "pftrs", pftrs_counted)
+    monkeypatch.setattr(estimator, "_solve", solve_counted)
     return calls
 
 
@@ -447,7 +466,7 @@ def test_noiseless_fit_solves_once(monkeypatch):
     # make_dataset hands fit y as the clean array itself at sigma2 = 0, so
     # one solve serves both; its residual meets the contract, so no
     # refinement sweep runs
-    calls = _count_pftrs(monkeypatch)
+    calls = _count_solves(monkeypatch)
     sp = compute_spectrum(kernel_by_id("exp"), 12)
     ds = make_dataset(build_target(sp, 0.5, 1.5, SEED.child(1)), 42, 0.0, SEED)
     model = fit(ds, sp)
@@ -458,7 +477,7 @@ def test_noiseless_fit_solves_once(monkeypatch):
 def test_equal_but_separate_labels_get_two_solves(monkeypatch):
     # the rule is identity, not sigma2: equal copies are two right-hand-side
     # columns of the one solve
-    calls = _count_pftrs(monkeypatch)
+    calls = _count_solves(monkeypatch)
     sp = compute_spectrum(kernel_by_id("exp"), 12)
     noiseless = make_dataset(build_target(sp, 0.5, 1.5, SEED.child(1)), 42, 0.0, SEED)
     ds = Dataset(points=noiseless.points, y=noiseless.clean.copy(),
@@ -475,16 +494,16 @@ def test_a_solve_that_misses_the_contract_is_refined_once(monkeypatch):
     # sweep, which brings the residual back inside 1e-10; the other
     # right-hand-side column, f*(X) solved well, is not refined
     ds, sp = _forced_fit(monkeypatch, 0)
-    real, calls = estimator.pftrs, []
+    real, calls = estimator._solve, []
 
-    def pftrs_perturbed(a, b):
-        calls.append(b)
-        x = real(a, b)
+    def solve_perturbed(K, n, B):
+        calls.append(B)
+        x = real(K, n, B)
         if len(calls) == 1:
             x[:, 0] *= 1 + 1e-6
         return x
 
-    monkeypatch.setattr(estimator, "pftrs", pftrs_perturbed)
+    monkeypatch.setattr(estimator, "_solve", solve_perturbed)
     model = fit(ds, sp)
     assert [b.shape[1] for b in calls] == [2, 1]
     assert np.array_equal(calls[0], np.stack((ds.y, ds.clean), axis=1))
@@ -574,8 +593,7 @@ def test_custom_kernel_fit_holds_one_n_by_n_buffer():
 def test_fit_rejects_a_non_finite_solve(monkeypatch):
     # a NaN residual compares False against any tolerance
     ds, sp = _forced_fit(monkeypatch, 0)
-    monkeypatch.setattr(estimator, "pftrs",
-                        lambda factor, rhs: np.full_like(rhs, np.nan))
+    monkeypatch.setattr(estimator, "_solve", lambda K, n, B: np.full_like(B, np.nan))
     with pytest.raises(NumericalError, match="residual nan"):
         fit(ds, sp)
 

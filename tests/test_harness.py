@@ -336,6 +336,38 @@ def test_sweep_deterministic_and_worker_invariant():
     assert len(rows1) == len(cfg.d_list) * cfg.replicates
 
 
+def test_variance_ignores_s_and_the_bias_ignores_sigma2_row_by_row(monkeypatch):
+    # var_exact is a function of the points and sigma^2, and the bias
+    # columns of the points and the target, so row by row the variance at
+    # s = 0.5 is the variance at s = 1, bit for bit, and the bias at
+    # sigma^2 = 0 the bias at sigma^2 = 1. A sigma^2 = 0 cell solves one
+    # column, f*(X), and a sigma^2 = 1 cell two, [y, f*(X)], so the bias
+    # equality rests on the solve taking each column as it takes it alone.
+    # By it the gamma = 0.75 criteria's s = 1 variance slope is the s = 0.5
+    # one, and their sigma^2 = 1 bias slopes the sigma^2 = 0 ones
+    real, widths = estimator._solve, []
+    monkeypatch.setattr(estimator, "_solve",
+                        lambda K, n, B: widths.append(B.shape[1]) or real(K, n, B))
+
+    def sweep(s, sigma2):
+        widths.clear()
+        rows = list(run_sweep(ExperimentConfig(gamma=1.5, s=s, d_list=(8, 12, 16), sigma2=sigma2,
+                                               replicates=2, mc_test_points=0)))
+        assert [row["error"] for row in rows] == [""] * 6
+        assert widths == [1 if sigma2 == 0 else 2] * 6
+        return rows
+
+    def columns(rows, *names):
+        return [tuple(row[name] for name in names) for row in rows]
+
+    bias = ("bias_sq_exact", "B1", "B2")
+    noisy = {s: sweep(s, 1.0) for s in (0.25, 0.5, 1.0)}
+    assert columns(noisy[0.5], "var_exact") == columns(noisy[1.0], "var_exact")
+    for s in (0.25, 1.0):
+        assert columns(sweep(s, 0.0), *bias) == columns(noisy[s], *bias)
+    assert columns(noisy[0.25], *bias) != columns(noisy[1.0], *bias)
+
+
 def test_sweep_workers_keep_the_config_seed(monkeypatch):
     # the workers take master_seed from the config object they are handed;
     # an ambient KILAB_SEED is read neither by the parent nor by a worker

@@ -1,7 +1,7 @@
-"""kilab._lapack against scipy.linalg (and numpy, for the routines on 2-D
-views) as the reference, its argument checks, the scipy.linalg adapters it
-returns when the library lacks a symbol, and the tiled factor and inverse
-kilab.estimator builds from them."""
+"""kilab._lapack against scipy.linalg and numpy as the reference, its
+argument checks, the scipy.linalg adapters it returns when the library lacks
+a symbol, and the tiled factor, solve and inverse kilab.estimator builds
+from them."""
 
 import ast
 import ctypes
@@ -15,6 +15,7 @@ from scipy.linalg.lapack import (dpftrf as scipy_dpftrf, dpftri as scipy_dpftri,
                                  dpftrs as scipy_dpftrs, dtrttf)
 
 from scipy.linalg import eigvalsh
+from scipy.linalg.blas import dtrsm as scipy_dtrsm
 from scipy.linalg.lapack import dpotrf as scipy_dpotrf, dtfttr
 
 from kilab import (Dataset, NumericalError, SpherePoints, _lapack, assemble_kernel_matrix,
@@ -26,7 +27,7 @@ from kilab.spectrum import compute_spectrum
 RTOL = 1e-12
 # the RFP layout differs between even and odd n
 RFP_SIZES = [1, 2, 3, 33, 64, 65, 600, 601]
-NAMES = ("pftrs", "symm", "gemm", "syrk", "potrf", "trtri", "lauum", "trsm", "trmm")
+NAMES = ("symm", "gemm", "syrk", "potrf", "trtri", "lauum", "trsm", "trmm")
 ADAPTERS = dict(zip(NAMES, _lapack.bind(object())))
 BOUND = {name: getattr(_lapack, name) for name in NAMES}
 
@@ -52,7 +53,7 @@ def test_the_numpy_openblas_symbols_select_the_ctypes_path():
     lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
     bound = all(hasattr(lib, name) for name in _lapack._SYMBOLS)
     assert estimator.potrf.__qualname__.startswith("bind.") == bound
-    assert estimator.pftrs is _lapack.pftrs and estimator.symm is _lapack.symm
+    assert estimator.trsm is _lapack.trsm and estimator.symm is _lapack.symm
 
 
 def test_pointers_are_the_arrays_data_addresses():
@@ -65,33 +66,42 @@ def test_pointers_are_the_arrays_data_addresses():
 @pytest.mark.parametrize("lower", [1])    # the triangle RFP storage holds
 @pytest.mark.parametrize("n", RFP_SIZES)
 def test_factor_inverse_and_solve_match_scipy(n, lower):
-    _factor_inverse_and_solve(n, _lapack.pftrs)
+    _factor_inverse_and_solve(n, bit_equal=len(estimator._tiles(n)) <= 2)
 
 
 @pytest.mark.parametrize("n", RFP_SIZES)
 def test_scipy_adapters_factor_inverse_and_solve_match_scipy(monkeypatch, n):
+    # the adapters run scipy's own OpenBLAS on copies of the views, which
+    # rounds the solve differently from its pftrs
     _patch_adapters(monkeypatch)
-    _factor_inverse_and_solve(n, ADAPTERS["pftrs"])
+    _factor_inverse_and_solve(n, bit_equal=False)
 
 
-def _factor_inverse_and_solve(n, pftrs):
-    """kilab.estimator's tiled factor and inverse of an RFP array against
-    LAPACK's pftrf and pftri, and pftrs solves with that factor."""
+def _factor_inverse_and_solve(n, bit_equal):
+    """kilab.estimator's tiled factor, solve and inverse of an RFP array
+    against LAPACK's pftrf, pftrs and pftri. The solve matches pftrs on the
+    same factor, bit for bit when bit_equal (on the bound routines where
+    _tiles(n) cuts the two RFP halves, n <= 2 PANEL_ROWS) and else to
+    rounding, solves each column of a two-column solve as it solves that
+    column alone, and matches numpy's dense solve."""
     a = _spd(n)
     c = _rfp(a)
     assert estimator._cholesky(c, n) == 0
     ref, ref_info = scipy_dpftrf(n, _rfp(a), transr="N", uplo="L")
     assert ref_info == 0 and _close(c, ref)
 
-    rhs = np.random.default_rng(6).standard_normal((n, 3))
+    rhs = np.random.default_rng(6).standard_normal((n, 2))
     read_only = c.view()
     read_only.flags.writeable = False    # the solve only reads the factor
-    for factor, b in ((c, rhs[:, 0]), (c, rhs), (read_only, rhs[:, 1])):
-        x = pftrs(factor, b)
-        assert x.shape == b.shape
-        ref_x, ref_info = scipy_dpftrs(n, ref, b.reshape(n, -1), transr="N", uplo="L")
-        assert ref_info == 0 and _close(x, ref_x.reshape(b.shape))
-        assert _close(a @ x, b)
+    for b in (rhs[:, :1], rhs[:, 1:], rhs):
+        x = estimator._solve(read_only, n, b)
+        assert x.shape == b.shape and x.flags.f_contiguous
+        ref_x, ref_info = scipy_dpftrs(n, c, b, transr="N", uplo="L")
+        assert ref_info == 0
+        assert (np.array_equal(x, ref_x) if bit_equal
+                else np.linalg.norm(x - ref_x) <= 1e-13 * np.linalg.norm(ref_x))
+        assert _close(x, np.linalg.solve(a, b))
+    assert np.array_equal(x, np.hstack([estimator._solve(c, n, rhs[:, j:j + 1]) for j in (0, 1)]))
 
     assert estimator._invert(c, n) == 0
     ref_inv, ref_info = scipy_dpftri(n, ref, transr="N", uplo="L")
@@ -197,6 +207,21 @@ def test_gemm_and_syrk_scale_the_product_and_syrk_takes_a_transposed_c(n, routin
     assert _close(c.T, c0 - a.T @ a)
 
 
+@pytest.mark.parametrize("gemm", [_lapack.gemm, ADAPTERS["gemm"]], ids=["bound", "scipy adapter"])
+@pytest.mark.parametrize("n", [1, 33, 300])
+def test_gemm_writes_a_transposed_c_through_its_transpose(n, gemm):
+    # a transposed c, as the factor's blocks in the second RFP half are,
+    # gets c^T += scale b^T a^T; a and b are column-major or transposed
+    rng = np.random.default_rng(17)
+    k, m = max(n // 3, 1), n + 5
+    for a in _views(rng, n, k):
+        for b in _views(rng, k, m):
+            c = _views(rng, n, m)[1]
+            c0 = c.copy()
+            gemm(a, b, c, -1.0)
+            assert _close(c, c0 - a @ b)
+
+
 @pytest.mark.parametrize("routines", [BOUND, ADAPTERS], ids=["bound", "scipy adapter"])
 @pytest.mark.parametrize("n", [1, 33, 300])
 def test_potrf_trtri_and_lauum_work_on_the_lower_triangle_of_a_view(n, routines):
@@ -250,6 +275,24 @@ def test_trsm_and_trmm_take_either_view_of_each_operand(n, routines):
             assert _close(b, b0 @ L)
 
 
+@pytest.mark.parametrize("trsm", [_lapack.trsm, ADAPTERS["trsm"]], ids=["bound", "scipy adapter"])
+@pytest.mark.parametrize("n", [1, 33, 300])
+def test_trsm_solves_with_l_transposed_as_scipy_does(n, trsm):
+    # b := scale L^-T b, the back substitution's step, for a column-major
+    # and a transposed a (as the diagonal tiles of the two RFP halves are)
+    # and b either way
+    rng = np.random.default_rng(18)
+    L = np.linalg.cholesky(_spd(n, seed=19))
+    m = max(n // 2, 1) + 3
+    for a in _views(rng, n, n):
+        a[np.tril_indices(n)] = L[np.tril_indices(n)]
+        for b in _views(rng, n, m):
+            b0 = b.copy()
+            trsm(a, b, -1.0, transpose=True)
+            assert _close(b, scipy_dtrsm(-1.0, L, b0, trans_a=1, lower=1))
+            assert _close(L.T @ b, -b0)
+
+
 def _recording_lib(calls):
     """A library object whose symbols record their calls."""
     def symbol(name):
@@ -263,40 +306,36 @@ OPERANDS = {"gemm": "abc", "symm": "abc", "syrk": "ac", "potrf": "a", "trtri": "
 
 
 def _bad_arrays():
-    """Per case, a bad 2-D operand and the operands it is bad for, and a bad
-    RFP array (None where the case does not apply)."""
+    """Per case, a bad 2-D operand and the operands it is bad for."""
     a = _spd(4)
     read_only = a.copy(order="F")
     read_only.flags.writeable = False
-    packed = _rfp(a)
     every = tuple(f"{routine} {operand}" for routine, operands in OPERANDS.items()
                   for operand in operands)
     return {
-        # a transposed operand serves everywhere but as gemm's c and symm's b
-        # and c
-        "C order": (a.copy(order="C"), ("gemm c", "symm b", "symm c"), None),
-        "float32": (a.astype(np.float32, order="F"), every, packed.astype(np.float32)),
+        # a transposed operand serves everywhere but as symm's b and c
+        "C order": (a.copy(order="C"), ("symm b", "symm c")),
+        "float32": (a.astype(np.float32, order="F"), every),
         # 4 x 3: trsm's b only needs a's order of rows
         "non-square": (np.asfortranarray(a[:, :3]),
-                       tuple(where for where in every if where != "trsm b"), None),
-        # pftrs only reads the factor
+                       tuple(where for where in every if where != "trsm b")),
         "read-only": (read_only, ("gemm c", "symm c", "syrk c", "potrf a", "trtri a",
-                                  "lauum a", "trsm b", "trmm b"), None),
-        "wrong length": (None, (), packed[:-1]),
+                                  "lauum a", "trsm b", "trmm b")),
+        # columns 2 apart overlap a column of 4
+        "short leading dimension": (np.lib.stride_tricks.as_strided(
+            np.zeros(16), shape=(4, 4), strides=(8, 16)), every),
         # neither a column-major matrix nor the transpose of one
-        "strided": (np.asfortranarray(np.ones((8, 4)))[::2], every,
-                    np.repeat(packed, 2)[::2]),
+        "strided": (np.asfortranarray(np.ones((8, 4)))[::2], every),
     }
 
 
 @pytest.mark.parametrize("case", ["C order", "float32", "non-square", "read-only",
-                                  "wrong length", "strided"])
+                                  "short leading dimension", "strided"])
 def test_bad_matrices_raise_before_reaching_the_library(case):
     calls = []
     routines = dict(zip(NAMES, _lapack.bind(_recording_lib(calls))))
-    pftrs = routines["pftrs"]
     gemm, symm, syrk = routines["gemm"], routines["symm"], routines["syrk"]
-    bad, bad_for, bad_packed = _bad_arrays()[case]
+    bad, bad_for = _bad_arrays()[case]
     good = _spd(4).copy(order="F")
     for where in bad_for:
         routine, operand = where.split()
@@ -304,15 +343,8 @@ def test_bad_matrices_raise_before_reaching_the_library(case):
         args[OPERANDS[routine].index(operand)] = bad
         with pytest.raises(ValueError):
             routines[routine](*args)
-    if bad_packed is not None:
-        with pytest.raises(ValueError):
-            pftrs(bad_packed, np.ones(4))
     assert calls == []
 
-    packed = _rfp(good)
-    pftrs(packed, np.ones(4))
-    with pytest.raises(ValueError):
-        pftrs(packed, np.ones(3))
     wide = np.asfortranarray(np.ones((4, 3)))
     with pytest.raises(ValueError):
         gemm(wide, good, good.copy(order="F"))    # 4 x 3 @ 4 x 4
@@ -333,7 +365,7 @@ def test_bad_matrices_raise_before_reaching_the_library(case):
         routines[name](good.copy(order="F"))
     routines["trsm"](good, wide.copy(order="F"))
     routines["trmm"](good, wide.T.copy(order="F"))
-    assert calls == ["scipy_LAPACKE_dpftrs_work64_", "scipy_cblas_dgemm64_",
+    assert calls == ["scipy_cblas_dgemm64_",
                      "scipy_cblas_dsymm64_", "scipy_cblas_dsyrk64_",
                      "scipy_LAPACKE_dpotrf_work64_", "scipy_LAPACKE_dtrtri_work64_",
                      "scipy_LAPACKE_dlauum_work64_", "scipy_cblas_dtrsm64_",
@@ -448,38 +480,42 @@ def _duplicated_point_fails_at_its_row(n, row):
 def test_every_blas_call_of_a_cell_writes_at_most_one_tile_of_columns(monkeypatch):
     # OpenBLAS's workspace grows with the widest output a call writes, so a
     # cell with several tiles per half (n = 1600, three of 266-267) must
-    # make no call wider than PANEL_ROWS
+    # make no call wider than PANEL_ROWS, and the solve's calls none wider
+    # than its two right-hand sides
     config = ExperimentConfig(gamma=2.0, s=0.5, d_list=(40,), sigma2=1.0,
                               mc_test_points=2 * estimator.PANEL_ROWS + 37, master_seed=31337)
     assert config.n_for(40) == 1600
     widths = _call_widths(monkeypatch, config, 40)
-    too_wide = [(name, w) for name, w, _ in widths if w > estimator.PANEL_ROWS]
+    too_wide = [(name, w) for name, w, stage in widths
+                if w > (2 if stage == "solve" else estimator.PANEL_ROWS)]
     assert not too_wide, too_wide[:5]
 
 
 def test_every_blas_call_of_a_small_cell_writes_at_most_half_of_n_columns(monkeypatch):
     # at n = 128 each RFP half is one tile of 64: no call of the fit or the
     # degree pass, the factor's and the inverse's included, is wider than
-    # that; the Monte Carlo products write one panel of test points, at
-    # most PANEL_ROWS columns
+    # that, and the solve's calls write its two right-hand sides; the Monte
+    # Carlo products write one panel of test points, at most PANEL_ROWS
+    # columns
     config = ExperimentConfig(gamma=1.75, s=0.5, d_list=(16,), sigma2=1.0,
                               mc_test_points=2000, master_seed=31337)
     assert config.n_for(16) == 128
     widths = _call_widths(monkeypatch, config, 16)
-    too_wide = [(name, w, mc) for name, w, mc in widths
-                if w > (estimator.PANEL_ROWS if mc else 64)]
+    limit = {"mc": estimator.PANEL_ROWS, "solve": 2, "": 64}
+    too_wide = [(name, w, stage) for name, w, stage in widths if w > limit[stage]]
     assert not too_wide, too_wide[:5]
-    assert any(mc for *_, mc in widths) and not all(mc for *_, mc in widths)
+    assert {stage for *_, stage in widths} == set(limit)
+    assert {name for name, _, stage in widths if stage == "solve"} == {"trsm", "gemm"}
 
 
 def _call_widths(monkeypatch, config, d):
-    """(routine, width, in the Monte Carlo check) for each call of
-    kilab._lapack's routines that one cell makes; every routine must be
+    """(routine, width, stage) for each call of kilab._lapack's routines
+    that one cell makes, with stage "mc" in the Monte Carlo check, "solve"
+    in the solve with K's factor and "" elsewhere; every routine must be
     called. The width is the column count of the column-major output (of b
     for trsm and trmm, seen by the library as the transpose of a transposed
-    view), a LAPACK routine's order, and pftrs's right-hand-side column
-    count."""
-    widths, in_mc = [], [False]
+    view; of c^T for a transposed gemm c) and a LAPACK routine's order."""
+    widths, stage = [], [""]
 
     def columns(a):
         return a.shape[0] if _lapack._operand(a)[0] else a.shape[1]
@@ -487,29 +523,30 @@ def _call_widths(monkeypatch, config, d):
     def order(a):
         return a.shape[0]
 
-    width = {"pftrs": lambda a, b: b.shape[1] if b.ndim == 2 else 1,
-             "symm": lambda a, b, c: columns(c), "gemm": lambda a, b, c, *_: columns(c),
+    width = {"symm": lambda a, b, c: columns(c), "gemm": lambda a, b, c, *_: columns(c),
              "syrk": lambda a, c, *_: order(c), "trsm": lambda a, b, *_: columns(b),
              "trmm": lambda a, b: columns(b), "potrf": order, "trtri": order, "lauum": order}
     assert set(width) == set(NAMES)
 
     def recorded(name, routine):
-        def call(*args):
-            widths.append((name, int(width[name](*args)), in_mc[0]))
-            return routine(*args)
+        def call(*args, **kwargs):
+            widths.append((name, int(width[name](*args)), stage[0]))
+            return routine(*args, **kwargs)
         return call
 
-    def mc_errors(*args):
-        in_mc[0] = True
-        try:
-            return real_mc(*args)
-        finally:
-            in_mc[0] = False
+    def staged(label, real):
+        def call(*args):
+            stage[0] = label
+            try:
+                return real(*args)
+            finally:
+                stage[0] = ""
+        return call
 
     for name in NAMES:
         monkeypatch.setattr(estimator, name, recorded(name, getattr(_lapack, name)))
-    real_mc = estimator.mc_errors
-    monkeypatch.setattr(estimator, "mc_errors", mc_errors)
+    for label, name in (("mc", "mc_errors"), ("solve", "_solve")):
+        monkeypatch.setattr(estimator, name, staged(label, getattr(estimator, name)))
     row = run_cell(config, compute_spectrum(config.kernel_spec(), d), d, 0)
     assert row["error"] == ""
     assert {name for name, *_ in widths} == set(NAMES)
